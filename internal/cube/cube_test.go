@@ -1,7 +1,9 @@
 package cube
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"twohot/internal/multipole"
@@ -152,5 +154,46 @@ func TestBackgroundAccelMatchesPrism(t *testing.T) {
 	p2 := pr.Potential(x)
 	if a1.Sub(a2).Norm() > 1e-14 || math.Abs(p1-p2) > 1e-14 {
 		t.Error("BackgroundAccel must equal the negative-density prism field")
+	}
+}
+
+// The fused corner pass must reproduce the separate Accel and Potential sums
+// bit for bit, at field points in every position relative to the cube.
+func TestBackgroundAccelFusedBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	lo, side := vec.V3{1, 2, 3}, 0.5
+	box := vec.CubeBox(lo, side)
+	points := map[string]vec.V3{
+		"outside": {2.7, 1.1, 3.9},
+		"inside":  {1.1, 2.2, 3.3},
+		"center":  {1.25, 2.25, 3.25},
+		"face":    {1.5, 2.2, 3.3},
+		"edge":    {1.5, 2.5, 3.1},
+		"corner":  {1, 2, 3},
+		"aligned": {4, 2, 3}, // outside, on the extension of an edge
+	}
+	for i := 0; i < 200; i++ {
+		points[fmt.Sprintf("random%d", i)] = lo.Add(vec.V3{rng.Float64(), rng.Float64(), rng.Float64()}.Scale(3 * side)).Sub(vec.V3{side, side, side})
+	}
+	for name, x := range points {
+		a, p := BackgroundAccel(box, 2.5, x)
+		pr := Prism{Box: box, Rho: -2.5}
+		wantA, wantP := pr.Accel(x), pr.Potential(x)
+		got := [4]uint64{math.Float64bits(a[0]), math.Float64bits(a[1]), math.Float64bits(a[2]), math.Float64bits(p)}
+		want := [4]uint64{math.Float64bits(wantA[0]), math.Float64bits(wantA[1]), math.Float64bits(wantA[2]), math.Float64bits(wantP)}
+		if got != want {
+			t.Errorf("%s %v: fused (%v, %g), separate (%v, %g)", name, x, a, p, wantA, wantP)
+		}
+	}
+}
+
+var benchSink float64
+
+func BenchmarkBackgroundAccel(b *testing.B) {
+	box := vec.CubeBox(vec.V3{1, 2, 3}, 0.5)
+	x := vec.V3{2.7, 1.1, 3.9}
+	for i := 0; i < b.N; i++ {
+		a, p := BackgroundAccel(box, 2.5, x)
+		benchSink += a[0] + p
 	}
 }

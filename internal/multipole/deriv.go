@@ -22,8 +22,7 @@ type DerivTensor struct {
 //
 // which follows from Laplace's equation applied to r^2 * (1/r).
 func Derivatives(r vec.V3, p int) DerivTensor {
-	t := Table(p)
-	d := make([]float64, len(t.Idx))
+	d := make([]float64, NumTerms(p))
 	DerivativesInto(r, p, d)
 	return DerivTensor{P: p, D: d}
 }
@@ -31,7 +30,12 @@ func Derivatives(r vec.V3, p int) DerivTensor {
 // DerivativesInto is like Derivatives but writes into a caller-provided slice
 // of length NumTerms(p), avoiding allocation in hot loops.
 func DerivativesInto(r vec.V3, p int, d []float64) {
-	t := Table(p)
+	derivativesInto(Table(p), r, p, d)
+}
+
+// derivativesInto interprets the recurrence table of t (any table of order at
+// least p: the enumeration is order-independent) up to order p.
+func derivativesInto(t *IndexTable, r vec.V3, p int, d []float64) {
 	r2 := r.Norm2()
 	if r2 == 0 {
 		panic("multipole: Derivatives at zero separation")

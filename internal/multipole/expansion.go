@@ -132,7 +132,7 @@ func (e *Expansion) AddParticle(pos vec.V3, m float64) {
 	t := Table(e.P)
 	d := pos.Sub(e.Center)
 	// Monomial powers d^alpha computed incrementally per order.
-	pow := powersBuffer(e.P, d)
+	pow := powers(e.P, d)
 	for i, mi := range t.Idx {
 		e.M[i] += m * pow[0][mi[0]] * pow[1][mi[1]] * pow[2][mi[2]]
 	}
@@ -156,17 +156,14 @@ func (e *Expansion) AddParticles(pos []vec.V3, m []float64) {
 	}
 }
 
-// powersBuffer returns per-dimension power tables pow[dim][k] = d[dim]^k for
-// k = 0..p.
-func powersBuffer(p int, d vec.V3) [3][]float64 {
-	var pow [3][]float64
+// powers returns per-dimension power tables pow[dim][k] = d[dim]^k for
+// k = 0..p, by value so the P2M / M2M / L2P operators stay off the heap.
+func powers(p int, d vec.V3) (pow [3][maxTableOrder + 1]float64) {
 	for c := 0; c < 3; c++ {
-		pw := make([]float64, p+1)
-		pw[0] = 1
+		pow[c][0] = 1
 		for k := 1; k <= p; k++ {
-			pw[k] = pw[k-1] * d[c]
+			pow[c][k] = pow[c][k-1] * d[c]
 		}
-		pow[c] = pw
 	}
 	return pow
 }
@@ -181,7 +178,7 @@ func (e *Expansion) AddShifted(child *Expansion) {
 	}
 	t := Table(e.P)
 	s := child.Center.Sub(e.Center) // z - z'
-	pow := powersBuffer(e.P, s)
+	pow := powers(e.P, s)
 	for ia, a := range t.Idx {
 		sum := 0.0
 		for ib, b := range t.Idx {
@@ -198,16 +195,12 @@ func (e *Expansion) AddShifted(child *Expansion) {
 	// B'_n <= sum_k C(n,k) |s|^{n-k} B_k, which is exact for collinear
 	// worst cases and conservative otherwise.
 	smag := s.Norm()
-	newB := make([]float64, e.P+2)
 	for n := 0; n <= e.P+1; n++ {
 		sum := 0.0
 		for k := 0; k <= n; k++ {
 			sum += binom(n, k) * math.Pow(smag, float64(n-k)) * child.B[k]
 		}
-		newB[n] = sum
-	}
-	for n := range e.B {
-		e.B[n] += newB[n]
+		e.B[n] += sum
 	}
 	if b := smag + child.Bmax; b > e.Bmax {
 		e.Bmax = b
@@ -247,43 +240,23 @@ type Result struct {
 // R = x - center must be outside the source distribution for the expansion to
 // converge.
 func (e *Expansion) Evaluate(x vec.V3) Result {
-	tEval := Table(e.P + 1)
-	r := x.Sub(e.Center)
-	d := make([]float64, NumTerms(e.P+1))
-	DerivativesInto(r, e.P+1, d)
-	return e.evaluateWithDeriv(tEval, d)
+	var scratch [maxScratch]float64
+	return e.EvaluateTruncated(x, e.P, scratch[:])
 }
 
 // EvaluateWithScratch is Evaluate reusing a caller-provided scratch slice of
-// length at least NumTerms(P+1).
+// length at least ScratchSize(P).
 func (e *Expansion) EvaluateWithScratch(x vec.V3, scratch []float64) Result {
-	tEval := Table(e.P + 1)
-	r := x.Sub(e.Center)
-	DerivativesInto(r, e.P+1, scratch[:NumTerms(e.P+1)])
-	return e.evaluateWithDeriv(tEval, scratch)
-}
-
-func (e *Expansion) evaluateWithDeriv(tEval *IndexTable, d []float64) Result {
-	t := Table(e.P)
-	_ = tEval
-	var res Result
-	for i := range t.Idx {
-		c := t.Coef[i] * e.M[i]
-		if c == 0 {
-			continue
-		}
-		res.Phi += c * d[i]
-		raise := t.Raise[i]
-		res.Acc[0] += c * d[raise[0]]
-		res.Acc[1] += c * d[raise[1]]
-		res.Acc[2] += c * d[raise[2]]
-	}
-	return res
+	return e.EvaluateTruncated(x, e.P, scratch)
 }
 
 // ScratchSize returns the derivative-tensor scratch length needed to evaluate
 // an expansion of order p.
 func ScratchSize(p int) int { return NumTerms(p + 1) }
+
+// maxScratch is ScratchSize of the highest order that can be evaluated
+// (NumTerms(maxTableOrder)), as a constant for stack arrays.
+const maxScratch = (maxTableOrder + 1) * (maxTableOrder + 2) * (maxTableOrder + 3) / 6
 
 // Local is a local (Taylor) expansion of the far field about a center:
 // S(center + h) = sum_gamma (1/gamma!) h^gamma L_gamma.
@@ -330,7 +303,7 @@ func (loc *Local) AddM2L(src *Expansion, T DerivTensor) {
 func (loc *Local) Evaluate(x vec.V3) Result {
 	t := Table(loc.P)
 	h := x.Sub(loc.Center)
-	pow := powersBuffer(loc.P, h)
+	pow := powers(loc.P, h)
 	var res Result
 	for i, g := range t.Idx {
 		c := t.InvAF[i] * loc.L[i]

@@ -6,16 +6,30 @@
 // and the specialized monopole interaction kernels (scalar and m-by-n
 // blocked) used by the micro-kernel benchmark of Table 3.
 //
-// In the paper the order p=8 interaction routines are emitted by a computer
-// algebra system; here the same symmetric-tensor algebra is driven by
-// runtime-generated multi-index tables, with hand-specialized kernels for the
-// low orders that dominate production runs.
+// In the paper the interaction routines are emitted by a computer algebra
+// system as straight-line code.  Here the symmetric-tensor algebra is defined
+// once, by the multi-index tables of this file (IndexTable: enumeration,
+// combinatorial factors, the derivative recurrence DRec and the Raise map),
+// and executed two ways:
+//
+//   - Generated kernels (m2p_gen.go, emitted from those same tables by
+//     ./m2pgen under go generate): one straight-line M2P routine per
+//     truncation order q = 0..MaxGeneratedOrder, holding the derivative
+//     tensor of 1/r to order q+1 in local variables and then contracting it
+//     with the moments.  EvaluateTruncated, EvaluateTruncatedBlock, Evaluate
+//     and EvaluateWithScratch dispatch to them on q alone — the order the
+//     caller asks for, clamped to the stored order — so every tree walk,
+//     whatever its configuration, runs them for q <= MaxGeneratedOrder.
+//   - The table-interpreted path (DerivativesInto + evaluateTable): the only
+//     implementation for q > MaxGeneratedOrder, and the reference the tests
+//     hold the generated kernels to.  The kernels perform the same
+//     floating-point operations in the same order, so the two agree bit for
+//     bit wherever the compiler does not fuse multiply-adds (amd64).
 package multipole
 
-import (
-	"fmt"
-	"sync"
-)
+//go:generate go run ./m2pgen
+
+import "fmt"
 
 // MaxOrder is the highest supported expansion order (hexadecapole is p=4; the
 // paper uses up to p=8).
@@ -72,24 +86,27 @@ func CanonicalPos(a MultiIndex) int {
 	return pos
 }
 
-var (
-	tableMu    sync.Mutex
-	tableCache = map[int]*IndexTable{}
-)
+// maxTableOrder is the highest order Table serves: evaluating an order-p
+// expansion needs the derivative tensor of order p+1, and the lattice M2L
+// tensors go one further.
+const maxTableOrder = MaxOrder + 2
 
-// Table returns the (cached) index table for order p.
+// tables holds the index table of every order, built once at package
+// initialization and read-only afterwards, so the evaluation hot paths share
+// them without synchronization.
+var tables = func() (ts [maxTableOrder + 1]*IndexTable) {
+	for p := range ts {
+		ts[p] = newTable(p)
+	}
+	return ts
+}()
+
+// Table returns the index table for order p.
 func Table(p int) *IndexTable {
-	if p < 0 || p > MaxOrder+2 {
+	if p < 0 || p > maxTableOrder {
 		panic(fmt.Sprintf("multipole: unsupported order %d", p))
 	}
-	tableMu.Lock()
-	defer tableMu.Unlock()
-	if t, ok := tableCache[p]; ok {
-		return t
-	}
-	t := newTable(p)
-	tableCache[p] = t
-	return t
+	return tables[p]
 }
 
 func newTable(p int) *IndexTable {

@@ -523,16 +523,10 @@ func (w *Walker) applyList(x vec.V3, il *interactionList, scratch []float64, cou
 // chooseOrder returns the lowest expansion order whose error estimate meets
 // the tolerance (never below MinimumOrder, never above the stored order).
 func (w *Walker) chooseOrder(c *tree.Cell, d float64) int {
-	p := c.Exp.P
 	if w.Cfg.MAC == MACBarnesHut {
-		return p
+		return c.Exp.P
 	}
-	for q := w.Cfg.MinimumOrder; q < p; q++ {
-		if c.Exp.AccelErrorEstimate(q, d) <= w.Cfg.AccTol {
-			return q
-		}
-	}
-	return p
+	return c.Exp.LowestOrder(w.Cfg.MinimumOrder, d, w.Cfg.AccTol)
 }
 
 // gather walks the (possibly replica-shifted) tree and fills the interaction
