@@ -3,7 +3,6 @@ package twohot
 import (
 	"fmt"
 	"os"
-	"strconv"
 
 	"twohot/internal/analysis"
 	"twohot/internal/massfunc"
@@ -118,9 +117,7 @@ func AnalyzeSnapshot(cfg Config, path string, trig analysis.Trigger) (*analysis.
 		return nil, err
 	}
 	if trig.Step == 0 {
-		if n, err := strconv.Atoi(snap.Extra["step"]); err == nil && n > 0 {
-			trig.Step = n
-		}
+		trig.Step, _ = snap.StepGrid()
 	}
 	s.P = snap.Particles
 	s.A = snap.ScaleFac

@@ -9,8 +9,6 @@ import (
 	"testing"
 
 	"twohot/internal/analysis"
-	"twohot/internal/cluster"
-	"twohot/internal/comm"
 	"twohot/internal/grid"
 	"twohot/internal/massfunc"
 )
@@ -325,16 +323,7 @@ func TestAnalysisTransportParity(t *testing.T) {
 	// Channel leg: the same spec on the in-process world.
 	chanCfg := cfg
 	chanCfg.OutputDir = t.TempDir()
-	spec, err := stageClusterRun(chanCfg, chanCfg.OutputDir, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	world := comm.NewWorld(spec.N)
-	if err := world.Run(func(r *comm.Rank) error {
-		return cluster.RankRun(r, spec)
-	}); err != nil {
-		t.Fatal(err)
-	}
+	spec := runClusterChan(t, chanCfg, "")
 	cat, err := AnalyzeSnapshot(chanCfg, spec.ResultPath,
 		analysis.Trigger{Kind: analysis.TriggerEnd, Step: chanCfg.NSteps})
 	if err != nil {

@@ -591,8 +591,7 @@ func BenchmarkTreeBuild(b *testing.B) {
 // reuse + batched SoA kernels) against the legacy per-group gather it
 // replaced.  The equivalence suite in internal/traverse proves the two are
 // bit-identical; this benchmark tracks the single-core speedup, the
-// replica-walk reduction and allocations/op.  `2hot-bench -traverse` writes
-// the same numbers to BENCH_traverse.json.
+// replica-walk reduction and allocations/op.
 // ---------------------------------------------------------------------------
 
 func traversalBenchWalker(b *testing.B, n int, periodic bool, ws int, bg bool) *traverse.Walker {

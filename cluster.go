@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strconv"
 
 	"twohot/internal/analysis"
 	"twohot/internal/cluster"
@@ -111,17 +110,16 @@ func RunClusterSupervised(cfg Config, opt ClusterRunOptions) (string, error) {
 
 // stageClusterRun prepares a cluster run: it stages the initial state as a
 // file every worker loads — either the caller's snapshot (a resume) or
-// freshly generated initial conditions — and derives the run spec.  DlnA is
-// chosen so the remaining steps land on z_final; for a fresh run that is the
-// full NSteps grid, and for a resume it reproduces the original grid's step
-// size exactly in exact arithmetic.  The same spec drives every transport
-// (the TCP supervisor here, the in-process channel world in tests), which is
-// what makes their results byte-comparable.
+// freshly generated initial conditions — and derives the run spec.  The step
+// size is always the full grid's, ln(aFinal/aInit)/NSteps from the snapshot's
+// step-grid anchor — the expression Simulation.Run evaluates — so a resumed
+// run continues the original grid bit for bit, and a snapshot without an
+// anchor starts a fresh grid at its own epoch.  The same spec drives every
+// transport (the TCP supervisor here, the in-process channel world in tests),
+// which is what makes their results byte-comparable.
 func stageClusterRun(cfg Config, dir, snapshotIn string) (cluster.Spec, error) {
-	aFinal := 1 / (1 + cfg.ZFinal)
 	icPath := snapshotIn
-	var aStart float64
-	stepsDone := 0
+	var snap *sdf.Snapshot
 	if icPath == "" {
 		sim, err := New(cfg)
 		if err != nil {
@@ -131,44 +129,34 @@ func stageClusterRun(cfg Config, dir, snapshotIn string) (cluster.Spec, error) {
 			return cluster.Spec{}, err
 		}
 		icPath = filepath.Join(dir, cfg.Name+"-cluster-ic.sdf")
-		if err := sdf.Write(icPath, sim.Snapshot()); err != nil {
+		snap = sim.Snapshot()
+		if err := sdf.Write(icPath, snap); err != nil {
 			return cluster.Spec{}, err
 		}
-		aStart = sim.A
 	} else {
-		snap, err := sdf.Read(icPath)
-		if err != nil {
+		var err error
+		if snap, err = sdf.Read(icPath); err != nil {
 			return cluster.Spec{}, err
-		}
-		aStart = snap.ScaleFac
-		if v, err := strconv.Atoi(snap.Extra["step"]); err == nil && v > 0 {
-			stepsDone = v
 		}
 	}
-	remaining := cfg.NSteps - stepsDone
-	if remaining <= 0 {
+	stepsDone, aInit := snap.StepGrid()
+	if stepsDone >= cfg.NSteps {
 		return cluster.Spec{}, fmt.Errorf("twohot: snapshot %s already completed step %d of %d", icPath, stepsDone, cfg.NSteps)
 	}
 
+	aFinal := 1 / (1 + cfg.ZFinal)
 	spec := cluster.Spec{
-		N:               cfg.Ranks,
-		Cosmology:       cfg.Cosmology,
-		Tree:            cfg.treeConfig(),
-		BranchExchange:  "ring",
-		NSteps:          cfg.NSteps,
-		DlnA:            math.Log(aFinal/aStart) / float64(remaining),
-		SnapshotIn:      icPath,
-		ResultPath:      filepath.Join(dir, cfg.Name+"-final.sdf"),
-		CheckpointPath:  filepath.Join(dir, cfg.Name+"-ckpt.sdf"),
-		CheckpointEvery: cfg.CheckpointEvery,
-	}
-	if cfg.BlockSteps > 0 {
-		spec.BlockSteps = cfg.BlockSteps
-		spec.RungDisplacementFrac = cfg.RungDisplacementFrac
-		// Same mean interparticle separation the single-process engine uses
-		// (newStepper), so block/ranks composes without changing the rung
-		// criterion.
-		spec.RungSep = cfg.BoxSize / float64(cfg.NGrid)
+		N:                    cfg.Ranks,
+		Cosmology:            cfg.Cosmology,
+		Tree:                 cfg.treeConfig(),
+		NSteps:               cfg.NSteps,
+		DlnA:                 math.Log(aFinal/aInit) / float64(cfg.NSteps),
+		BlockSteps:           cfg.BlockSteps,
+		RungDisplacementFrac: cfg.RungDisplacementFrac,
+		SnapshotIn:           icPath,
+		ResultPath:           filepath.Join(dir, cfg.Name+"-final.sdf"),
+		CheckpointPath:       filepath.Join(dir, cfg.Name+"-ckpt.sdf"),
+		CheckpointEvery:      cfg.CheckpointEvery,
 	}
 	if spec.CheckpointEvery <= 0 {
 		spec.CheckpointEvery = 1

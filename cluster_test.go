@@ -1,11 +1,14 @@
 package twohot
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"twohot/internal/cluster"
+	"twohot/internal/comm"
 	"twohot/internal/sdf"
 )
 
@@ -41,10 +44,7 @@ func TestRunClusterSupervisedCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := sdf.Read(result)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := readSnapshot(t, result)
 	if want := cfg.NGrid * cfg.NGrid * cfg.NGrid; snap.Particles.Len() != want {
 		t.Errorf("result has %d particles, want %d", snap.Particles.Len(), want)
 	}
@@ -54,8 +54,8 @@ func TestRunClusterSupervisedCompletes(t *testing.T) {
 	if snap.MomentumScaleFac != snap.ScaleFac {
 		t.Error("result snapshot is not synchronized")
 	}
-	if snap.Extra["step"] != "3" {
-		t.Errorf("result completed step %q, want 3", snap.Extra["step"])
+	if stepsDone, _ := snap.StepGrid(); stepsDone != 3 {
+		t.Errorf("result completed step %d, want 3", stepsDone)
 	}
 	// The run also left a checkpoint and the staged IC behind.
 	if _, err := os.Stat(filepath.Join(cfg.OutputDir, cfg.Name+"-ckpt.sdf")); err != nil {
@@ -64,45 +64,160 @@ func TestRunClusterSupervisedCompletes(t *testing.T) {
 }
 
 // TestRunClusterSupervisedResume pins the -restart path: a cluster run
-// resumed from a mid-grid cluster checkpoint finishes the original grid.
+// resumed from a mid-grid cluster checkpoint finishes the original grid with
+// a result byte-identical to the uninterrupted run's.
 func TestRunClusterSupervisedResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process cluster test skipped in -short")
 	}
 	cfg := clusterConfig(t)
-	if _, err := RunClusterSupervised(cfg, ClusterRunOptions{}); err != nil {
+	cfg.CheckpointEvery = 2 // of 3 steps: the checkpoint left behind is mid-grid
+	full, err := RunClusterSupervised(cfg, ClusterRunOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// The final checkpoint sits at step NSteps; rewind it to pretend the run
-	// died after step 2, then resume.
 	ckpt := filepath.Join(cfg.OutputDir, cfg.Name+"-ckpt.sdf")
-	snap, err := sdf.Read(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Extra["step"] != "3" {
-		t.Fatalf("final checkpoint at step %q, want 3", snap.Extra["step"])
+	if stepsDone, _ := readSnapshot(t, ckpt).StepGrid(); stepsDone != 2 {
+		t.Fatalf("checkpoint at step %d, want 2", stepsDone)
 	}
 
-	resumeCfg := clusterConfig(t)
+	resumeCfg := cfg
+	resumeCfg.OutputDir = t.TempDir()
 	resumed, err := RunClusterSupervised(resumeCfg, ClusterRunOptions{SnapshotIn: ckpt})
-	if err == nil {
-		t.Fatalf("resume from a completed grid succeeded (%s); want an error", resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("run resumed from the step-2 checkpoint differs from the uninterrupted run")
 	}
 
-	// A genuinely mid-grid snapshot: raise NSteps so step 3 of 5 remains.
-	resumeCfg.NSteps = 5
-	result, err := RunClusterSupervised(resumeCfg, ClusterRunOptions{SnapshotIn: ckpt})
+	// The result sits at step NSteps: nothing is left to resume.
+	if out, err := RunClusterSupervised(resumeCfg, ClusterRunOptions{SnapshotIn: full}); err == nil {
+		t.Fatalf("resume from a completed grid succeeded (%s); want an error", out)
+	}
+}
+
+// TestStageClusterRunRestartKeepsStepSize pins the one step-grid convention:
+// staging a restart from any checkpoint of a run yields bit for bit the step
+// size the fresh run was staged with, because both evaluate
+// ln(aFinal/aInit)/NSteps from the anchor the checkpoint carries.
+func TestStageClusterRunRestartKeepsStepSize(t *testing.T) {
+	cfg := clusterConfig(t)
+	cfg.NGrid = 4
+	cfg.ZInit, cfg.ZFinal, cfg.NSteps = 24, 0, 24
+	fresh, err := stageClusterRun(cfg, cfg.OutputDir, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := sdf.Read(result)
+	snap := readSnapshot(t, fresh.SnapshotIn)
+	_, aInit := snap.StepGrid()
+	ckpt := filepath.Join(cfg.OutputDir, "ckpt.sdf")
+	for k := 1; k < cfg.NSteps; k++ {
+		// The epoch the engines reach after k steps (step.Global.Advance).
+		snap.ScaleFac *= math.Exp(fresh.DlnA)
+		snap.SetStepGrid(k, aInit)
+		if err := sdf.Write(ckpt, snap); err != nil {
+			t.Fatal(err)
+		}
+		restart, err := stageClusterRun(cfg, cfg.OutputDir, ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(restart.DlnA) != math.Float64bits(fresh.DlnA) {
+			t.Errorf("restart from step %d: DlnA %v, fresh run %v", k, restart.DlnA, fresh.DlnA)
+		}
+	}
+}
+
+// runClusterChan stages cfg (from snapshotIn when non-empty) and drives the
+// rank body on the in-process channel world — the transport-free way to get
+// cluster checkpoints and results.
+func runClusterChan(t *testing.T, cfg Config, snapshotIn string) cluster.Spec {
+	t.Helper()
+	spec, err := stageClusterRun(cfg, cfg.OutputDir, snapshotIn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Extra["step"] != "5" {
-		t.Errorf("resumed run completed step %q, want 5", out.Extra["step"])
+	if err := comm.NewWorld(spec.N).Run(func(r *comm.Rank) error {
+		return cluster.RankRun(r, spec)
+	}); err != nil {
+		t.Fatal(err)
 	}
+	return spec
+}
+
+func readSnapshot(t *testing.T, path string) *sdf.Snapshot {
+	t.Helper()
+	snap, err := sdf.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// TestClusterCheckpointInterchange pins that cluster and Simulation
+// checkpoints carry the same step-grid metadata: each kind restores through
+// the other's entry point and continues the original grid.
+func TestClusterCheckpointInterchange(t *testing.T) {
+	cfg := clusterConfig(t)
+	cfg.CheckpointEvery = 2 // of 3 steps
+	aFinal := 1 / (1 + cfg.ZFinal)
+
+	t.Run("cluster checkpoint into Simulation", func(t *testing.T) {
+		spec := runClusterChan(t, cfg, "")
+		_, aInit := readSnapshot(t, spec.SnapshotIn).StepGrid()
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.RestoreCheckpoint(spec.CheckpointPath); err != nil {
+			t.Fatal(err)
+		}
+		if sim.StepCount != 2 || sim.AInit != aInit {
+			t.Fatalf("restored step=%d a_init=%v, want step=2 a_init=%v", sim.StepCount, sim.AInit, aInit)
+		}
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if sim.StepCount != cfg.NSteps || math.Abs(sim.A-aFinal) > 1e-12 {
+			t.Errorf("restored run ended at step %d a=%v, want step %d a=%v", sim.StepCount, sim.A, cfg.NSteps, aFinal)
+		}
+	})
+
+	t.Run("Simulation checkpoint into cluster", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("multi-process cluster test skipped in -short")
+		}
+		single := cfg
+		single.Ranks, single.Transport = 0, ""
+		single.OutputDir = t.TempDir()
+		sim, err := New(single)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		result, err := RunClusterSupervised(cfg, ClusterRunOptions{SnapshotIn: sim.CheckpointPath()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := readSnapshot(t, result)
+		if stepsDone, aInit := out.StepGrid(); stepsDone != cfg.NSteps || aInit != sim.AInit {
+			t.Errorf("cluster finished at step=%d a_init=%v, want step=%d a_init=%v", stepsDone, aInit, cfg.NSteps, sim.AInit)
+		}
+		if math.Abs(out.ScaleFac-aFinal) > 1e-12 || out.MomentumScaleFac != out.ScaleFac {
+			t.Errorf("cluster result at a=%v a_mom=%v, want both %v", out.ScaleFac, out.MomentumScaleFac, aFinal)
+		}
+	})
 }
 
 // TestRunWritesPeriodicCheckpoints covers the single-process analogue: with

@@ -63,7 +63,6 @@
 //	internal/halo       FOF and spherical-overdensity halo finding
 //	internal/massfunc   mass functions and the Tinker08 / Warren06 fits
 //	internal/sdf        self-describing file format snapshots and checkpoints
-//	internal/stask      dependency-aware task queue for analysis pipelines
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // reproduction of every table and figure in the paper.

@@ -1,16 +1,25 @@
 // Package cluster runs a distributed simulation as N cooperating rank
 // processes over the TCP transport, supervised for fault tolerance: ranks
-// advance the comoving leapfrog in lockstep with forces from
-// core.DistributedRankForces, rank 0 writes atomic checkpoints on a fixed
-// cadence, and when any rank dies the supervisor kills the survivors and
-// restarts the whole world from the last good checkpoint.
+// advance in lockstep, rank 0 writes atomic checkpoints on a fixed cadence,
+// and when any rank dies the supervisor kills the survivors and restarts the
+// whole world from the last good checkpoint.
 //
-// The per-rank body (RankRun) is transport-agnostic: driving it on the
-// in-process channel world and on TCP loopback runs the identical code, which
-// is what makes an N-process run bit-identical to the in-process one.  A
-// restart is bit-identical to an uninterrupted run because every step begins
-// from the canonical layout (rechunk below) and checkpoints capture exactly
-// that layout in full float64 precision.
+// There is one rank body (RankRun) and it owns no integrator arithmetic: it
+// drives the engines of internal/step — step.Global, or step.Block when
+// Spec.BlockSteps > 0, chosen exactly as a single-process Simulation chooses
+// — against a step.Forcer backed by the rank's share of
+// core.DistributedRankForces.  What the body adds is the distributed
+// bookkeeping around each engine call: the rechunk to the canonical layout,
+// the collective checkpoint gate, and the gather to rank 0.  Checkpoints
+// carry the same step-grid metadata as Simulation checkpoints
+// (sdf.Snapshot.SetStepGrid), so the two kinds restore interchangeably.
+//
+// The body is transport-agnostic: driving it on the in-process channel world
+// and on TCP loopback runs the identical code, which is what makes an
+// N-process run bit-identical to the in-process one.  A restart is
+// bit-identical to an uninterrupted run because every step begins from the
+// canonical layout (rechunk below) and checkpoints capture exactly that
+// layout in full float64 precision.
 package cluster
 
 import (
@@ -18,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"strconv"
 	"time"
 
 	"twohot/internal/comm"
@@ -29,7 +37,6 @@ import (
 	"twohot/internal/particle"
 	"twohot/internal/sdf"
 	"twohot/internal/step"
-	"twohot/internal/vec"
 )
 
 // Spec fully describes a cluster run.  It is plain JSON so the supervisor can
@@ -45,27 +52,22 @@ type Spec struct {
 	Cosmology string          `json:"cosmology"`
 	Tree      core.TreeConfig `json:"tree"`
 	Curve     keys.Curve      `json:"curve"`
-	// BranchExchange selects the upper-tree branch distribution
-	// ("allgather" or "ring"); see core.DistributedConfig.
-	BranchExchange string  `json:"branch_exchange,omitempty"`
-	NSteps         int     `json:"n_steps"`
-	DlnA           float64 `json:"dln_a"`
+	NSteps    int             `json:"n_steps"`
+	DlnA      float64         `json:"dln_a"`
 
 	// Block stepping.  BlockSteps > 0 replaces each global step with a
 	// hierarchical block step of that many rung levels (see step.Block): the
 	// ranks agree on each block's substep schedule by summing their rung
 	// histograms, the domain decomposition is frozen within a block, and
-	// only the active particles are solved and kicked per substep.  Requires
-	// a periodic box.  RungDisplacementFrac is the per-particle rung
-	// criterion (0 = 0.1); RungSep the mean interparticle separation it is
-	// measured against (0 = derived from the input particle count).
+	// only the active particles are solved and kicked per substep.
+	// RungDisplacementFrac is the per-particle rung criterion (0 = 0.1),
+	// measured against the mean interparticle separation of the input load.
 	BlockSteps           int     `json:"block_steps,omitempty"`
 	RungDisplacementFrac float64 `json:"rung_displacement_frac,omitempty"`
-	RungSep              float64 `json:"rung_sep,omitempty"`
 
-	// Files.  SnapshotIn is the initial state (an SDF snapshot; its "step"
-	// extra, when present, is the number of steps already completed — how a
-	// checkpoint resumes mid-grid).  ResultPath receives the final gathered
+	// Files.  SnapshotIn is the initial state (an SDF snapshot; its step-grid
+	// metadata, when present, is how a checkpoint resumes mid-grid — see
+	// sdf.Snapshot.StepGrid).  ResultPath receives the final gathered
 	// snapshot.  CheckpointPath, with CheckpointEvery > 0, receives an atomic
 	// checkpoint after every CheckpointEvery-th step.  All paths must be on a
 	// filesystem every rank process can reach.
@@ -154,13 +156,36 @@ type RunHooks struct {
 	OnBlock func(stepsDone int, hist []int)
 }
 
+// branchExchange is the upper-tree branch distribution every cluster run
+// uses: the 2HOT hierarchical pairwise aggregation (see
+// core.DistributedConfig.BranchExchange).
+const branchExchange = "ring"
+
+// engine is what the rank body asks of a stepping engine; *step.Global and
+// *step.Block both provide it.
+type engine interface {
+	Advance(f step.Forcer, p *particle.Set, clk *step.Clock, dlnA float64) (*core.Result, error)
+	Synchronize(f step.Forcer, p *particle.Set, clk *step.Clock) (*core.Result, error)
+	CheckpointReady(aMom float64) error
+}
+
 // RankRun is the per-rank body of a cluster run, independent of the
 // transport joining r to its world.  Each rank loads its contiguous chunk of
-// the input snapshot, then repeats: distributed force solve, leapfrog
-// kick-drift (identical scalar factors on every rank), and a rechunk back to
-// the canonical contiguous layout.  Rank 0 writes checkpoints and the final
-// result.  With Spec.BlockSteps > 0 the global leapfrog is replaced by the
-// distributed block-stepping engine (see rankRunBlock).
+// the input snapshot and then drives the same stepping engine a
+// single-process Simulation drives — step.Global, or step.Block when
+// Spec.BlockSteps > 0 — against its share of the distributed force solve
+// (rankForcer): Advance, rechunk back to the canonical layout, and on the
+// checkpoint cadence a collective checkpoint gate followed by a gather to
+// rank 0.  The run ends with the engine's Synchronize and a final gather, so
+// the result snapshot is synchronized.
+//
+// The step grid comes from the input snapshot (sdf.Snapshot.StepGrid): a
+// checkpoint resumes after its completed-step count and hands its anchor on
+// to every checkpoint this run writes; anything else starts a fresh grid
+// anchored at its own epoch.
+//
+// The box must be periodic: the engines wrap positions into it, and the
+// frozen-domain key space of a block must not change between substeps.
 //
 // Domain decomposition runs without work weights: per-particle work is not
 // part of the checkpoint format, and balancing on it would make a restarted
@@ -172,164 +197,92 @@ func RankRun(r *comm.Rank, spec Spec) error {
 // RankRunHooked is RankRun with observation hooks (used by the equivalence
 // tests to watch per-block rung histograms).
 func RankRunHooked(r *comm.Rank, spec Spec, hooks RunHooks) error {
-	if spec.BlockSteps > 0 {
-		return rankRunBlock(r, spec, hooks)
-	}
-	par, err := cosmo.ByName(spec.Cosmology)
-	if err != nil {
-		return err
-	}
-	snap, err := sdf.Read(spec.SnapshotIn)
-	if err != nil {
-		return fmt.Errorf("cluster: rank %d: %w", r.ID, err)
-	}
-	startStep := 0
-	if v, err := strconv.Atoi(snap.Extra["step"]); err == nil && v > 0 {
-		startStep = v
-	}
-	my := chunkOf(snap.Particles, r.ID, r.N())
-	clk := step.Clock{A: snap.ScaleFac, AMom: snap.MomentumScaleFac}
-
-	dcfg := core.DistributedConfig{
-		Tree:           spec.Tree,
-		NRanks:         r.N(),
-		Curve:          spec.Curve,
-		Alltoall:       comm.AlltoallDirect,
-		BranchExchange: spec.BranchExchange,
-		UseWorkWeights: false,
-	}
-	// Spec.Tree.Workers is a per-process budget; DistributedRankForces
-	// divides its Workers by the rank count (an in-process world shares one
-	// machine), so scale up to hand each process the full budget.
-	if spec.Tree.Workers > 0 {
-		dcfg.Tree.Workers = spec.Tree.Workers * r.N()
-	}
-
-	for s := startStep; s < spec.NSteps; s++ {
-		if err := advanceOnce(r, my, &clk, par, spec, dcfg); err != nil {
-			return fmt.Errorf("cluster: rank %d step %d: %w", r.ID, s, err)
-		}
-		if my, err = rechunk(r, my); err != nil {
-			return fmt.Errorf("cluster: rank %d step %d rechunk: %w", r.ID, s, err)
-		}
-		if spec.CheckpointPath != "" && spec.CheckpointEvery > 0 && (s+1)%spec.CheckpointEvery == 0 {
-			if err := writeGathered(r, my, spec.CheckpointPath, clk, spec, s+1); err != nil {
-				return fmt.Errorf("cluster: rank %d checkpoint after step %d: %w", r.ID, s, err)
-			}
-		}
-	}
-
-	// Close the leapfrog: one more force solve kicks the momenta from the
-	// trailing half step up to the position epoch, so the result snapshot is
-	// synchronized (and a fresh run starting from it re-primes cleanly).
-	if clk.AMom != clk.A {
-		if _, err := core.DistributedRankForces(r, my, dcfg); err != nil {
-			return fmt.Errorf("cluster: rank %d synchronize: %w", r.ID, err)
-		}
-		kick := par.KickFactor(clk.AMom, clk.A)
-		for i := range my.Mom {
-			my.Mom[i] = my.Mom[i].Add(my.Acc[i].Scale(kick))
-		}
-		clk.AMom = clk.A
-		if my, err = rechunk(r, my); err != nil {
-			return fmt.Errorf("cluster: rank %d synchronize rechunk: %w", r.ID, err)
-		}
-	}
-	return writeGathered(r, my, spec.ResultPath, clk, spec, spec.NSteps)
-}
-
-// rankForcer adapts one rank's share of the distributed force pipeline to the
-// step.Forcer contract, so the block engine can drive it like any other
-// solver.  A non-nil active mask is stamped into the particle flags (they
-// travel with each particle through the domain exchange) and prunes every
-// rank's traversal; decomp, when non-nil, freezes the domain shape across the
-// substeps of one block (the block loop clears it at every block boundary).
-type rankForcer struct {
-	r      *comm.Rank
-	cfg    core.DistributedConfig
-	decomp *domain.Decomposition
-}
-
-func (f *rankForcer) Accelerations(p *particle.Set) (*core.Result, error) {
-	return f.ActiveForces(p, nil, nil)
-}
-
-func (f *rankForcer) ActiveForces(p *particle.Set, active, moved []bool) (*core.Result, error) {
-	cfg := f.cfg
-	if active != nil {
-		for i := range p.Flags {
-			if active[i] {
-				p.Flags[i] |= particle.FlagActive
-			} else {
-				p.Flags[i] &^= particle.FlagActive
-			}
-		}
-		cfg.ActiveMask = true
-	}
-	out, d, err := core.DistributedRankForcesReuse(f.r, p, cfg, f.decomp)
-	if err != nil {
-		return nil, err
-	}
-	f.decomp = d
-	return &core.Result{
-		Acc:      p.Acc,
-		Pot:      p.Pot,
-		Work:     p.Work,
-		Counters: out.Counters,
-		Timings:  out.Timings,
-	}, nil
-}
-
-// rankRunBlock is the block-stepping rank body: a step.Block engine drives
-// the distributed solve, with per-particle rungs, momentum epochs and
-// activity flags traveling inside the particle set through every exchange.
-// Compared to the global body, the canonical rechunk happens only at block
-// boundaries (the domain decomposition is frozen across the substeps of one
-// block, with boundary-crossers shipped on the frozen splitters), and a due
-// checkpoint lands only at a synchronized boundary: if any rank holds
-// per-particle epochs the snapshot cannot represent, the world collectively
-// closes the leapfrog first.  A run whose particles all stay on rung 0
-// executes exactly the global body's arithmetic, so its result, checkpoints
-// and every wire byte are identical to a BlockSteps == 0 run.
-func rankRunBlock(r *comm.Rank, spec Spec, hooks RunHooks) error {
 	par, err := cosmo.ByName(spec.Cosmology)
 	if err != nil {
 		return err
 	}
 	if !spec.Tree.Periodic {
-		return fmt.Errorf("cluster: block stepping requires a periodic box (the frozen-domain key space must not change between substeps)")
+		return fmt.Errorf("cluster: a cluster run requires a periodic box")
 	}
 	snap, err := sdf.Read(spec.SnapshotIn)
 	if err != nil {
 		return fmt.Errorf("cluster: rank %d: %w", r.ID, err)
 	}
-	startStep := 0
-	if v, err := strconv.Atoi(snap.Extra["step"]); err == nil && v > 0 {
-		startStep = v
-	}
-	my := chunkOf(snap.Particles, r.ID, r.N())
+	startStep, aInit := snap.StepGrid()
+	my := snap.Particles.Chunk(r.ID, r.N())
 	clk := step.Clock{A: snap.ScaleFac, AMom: snap.MomentumScaleFac}
 
-	dcfg := core.DistributedConfig{
+	fz := &rankForcer{r: r, cfg: core.DistributedConfig{
 		Tree:           spec.Tree,
 		NRanks:         r.N(),
 		Curve:          spec.Curve,
 		Alltoall:       comm.AlltoallDirect,
-		BranchExchange: spec.BranchExchange,
+		BranchExchange: branchExchange,
 		UseWorkWeights: false,
-	}
+	}}
+	// Spec.Tree.Workers is a per-process budget; DistributedRankForces
+	// divides its Workers by the rank count (an in-process world shares one
+	// machine), so scale up to hand each process the full budget.
 	if spec.Tree.Workers > 0 {
-		dcfg.Tree.Workers = spec.Tree.Workers * r.N()
+		fz.cfg.Tree.Workers = spec.Tree.Workers * r.N()
 	}
-	fz := &rankForcer{r: r, cfg: dcfg}
 
-	sep := spec.RungSep
-	if sep == 0 {
-		sep = spec.Tree.BoxSize / math.Cbrt(float64(snap.Particles.Len()))
+	var eng engine = step.NewGlobal(par, spec.Tree.BoxSize)
+	var blk *step.Block
+	if spec.BlockSteps > 0 {
+		blk = newBlockEngine(r, par, spec, snap.Particles.Len())
+		eng = blk
 	}
+
+	for s := startStep; s < spec.NSteps; s++ {
+		// Fresh splitters at every step; within a block step the forcer
+		// freezes them across the substeps.
+		fz.decomp = nil
+		if _, err := eng.Advance(fz, my, &clk, spec.DlnA); err != nil {
+			return fmt.Errorf("cluster: rank %d step %d: %w", r.ID, s, err)
+		}
+		if err := rechunk(r, my); err != nil {
+			return fmt.Errorf("cluster: rank %d step %d rechunk: %w", r.ID, s, err)
+		}
+		if blk != nil && hooks.OnBlock != nil {
+			hooks.OnBlock(s+1, blk.RungHistogram())
+		}
+		if spec.CheckpointPath != "" && spec.CheckpointEvery > 0 && (s+1)%spec.CheckpointEvery == 0 {
+			if err := syncIfUnrepresentable(r, my, &clk, eng, fz); err != nil {
+				return fmt.Errorf("cluster: rank %d checkpoint sync after step %d: %w", r.ID, s, err)
+			}
+			if err := writeGathered(r, my, spec.CheckpointPath, clk, spec, s+1, aInit); err != nil {
+				return fmt.Errorf("cluster: rank %d checkpoint after step %d: %w", r.ID, s, err)
+			}
+		}
+	}
+
+	// Close the leapfrog with fresh splitters and gather the synchronized
+	// result (a fresh run starting from it re-primes cleanly).
+	fz.decomp = nil
+	res, err := eng.Synchronize(fz, my, &clk)
+	if err != nil {
+		return fmt.Errorf("cluster: rank %d synchronize: %w", r.ID, err)
+	}
+	if res != nil {
+		if err := rechunk(r, my); err != nil {
+			return fmt.Errorf("cluster: rank %d synchronize rechunk: %w", r.ID, err)
+		}
+	}
+	return writeGathered(r, my, spec.ResultPath, clk, spec, spec.NSteps, aInit)
+}
+
+// newBlockEngine returns the block-timestep engine of one rank.  The rung
+// criterion is measured against the mean interparticle separation of the
+// whole load, box/cbrt(N) — for the N = NGrid^3 lattice loads the root
+// package stages this is bit for bit the box/NGrid a single-process run uses
+// (math.Cbrt is exact on perfect cubes), so block/ranks composes without
+// changing a rung.
+func newBlockEngine(r *comm.Rank, par cosmo.Params, spec Spec, nTotal int) *step.Block {
+	sep := spec.Tree.BoxSize / math.Cbrt(float64(nTotal))
 	eng := step.NewBlock(par, spec.Tree.BoxSize, sep, spec.BlockSteps, spec.RungDisplacementFrac)
 	// Work weights never steer the cluster decomposition (UseWorkWeights is
-	// off above), so the between-block decay would only churn Work bytes a
+	// off), so the between-block decay would only churn Work bytes a
 	// checkpoint resume (which resets Work) could not reproduce.
 	eng.WorkDecay = 0
 	// Rung agreement: sum the per-rank histograms so every rank derives the
@@ -349,132 +302,87 @@ func rankRunBlock(r *comm.Rank, spec Spec, hooks RunHooks) error {
 		}
 		return sum, nil
 	}
+	return eng
+}
 
-	for s := startStep; s < spec.NSteps; s++ {
-		fz.decomp = nil // fresh splitters at every block start
-		if _, err := eng.Advance(fz, my, &clk, spec.DlnA); err != nil {
-			return fmt.Errorf("cluster: rank %d block step %d: %w", r.ID, s, err)
-		}
-		if my, err = rechunk(r, my); err != nil {
-			return fmt.Errorf("cluster: rank %d step %d rechunk: %w", r.ID, s, err)
-		}
-		if hooks.OnBlock != nil {
-			hooks.OnBlock(s+1, eng.RungHistogram())
-		}
-		if spec.CheckpointPath != "" && spec.CheckpointEvery > 0 && (s+1)%spec.CheckpointEvery == 0 {
-			if my, err = syncIfUnrepresentable(r, my, &clk, eng, fz); err != nil {
-				return fmt.Errorf("cluster: rank %d checkpoint sync after step %d: %w", r.ID, s, err)
-			}
-			if err := writeGathered(r, my, spec.CheckpointPath, clk, spec, s+1); err != nil {
-				return fmt.Errorf("cluster: rank %d checkpoint after step %d: %w", r.ID, s, err)
-			}
-		}
+// rankForcer adapts one rank's share of the distributed force pipeline to the
+// step.Forcer contract, so the stepping engines drive it like any other
+// solver.  A non-nil active mask is stamped into the particle flags (they
+// travel with each particle through the domain exchange) and prunes every
+// rank's traversal.  decomp is the decomposition of the previous solve,
+// reused as frozen splitters by the next one; the rank body clears it before
+// every engine call, so only the substeps of one block step ever share a
+// domain shape (boundary-crossers are shipped on the frozen splitters) and a
+// global step decomposes afresh.
+type rankForcer struct {
+	r      *comm.Rank
+	cfg    core.DistributedConfig
+	decomp *domain.Decomposition
+}
+
+func (f *rankForcer) Accelerations(p *particle.Set) (*core.Result, error) {
+	return f.ActiveForces(p, nil, nil)
+}
+
+func (f *rankForcer) ActiveForces(p *particle.Set, active, moved []bool) (*core.Result, error) {
+	cfg := f.cfg
+	if active != nil {
+		p.SetActive(active)
+		cfg.ActiveMask = true
 	}
-
-	// Close the leapfrog with fresh splitters — the same final solve shape as
-	// the global body — and gather the synchronized result.
-	fz.decomp = nil
-	res, err := eng.Synchronize(fz, my, &clk)
+	out, d, err := core.DistributedRankForcesReuse(f.r, p, cfg, f.decomp)
 	if err != nil {
-		return fmt.Errorf("cluster: rank %d synchronize: %w", r.ID, err)
+		return nil, err
 	}
-	if res != nil {
-		if my, err = rechunk(r, my); err != nil {
-			return fmt.Errorf("cluster: rank %d synchronize rechunk: %w", r.ID, err)
-		}
-	}
-	return writeGathered(r, my, spec.ResultPath, clk, spec, spec.NSteps)
+	f.decomp = d
+	return &core.Result{
+		Acc:      p.Acc,
+		Pot:      p.Pot,
+		Work:     p.Work,
+		Counters: out.Counters,
+		Timings:  out.Timings,
+	}, nil
 }
 
 // syncIfUnrepresentable closes the leapfrog before a due checkpoint when the
 // world holds per-particle momentum epochs a single-epoch snapshot cannot
-// represent.  The verdict is collective (an allreduce over the ranks' local
-// checks), so every rank takes the same branch.  An all-rung-0 block leaves
-// one uniform trailing epoch, which the snapshot's two scale factors
-// represent exactly; it is written unchanged, preserving byte-identity with
-// the global path's mid-run checkpoints.
-func syncIfUnrepresentable(r *comm.Rank, my *particle.Set, clk *step.Clock, eng *step.Block, fz *rankForcer) (*particle.Set, error) {
+// represent (a multi-rung block; the engine's CheckpointReady says so).  The
+// verdict is collective — an allreduce over the ranks' local answers — so
+// every rank takes the same branch.  Global and all-rung-0 states leave one
+// uniform trailing epoch, which the snapshot's two scale factors represent
+// exactly; they are written unchanged, which keeps an all-rung-0 block run's
+// checkpoints byte-identical to a global run's.
+func syncIfUnrepresentable(r *comm.Rank, my *particle.Set, clk *step.Clock, eng engine, fz *rankForcer) error {
 	local := 0.0
-	for _, am := range my.MomEpoch {
-		if am != clk.AMom {
-			local = 1
-			break
-		}
+	if eng.CheckpointReady(clk.AMom) != nil {
+		local = 1
 	}
 	global, err := r.AllreduceFloat64(local, "max")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if global == 0 {
-		return my, nil
+		return nil
 	}
 	fz.decomp = nil
 	if _, err := eng.Synchronize(fz, my, clk); err != nil {
-		return nil, err
+		return err
 	}
 	return rechunk(r, my)
 }
 
-// advanceOnce is one kick-drift leapfrog step (step.Global.Advance) with the
-// force solve distributed across the world.
-func advanceOnce(r *comm.Rank, my *particle.Set, clk *step.Clock, par cosmo.Params, spec Spec, dcfg core.DistributedConfig) error {
-	aNow := clk.A
-	aNext := aNow * math.Exp(spec.DlnA)
-	if aNext > 1 {
-		aNext = 1
-	}
-	aHalfNext := math.Sqrt(aNow * aNext)
-
-	if _, err := core.DistributedRankForces(r, my, dcfg); err != nil {
-		return err
-	}
-	kick := par.KickFactor(clk.AMom, aHalfNext)
-	for i := range my.Mom {
-		my.Mom[i] = my.Mom[i].Add(my.Acc[i].Scale(kick))
-	}
-	clk.AMom = aHalfNext
-
-	drift := par.DriftFactor(aNow, aNext)
-	for i := range my.Pos {
-		p := my.Pos[i].Add(my.Mom[i].Scale(drift))
-		if spec.Tree.Periodic {
-			p = vec.WrapV(p, spec.Tree.BoxSize)
-		}
-		my.Pos[i] = p
-	}
-	clk.A = aNext
-	return nil
-}
-
-// chunkOf returns rank's contiguous chunk of all — the same initial
-// ownership formula core.DistributedStep uses.
-func chunkOf(all *particle.Set, rank, n int) *particle.Set {
-	chunk := (all.Len() + n - 1) / n
-	lo, hi := rank*chunk, (rank+1)*chunk
-	if lo > all.Len() {
-		lo = all.Len()
-	}
-	if hi > all.Len() {
-		hi = all.Len()
-	}
-	my := particle.New(hi - lo)
-	for i := lo; i < hi; i++ {
-		my.AppendFrom(all, i)
-	}
-	return my
-}
-
-// rechunk restores the canonical layout after a force solve left each rank
-// owning a key range: the global rank-order concatenation is re-split into
-// contiguous even chunks, exactly the layout chunkOf hands out.  Every step
-// therefore begins from the state a checkpoint captures, which is what makes
-// a restart bit-identical to the uninterrupted run (and matches the per-call
-// chunking of core.DistributedStep, pinning TCP runs to the in-process ones).
-func rechunk(r *comm.Rank, my *particle.Set) (*particle.Set, error) {
+// rechunk restores the canonical layout in place after a force solve left
+// each rank owning a key range: the global rank-order concatenation is
+// re-split into the contiguous chunks particle.ChunkBounds hands out.  Every
+// step therefore begins from the state a checkpoint captures, which is what
+// makes a restart bit-identical to the uninterrupted run (and matches the
+// per-call chunking of core.DistributedStep, pinning TCP runs to the
+// in-process ones).
+func rechunk(r *comm.Rank, my *particle.Set) error {
 	n := r.N()
 	counts, err := r.AllgatherUint64([]uint64{uint64(my.Len())})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	total, myOff := 0, 0
 	for rank, c := range counts {
@@ -483,15 +391,11 @@ func rechunk(r *comm.Rank, my *particle.Set) (*particle.Set, error) {
 		}
 		total += int(c)
 	}
-	chunk := (total + n - 1) / n
 
 	send := make([][]byte, n)
 	for dst := 0; dst < n; dst++ {
-		dstLo, dstHi := dst*chunk, (dst+1)*chunk
-		if dstHi > total {
-			dstHi = total
-		}
-		lo, hi := dstLo-myOff, dstHi-myOff
+		lo, hi := particle.ChunkBounds(total, dst, n)
+		lo, hi = lo-myOff, hi-myOff
 		if lo < 0 {
 			lo = 0
 		}
@@ -509,31 +413,33 @@ func rechunk(r *comm.Rank, my *particle.Set) (*particle.Set, error) {
 	}
 	recv, err := r.AlltoallvBytes(send, comm.AlltoallDirect)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Global offsets ascend with source rank and each source ships one
 	// contiguous range, so concatenating in source order restores ascending
 	// global order.
-	out := particle.New(chunk)
+	lo, hi := particle.ChunkBounds(total, r.ID, n)
+	out := particle.New(hi - lo)
 	for src := 0; src < n; src++ {
 		if len(recv[src]) == 0 {
 			continue
 		}
 		if err := out.DecodeAppend(recv[src]); err != nil {
-			return nil, fmt.Errorf("rechunk from rank %d: %w", src, err)
+			return fmt.Errorf("rechunk from rank %d: %w", src, err)
 		}
 	}
-	return out, nil
+	*my = *out
+	return nil
 }
 
 // writeGathered collects every rank's particles on rank 0 (in rank order,
 // which after a rechunk is the canonical global order) and writes them
-// atomically to path with the clock state and completed-step count.  Ranks
+// atomically to path with the clock state and the step-grid position.  Ranks
 // other than 0 only send; the collectives of the next step keep them from
 // racing ahead of the write in any way that matters — a crash meanwhile
 // loses at most the newest checkpoint, never the previous one (sdf.Write
 // renames only complete, checksummed files into place).
-func writeGathered(r *comm.Rank, my *particle.Set, path string, clk step.Clock, spec Spec, stepsDone int) error {
+func writeGathered(r *comm.Rank, my *particle.Set, path string, clk step.Clock, spec Spec, stepsDone int, aInit float64) error {
 	if r.ID != 0 {
 		idx := make([]int, my.Len())
 		for i := range idx {
@@ -558,12 +464,13 @@ func writeGathered(r *comm.Rank, my *particle.Set, path string, clk step.Clock, 
 			return fmt.Errorf("gather from rank %d: %w", src, err)
 		}
 	}
-	return sdf.Write(path, &sdf.Snapshot{
+	snap := &sdf.Snapshot{
 		Particles:        all,
 		ScaleFac:         clk.A,
 		MomentumScaleFac: clk.AMom,
 		BoxSize:          spec.Tree.BoxSize,
 		Cosmology:        spec.Cosmology,
-		Extra:            map[string]string{"step": strconv.Itoa(stepsDone)},
-	})
+	}
+	snap.SetStepGrid(stepsDone, aInit)
+	return sdf.Write(path, snap)
 }

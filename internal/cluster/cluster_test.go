@@ -62,7 +62,6 @@ func testSpec(t *testing.T, dir string, n int) cluster.Spec {
 			Periodic: true, BoxSize: 1, BackgroundSubtraction: true, WS: 1,
 			Workers: 1,
 		},
-		BranchExchange:  "ring",
 		NSteps:          3,
 		DlnA:            0.05,
 		SnapshotIn:      writeIC(t, dir, 96),
@@ -254,5 +253,20 @@ func TestSupervisedRecoveryBitIdentical(t *testing.T) {
 	}
 	if got := readResult(t, fault.ResultPath); !bytes.Equal(got, want) {
 		t.Error("supervised faulted run differs from clean run")
+	}
+}
+
+// TestRankRunRequiresPeriodicBox pins the body's one precondition: the
+// stepping engines wrap positions into the box, so a non-periodic spec is
+// refused up front in either stepping mode.
+func TestRankRunRequiresPeriodicBox(t *testing.T) {
+	for _, blockSteps := range []int{0, 3} {
+		spec := testSpec(t, t.TempDir(), 1)
+		spec.Tree.Periodic = false
+		spec.BlockSteps = blockSteps
+		err := comm.NewWorld(1).Run(func(r *comm.Rank) error { return cluster.RankRun(r, spec) })
+		if err == nil {
+			t.Errorf("block_steps=%d: a non-periodic cluster run was accepted", blockSteps)
+		}
 	}
 }

@@ -83,16 +83,8 @@ func DistributedStep(set *particle.Set, cfg DistributedConfig) (*DistributedResu
 
 	// Initial ownership: contiguous chunks of the input ordering.
 	perRank := make([]*particle.Set, cfg.NRanks)
-	chunk := (set.Len() + cfg.NRanks - 1) / cfg.NRanks
-	for r := 0; r < cfg.NRanks; r++ {
-		lo, hi := r*chunk, (r+1)*chunk
-		if hi > set.Len() {
-			hi = set.Len()
-		}
-		perRank[r] = particle.New(hi - lo)
-		for i := lo; i < hi; i++ {
-			perRank[r].AppendFrom(set, i)
-		}
+	for r := range perRank {
+		perRank[r] = set.Chunk(r, cfg.NRanks)
 	}
 
 	outcomes := make([]*RankOutcome, cfg.NRanks)

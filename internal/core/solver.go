@@ -296,7 +296,7 @@ func (s *TreeSolver) ForcesActive(pos []vec.V3, mass []float64, work []float64, 
 	// Walker setup happens outside the traversal window so that
 	// Timings.Total - Timings.TreeTraversal isolates the per-step rebuild
 	// pipeline (staging, build, solver setup, scatter) the persistent state
-	// amortizes — the quantity BENCH_step.json tracks.
+	// amortizes.
 	if s.walker == nil {
 		s.walker = traverse.NewWalker(tr, walkCfg)
 	} else {

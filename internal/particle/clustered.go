@@ -9,8 +9,8 @@ import (
 // Clustered returns the standard clustered benchmark snapshot: n unit-mass
 // particles in the unit box, one quarter uniform and the rest drawn from six
 // Gaussian blobs (sigma 0.05), periodically wrapped.  The root bench_test.go
-// harnesses and cmd/2hot-bench share this generator so BENCH_treebuild.json
-// and the go-test benchmarks measure the same workload.
+// harnesses and the equivalence suites share this generator so they measure
+// and pin the same workload.
 func Clustered(n int, seed int64) *Set {
 	rng := rand.New(rand.NewSource(seed))
 	set := New(n)

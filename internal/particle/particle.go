@@ -110,6 +110,46 @@ func (s *Set) Clone() *Set {
 	return c
 }
 
+// ChunkBounds returns the index range [lo, hi) of rank's share when total
+// particles are dealt to n ranks as contiguous chunks of ceil(total/n) (the
+// trailing ranks come up short, or empty).  This is the canonical rank layout:
+// the distributed solvers hand it out before every solve and the cluster
+// restores it after every step, so a checkpoint — which stores the global
+// order — always captures the state a step begins from.
+func ChunkBounds(total, rank, n int) (lo, hi int) {
+	chunk := (total + n - 1) / n
+	lo, hi = rank*chunk, (rank+1)*chunk
+	if lo > total {
+		lo = total
+	}
+	if hi > total {
+		hi = total
+	}
+	return lo, hi
+}
+
+// Chunk returns a copy of rank's ChunkBounds share of s.
+func (s *Set) Chunk(rank, n int) *Set {
+	lo, hi := ChunkBounds(s.Len(), rank, n)
+	c := New(hi - lo)
+	for i := lo; i < hi; i++ {
+		c.AppendFrom(s, i)
+	}
+	return c
+}
+
+// SetActive stamps an activity mask into the FlagActive bits, which (unlike
+// the mask) travel with each particle through a rank exchange.
+func (s *Set) SetActive(active []bool) {
+	for i := range s.Flags {
+		if active[i] {
+			s.Flags[i] |= FlagActive
+		} else {
+			s.Flags[i] &^= FlagActive
+		}
+	}
+}
+
 // TotalMass returns the summed particle mass.
 func (s *Set) TotalMass() float64 {
 	t := 0.0

@@ -85,3 +85,48 @@ func TestCloneIsDeep(t *testing.T) {
 		t.Error("Clone shares storage with the original")
 	}
 }
+
+// TestChunksPartitionTheSet pins the canonical rank layout: for any load and
+// rank count — including counts that leave the trailing ranks short or empty,
+// where a bare rank*ceil(total/n) runs past the end — the chunks are
+// contiguous, in order, and cover every particle exactly once.
+func TestChunksPartitionTheSet(t *testing.T) {
+	for _, total := range []int{0, 1, 5, 11, 96} {
+		s := randomSet(total, 7)
+		for _, n := range []int{1, 2, 3, 4, 5, 8} {
+			next := 0
+			for rank := 0; rank < n; rank++ {
+				lo, hi := ChunkBounds(total, rank, n)
+				if lo != next || hi < lo || hi > total {
+					t.Fatalf("total=%d n=%d rank=%d: bounds [%d,%d) after %d", total, n, rank, lo, hi, next)
+				}
+				c := s.Chunk(rank, n)
+				if c.Len() != hi-lo {
+					t.Fatalf("total=%d n=%d rank=%d: chunk has %d particles, bounds say %d", total, n, rank, c.Len(), hi-lo)
+				}
+				for i := 0; i < c.Len(); i++ {
+					if c.ID[i] != s.ID[lo+i] {
+						t.Fatalf("total=%d n=%d rank=%d: chunk particle %d is not set particle %d", total, n, rank, i, lo+i)
+					}
+				}
+				next = hi
+			}
+			if next != total {
+				t.Fatalf("total=%d n=%d: chunks cover %d particles", total, n, next)
+			}
+		}
+	}
+}
+
+func TestSetActiveTouchesOnlyTheActiveBit(t *testing.T) {
+	s := randomSet(4, 8)
+	s.Flags[0] = FlagActive | FlagMoved
+	s.Flags[1] = FlagMoved
+	s.SetActive([]bool{false, true, true, false})
+	want := []uint8{FlagMoved, FlagActive | FlagMoved, FlagActive, 0}
+	for i, w := range want {
+		if s.Flags[i] != w {
+			t.Errorf("particle %d: flags %02b, want %02b", i, s.Flags[i], w)
+		}
+	}
+}

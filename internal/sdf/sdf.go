@@ -78,11 +78,43 @@ type Snapshot struct {
 	Extra            map[string]string
 }
 
+// SetStepGrid records the snapshot's place on its run's logarithmic step grid:
+// the number of completed steps and the scale factor the grid is anchored at.
+// Every checkpoint writer — single-process and cluster alike — goes through
+// here, which is what makes their checkpoints interchangeable.
+func (s *Snapshot) SetStepGrid(stepsDone int, aInit float64) {
+	if s.Extra == nil {
+		s.Extra = map[string]string{}
+	}
+	s.Extra["step"] = strconv.Itoa(stepsDone)
+	s.Extra["a_init"] = strconv.FormatFloat(aInit, 'g', 17, 64)
+}
+
+// StepGrid returns what SetStepGrid recorded.  A snapshot without a valid
+// anchor (initial conditions, or a checkpoint from before "a_init" existed)
+// starts a fresh grid at its own epoch, (0, ScaleFac): a step count without
+// the anchor it counts from would make a restart compute a full-grid step
+// size yet execute only the remaining steps, so the two are honored together
+// or not at all.
+func (s *Snapshot) StepGrid() (stepsDone int, aInit float64) {
+	a, err := strconv.ParseFloat(s.Extra["a_init"], 64)
+	if err != nil || a <= 0 {
+		return 0, s.ScaleFac
+	}
+	if n, err := strconv.Atoi(s.Extra["step"]); err == nil && n > 0 {
+		stepsDone = n
+	}
+	return stepsDone, a
+}
+
 // Write stores the snapshot at path atomically: the bytes go to a temporary
 // file in the same directory, are fsynced, and are renamed over path only
 // once complete.  A crash at any point leaves either the previous checkpoint
 // or the new one — never a half-written file under the checkpoint's name.
 func Write(path string, s *Snapshot) error {
+	if s == nil || s.Particles == nil {
+		return fmt.Errorf("sdf: write %s: snapshot has no particle set", path)
+	}
 	return WriteAtomic(path, func(f *os.File) error { return writeSnapshot(f, s) })
 }
 

@@ -2,6 +2,7 @@ package sdf
 
 import (
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -51,6 +52,47 @@ func TestWriteReadRoundTrip(t *testing.T) {
 			got.Particles.ID[i] != s.Particles.ID[i] {
 			t.Fatalf("particle %d corrupted", i)
 		}
+	}
+}
+
+// TestStepGridRoundTrip pins the one reader/writer pair for the step-grid
+// metadata: what SetStepGrid records survives a file round trip bit for bit,
+// and a step count without a valid anchor is not honored.
+func TestStepGridRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "grid.sdf")
+	s := sampleSnapshot(3)
+	aInit := 1 / (1 + 24.0)
+	s.SetStepGrid(7, aInit)
+	if err := Write(path, s); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stepsDone, a := got.StepGrid(); stepsDone != 7 || a != aInit {
+		t.Errorf("round trip gave (%d, %v), want (7, %v)", stepsDone, a, aInit)
+	}
+	if got.Extra["git"] != "deadbeef" {
+		t.Error("SetStepGrid clobbered unrelated metadata")
+	}
+	for _, anchor := range []string{"", "0", "bogus"} {
+		legacy := &Snapshot{ScaleFac: 0.3, Extra: map[string]string{"step": "3", "a_init": anchor}}
+		if stepsDone, a := legacy.StepGrid(); stepsDone != 0 || a != 0.3 {
+			t.Errorf("anchor %q: StepGrid gave (%d, %v), want a fresh grid (0, 0.3)", anchor, stepsDone, a)
+		}
+	}
+}
+
+// TestWriteRejectsMissingParticles: a snapshot without a particle set is an
+// error, not a nil dereference, and leaves no file behind.
+func TestWriteRejectsMissingParticles(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "empty.sdf")
+	if err := Write(path, &Snapshot{ScaleFac: 0.5}); err == nil {
+		t.Fatal("Write accepted a snapshot without particles")
+	}
+	if _, err := os.Stat(path); err == nil {
+		t.Fatal("rejected Write left a file behind")
 	}
 }
 

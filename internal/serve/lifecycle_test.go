@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"context"
+	"errors"
 	"net/http"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -20,20 +23,7 @@ import (
 func TestLifecycleSuspendResumeBitIdentical(t *testing.T) {
 	cfg := testConfig("lifecycle", 24)
 
-	// Reference: the uninterrupted run.
-	refCfg := cfg
-	refCfg.OutputDir = t.TempDir()
-	ref, err := twohot.New(refCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Run(); err != nil {
-		t.Fatal(err)
-	}
-	refPath := filepath.Join(refCfg.OutputDir, "ref-final.sdf")
-	if err := ref.WriteCheckpoint(refPath); err != nil {
-		t.Fatal(err)
-	}
+	refPath := referenceFinal(t, cfg)
 
 	// Served run with a mid-flight suspend/resume cycle.
 	root := t.TempDir()
@@ -81,12 +71,37 @@ func TestLifecycleSuspendResumeBitIdentical(t *testing.T) {
 		t.Fatalf("resumed run finished at step %d, want %d (must continue the original grid)", final.Stats.Step, cfg.NSteps)
 	}
 
-	// Bit-identity of the final synchronized state.
+	assertSameFinalState(t, refPath, filepath.Join(root, "alice", info.ID, cfg.Name+"-final.sdf"))
+}
+
+// referenceFinal runs cfg uninterrupted, outside any server, and returns the
+// path of its final synchronized snapshot.
+func referenceFinal(t *testing.T, cfg twohot.Config) string {
+	t.Helper()
+	cfg.OutputDir = t.TempDir()
+	ref, err := twohot.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(cfg.OutputDir, "ref-final.sdf")
+	if err := ref.WriteCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// assertSameFinalState requires two final snapshots to agree bit for bit on
+// epochs, particle order, positions and momenta.
+func assertSameFinalState(t *testing.T, refPath, gotPath string) {
+	t.Helper()
 	refSnap, err := sdf.Read(refPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotSnap, err := sdf.Read(filepath.Join(root, "alice", info.ID, cfg.Name+"-final.sdf"))
+	gotSnap, err := sdf.Read(gotPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +118,73 @@ func TestLifecycleSuspendResumeBitIdentical(t *testing.T) {
 			t.Fatalf("particle %d: IDs differ", i)
 		}
 		if rp.Pos[i] != gp.Pos[i] || rp.Mom[i] != gp.Mom[i] {
-			t.Fatalf("particle %d: served suspend/resume trajectory is not bit-identical (%v/%v vs %v/%v)",
+			t.Fatalf("particle %d: served trajectory is not bit-identical (%v/%v vs %v/%v)",
 				i, rp.Pos[i], rp.Mom[i], gp.Pos[i], gp.Mom[i])
 		}
 	}
+}
+
+// TestSuspendBeforeFirstStep is the regression test for a suspend that wins
+// the race against the runner's start-up: RunContext sees the canceled
+// context before generating particles, so there is nothing to checkpoint.
+// The runner used to write one anyway and crash the process on the absent
+// particle set; it must instead park the simulation without a checkpoint,
+// and the resume must run it from scratch to the uninterrupted result.  The
+// race is made deterministic by starting the runner by hand on a context
+// that is already canceled.
+func TestSuspendBeforeFirstStep(t *testing.T) {
+	cfg := testConfig("early", 4)
+	refPath := referenceFinal(t, cfg)
+
+	root := t.TempDir()
+	s := newTestServer(t, Options{Dir: root, PoolWorkers: 1, QueueCap: 4})
+	// A long job holds the only slot, so the job under test stays queued and
+	// no runner of its own races the one started below.
+	blocker, err := s.Submit("bob", testConfig("blocker", 500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := s.Submit("alice", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// What dispatchLocked + Suspend would have left behind, had the suspend
+	// arrived before the runner's first instruction.
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(errors.New("suspend requested"))
+	s.mu.Lock()
+	sm := s.sims[info.ID]
+	s.dequeueLocked(sm)
+	s.used += sm.cost
+	s.tenantUse[sm.tenant] += sm.cost
+	sm.state = StateSuspending
+	sm.intent = intentSuspend
+	sm.cancel = cancel
+	s.wg.Add(1)
+	s.mu.Unlock()
+	s.runSim(sm, ctx)
+
+	got, _ := s.Get(info.ID)
+	if got.State != StateSuspended || got.Stats.Suspends != 1 {
+		t.Fatalf("early suspend ended %q with %d suspends (error %q), want suspended/1", got.State, got.Stats.Suspends, got.Error)
+	}
+	if _, err := os.Stat(filepath.Join(root, "alice", info.ID, cfg.Name+"-ckpt.sdf")); err == nil {
+		t.Fatal("a suspend before the first step left a checkpoint behind")
+	}
+
+	if _, err := s.Cancel(blocker.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, blocker.ID, StateCanceled, 60*time.Second)
+	if _, err := s.Resume(info.ID); err != nil {
+		t.Fatal(err)
+	}
+	final := waitState(t, s, info.ID, StateCompleted, 120*time.Second)
+	if final.Stats.Step != cfg.NSteps {
+		t.Fatalf("resumed run finished at step %d, want %d", final.Stats.Step, cfg.NSteps)
+	}
+	assertSameFinalState(t, refPath, filepath.Join(root, "alice", info.ID, cfg.Name+"-final.sdf"))
 }
 
 // TestCloseSuspendsRunning pins graceful shutdown: Close drains the pool by

@@ -49,11 +49,12 @@ func (s *Server) runSim(sm *sim, ctx context.Context) {
 // drive runs one (possibly resumed) simulation to completion, suspension,
 // cancellation or failure.  On completion the final synchronized state is
 // written as "<name>-final.sdf"; on suspension the checkpoint lands at the
-// simulation's CheckpointPath and is recorded for the next resume.  The
-// suspend checkpoint closes the leapfrog only when the stepper's
-// step-boundary state is not checkpoint-representable (multi-rung block
-// state) — the same gate Run's periodic checkpoints use — so global-stepped
-// runs suspend without disturbing the trajectory at all.
+// simulation's CheckpointPath and is recorded for the next resume (a run
+// suspended before its first step leaves none).  The suspend checkpoint
+// closes the leapfrog only when the stepper's step-boundary state is not
+// checkpoint-representable (multi-rung block state) — the same gate Run's
+// periodic checkpoints use — so global-stepped runs suspend without
+// disturbing the trajectory at all.
 func (s *Server) drive(sm *sim, ctx context.Context, ckpt string) error {
 	if err := os.MkdirAll(sm.dir, 0o755); err != nil {
 		return err
@@ -79,7 +80,10 @@ func (s *Server) drive(sm *sim, ctx context.Context, ckpt string) error {
 	if runErr == nil {
 		return tw.WriteCheckpoint(filepath.Join(sm.dir, sm.cfg.Name+"-final.sdf"))
 	}
-	if errors.Is(runErr, context.Canceled) && s.intentOf(sm) == intentSuspend {
+	// A suspend that lands before a fresh run generated its particles has no
+	// state to checkpoint: the simulation parks without one and a resume
+	// starts it fresh, exactly like a suspend while queued.
+	if errors.Is(runErr, context.Canceled) && s.intentOf(sm) == intentSuspend && tw.P != nil {
 		if tw.Stepper().CheckpointReady(tw.AMom) != nil {
 			if err := tw.Synchronize(); err != nil {
 				return err

@@ -46,9 +46,15 @@
 // global leapfrog step (pinned by simulation_blockstep_test.go at the
 // repository root).
 //
-// # Distributed block stepping
+// # Distributed stepping
 //
-// The block engine runs unchanged over message-passing ranks because its
+// A multi-process cluster run has no integrator of its own: each rank of
+// internal/cluster drives one of these engines — Global, or Block when block
+// stepping is configured, the same choice a single-process Simulation makes —
+// against a Forcer backed by its share of the distributed force solve.  The
+// leapfrog arithmetic therefore exists once, here, for every transport.
+//
+// The engines run unchanged over message-passing ranks because their
 // per-particle state is not engine-private: rungs, momentum epochs and
 // activity flags live in the particle set itself (particle.Set.Rung,
 // MomEpoch, Flags), travel inside the wire record of every exchange, and the
@@ -69,6 +75,8 @@
 //     Distributed runners must decide collectively — a one-float allreduce of
 //     the local verdicts — whether to Synchronize before writing, because a
 //     rank-local decision would diverge and deadlock the collectives.
+//     (Global's verdict is always "ready"; the cluster body asks it anyway,
+//     so both engines run the same collectives.)
 //
 // When every particle sits on rung 0 the schedule has one substep, the
 // engine hands the solver a nil activity mask, and the distributed block run

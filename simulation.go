@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
-	"strconv"
 
 	"twohot/internal/core"
 	"twohot/internal/cosmo"
@@ -306,7 +305,8 @@ func (s *Simulation) RunContext(ctx context.Context) error {
 	}
 	aStart := s.AInit
 	if aStart == 0 {
-		// Pre-AInit state (old checkpoint): anchor at the current epoch.
+		// No anchor recorded (a particle load assigned to P directly):
+		// anchor at the current epoch.
 		aStart = s.A
 		s.AInit = aStart
 	}
@@ -470,18 +470,16 @@ func (s *Simulation) MassFunction(minMembers, nBins int) ([]massfunc.Bin, []floa
 
 // Snapshot converts the current state into an SDF snapshot structure.
 func (s *Simulation) Snapshot() *sdf.Snapshot {
-	return &sdf.Snapshot{
+	snap := &sdf.Snapshot{
 		Particles:        s.P,
 		ScaleFac:         s.A,
 		MomentumScaleFac: s.AMom,
 		BoxSize:          s.Cfg.BoxSize,
 		Cosmology:        s.Cfg.Cosmology,
-		Extra: map[string]string{
-			"name":   s.Cfg.Name,
-			"step":   fmt.Sprintf("%d", s.StepCount),
-			"a_init": strconv.FormatFloat(s.AInit, 'g', 17, 64),
-		},
+		Extra:            map[string]string{"name": s.Cfg.Name},
 	}
+	snap.SetStepGrid(s.StepCount, s.AInit)
+	return snap
 }
 
 // WriteCheckpoint saves the complete state, including the leapfrog offset, so
@@ -494,6 +492,9 @@ func (s *Simulation) Snapshot() *sdf.Snapshot {
 // an error — call Synchronize before checkpointing (Run already ends with
 // one), after which the checkpoint is well-defined.
 func (s *Simulation) WriteCheckpoint(path string) error {
+	if s.P == nil {
+		return fmt.Errorf("twohot: no particles loaded; nothing to checkpoint")
+	}
 	if s.stepper != nil {
 		if err := s.stepper.CheckpointReady(s.AMom); err != nil {
 			return fmt.Errorf("twohot: %w", err)
@@ -516,22 +517,9 @@ func (s *Simulation) RestoreCheckpoint(path string) error {
 	if snap.BoxSize > 0 {
 		s.Cfg.BoxSize = snap.BoxSize
 	}
-	if v, err := strconv.ParseFloat(snap.Extra["a_init"], 64); err == nil && v > 0 {
-		s.AInit = v
-		if n, err := strconv.Atoi(snap.Extra["step"]); err == nil && n >= 0 {
-			s.StepCount = n
-		} else {
-			s.StepCount = 0
-		}
-	} else {
-		// Checkpoint without a step-grid anchor (written before a_init
-		// existed): keep the old semantics — Run starts a fresh NSteps grid
-		// at the restored epoch.  Restoring the step counter without the
-		// anchor would make Run compute a full-grid step size but execute
-		// only the remaining steps, silently stopping short of z_final.
-		s.AInit = 0
-		s.StepCount = 0
-	}
+	// An anchorless checkpoint reports step 0 anchored at its own epoch: Run
+	// starts a fresh NSteps grid there.
+	s.StepCount, s.AInit = snap.StepGrid()
 	// The restored particles share nothing with whatever the solver last
 	// built; drop the cross-step reuse state.  Stepper state is dropped
 	// too: checkpoints are written synchronized (Run ends with Synchronize),

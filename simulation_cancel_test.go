@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -27,6 +28,15 @@ func TestRunContextCancelBeforeStart(t *testing.T) {
 	}
 	if sim.P != nil || sim.StepCount != 0 {
 		t.Fatalf("canceled-before-start run mutated the simulation: P=%v steps=%d", sim.P != nil, sim.StepCount)
+	}
+	// A suspend that lands here has nothing to save: the checkpoint write
+	// must say so (it used to dereference the absent particle set).
+	path := filepath.Join(t.TempDir(), "empty.sdf")
+	if err := sim.WriteCheckpoint(path); err == nil {
+		t.Fatal("WriteCheckpoint without particles succeeded")
+	}
+	if _, err := os.Stat(path); err == nil {
+		t.Fatal("WriteCheckpoint without particles left a file behind")
 	}
 }
 

@@ -125,9 +125,9 @@ func TestRestoreLegacyCheckpointStartsFreshGrid(t *testing.T) {
 	if err := restored.RestoreCheckpoint(path); err != nil {
 		t.Fatal(err)
 	}
-	if restored.StepCount != 0 || restored.AInit != 0 {
-		t.Fatalf("legacy checkpoint restored step=%d a_init=%g; want a fresh grid (0, 0)",
-			restored.StepCount, restored.AInit)
+	if restored.StepCount != 0 || restored.AInit != restored.A {
+		t.Fatalf("legacy checkpoint restored step=%d a_init=%g; want a fresh grid (0, %g)",
+			restored.StepCount, restored.AInit, restored.A)
 	}
 	if err := restored.Run(); err != nil {
 		t.Fatal(err)

@@ -182,13 +182,7 @@ func (t *distTreeForceSolver) ActiveForces(p *particle.Set, active, moved []bool
 	// rank exchange; a nil mask leaves the flags alone and takes the plain
 	// full-solve path, bit-identical to Accelerations.
 	if active != nil {
-		for i := range p.Flags {
-			if active[i] {
-				p.Flags[i] |= particle.FlagActive
-			} else {
-				p.Flags[i] &^= particle.FlagActive
-			}
-		}
+		p.SetActive(active)
 	}
 	res, err := core.DistributedStep(p, core.DistributedConfig{
 		Tree:           t.treeCfg(),

@@ -12,8 +12,7 @@ import (
 // asked to synchronize.  The built-in engines live in internal/step — the
 // global single-rung leapfrog (step.Global) and the hierarchical
 // block-timestep integrator (step.Block) — and a Simulation selects between
-// them from Config.BlockSteps, or accepts a custom engine via WithStepper
-// (the seam a future distributed block stepper slots into).
+// them from Config.BlockSteps, or accepts a custom engine via WithStepper.
 //
 // Both Advance and Synchronize mutate the particle set and the clock in
 // place and return the last force result of the call (nil when no solve was
