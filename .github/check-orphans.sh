@@ -1,9 +1,13 @@
 #!/bin/sh
 # Checks that nothing in the repository is orphaned: every internal/*
 # package must be imported by at least one non-test Go file outside itself
-# (the bench/ module counts), and every cmd/* must be mentioned in README.md.
-# A package only its own tests import, or a command nobody documents, is
-# dead weight that still pins every signature it touches.  No dependencies
+# (the bench/ module counts), every exported function, method and type an
+# internal/* file declares must be referenced somewhere besides its own
+# declaration (tests, examples and bench/ count), and every cmd/* must be
+# mentioned in README.md.
+# A package only its own tests import, a symbol nobody calls, or a command
+# nobody documents, is dead weight that still pins every signature it
+# touches.  No dependencies
 # beyond POSIX sh + grep/sed/find, so it runs identically in CI and locally:
 #   sh .github/check-orphans.sh
 set -eu
@@ -21,6 +25,29 @@ for dir in internal/*/; do
         echo "$pkg: imported by no non-test file outside itself" >&2
         status=1
     fi
+done
+# Exported symbols: named, outside comments, in another .go file, or — for
+# the types a constructor returns and the helpers a file calls itself — at
+# least twice in the declaring file (once is the declaration).
+# Methods the runtime or the standard library calls through an interface are
+# named nowhere and are exempt.
+implicit='Error String Len Less Swap Unwrap MarshalJSON UnmarshalJSON ServeHTTP'
+for file in $(find internal -name '*.go' -not -name '*_test.go'); do
+    symbols=$(sed -n \
+        -e 's/^func ([^)]*) \([A-Z][A-Za-z0-9_]*\)[[(].*/\1/p' \
+        -e 's/^func \([A-Z][A-Za-z0-9_]*\)[[(].*/\1/p' \
+        -e 's/^type \([A-Z][A-Za-z0-9_]*\) .*/\1/p' "$file" | sort -u)
+    [ -n "$symbols" ] || continue
+    elsewhere=$(find . -name '*.go' -not -path './.git/*' -not -path "./$file" \
+        -exec grep -hv '^[[:space:]]*//' {} + | grep -owF -e "$symbols" | sort -u)
+    here=$(grep -v '^[[:space:]]*//' "$file" | grep -owF -e "$symbols" | sort | uniq -d)
+    for sym in $symbols; do
+        case " $implicit " in *" $sym "*) continue ;; esac
+        if ! printf '%s\n%s\n' "$elsewhere" "$here" | grep -qxF "$sym"; then
+            echo "$file: exported $sym is referenced nowhere" >&2
+            status=1
+        fi
+    done
 done
 for dir in cmd/*/; do
     cmd=${dir%/}

@@ -10,6 +10,7 @@ import (
 	"twohot/internal/core"
 	"twohot/internal/cosmo"
 	"twohot/internal/halo"
+	"twohot/internal/multipole"
 	"twohot/internal/pm"
 	"twohot/internal/softening"
 	"twohot/internal/step"
@@ -223,6 +224,10 @@ func (c *Config) Validate() error {
 	if c.NGrid < 2 {
 		return fmt.Errorf("config: n_grid must be at least 2")
 	}
+	if c.ZFinal <= -1 {
+		// a = 1/(1+z): z = -1 is the infinite future, below it a is negative.
+		return fmt.Errorf("config: z_final (%g) must exceed -1", c.ZFinal)
+	}
 	if c.ZInit <= c.ZFinal {
 		return fmt.Errorf("config: z_init (%g) must exceed z_final (%g)", c.ZInit, c.ZFinal)
 	}
@@ -245,6 +250,15 @@ func (c *Config) Validate() error {
 	}
 	if c.Order < 0 || c.Order > 8 {
 		return fmt.Errorf("config: order must be between 0 and 8")
+	}
+	// The far-lattice tensors are built at order + lattice_order; beyond the
+	// tabulated orders multipole.Table panics inside the first solve.
+	if c.LatticeOrder < 0 || c.Order+c.LatticeOrder > multipole.MaxTableOrder {
+		return fmt.Errorf("config: lattice_order must be between 0 and %d for order %d (order + lattice_order <= %d)",
+			multipole.MaxTableOrder-c.Order, c.Order, multipole.MaxTableOrder)
+	}
+	if c.WS < 0 || c.Workers < 0 || c.PMGrid < 0 {
+		return fmt.Errorf("config: ws (%d), workers (%d) and pm_grid (%d) must not be negative", c.WS, c.Workers, c.PMGrid)
 	}
 	if c.Ranks < 0 {
 		return fmt.Errorf("config: ranks must not be negative")

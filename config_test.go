@@ -26,6 +26,19 @@ func TestConfigValidate(t *testing.T) {
 		{"unknown kernel", func(c *Config) { c.Kernel = "gaussian9000" }, "kernel"},
 		{"ranks without tree", func(c *Config) { c.Ranks = 2; c.Solver = SolverPM }, "ranks > 1"},
 
+		// Values that used to pass and then panic (or run on a non-finite
+		// step grid) inside the first solve — on the serve path, taking the
+		// whole process with them.
+		{"lattice order beyond the tables, default order", func(c *Config) { c.LatticeOrder = 7 }, "lattice_order"},
+		{"lattice order beyond the tables, order 8", func(c *Config) { c.Order = 8; c.LatticeOrder = 3 }, "lattice_order"},
+		{"lattice order at the table limit", func(c *Config) { c.Order = 8; c.LatticeOrder = 2 }, ""},
+		{"negative lattice order", func(c *Config) { c.LatticeOrder = -1 }, "lattice_order"},
+		{"negative ws", func(c *Config) { c.WS = -1 }, "ws"},
+		{"negative workers", func(c *Config) { c.Workers = -2 }, "workers"},
+		{"negative pm grid", func(c *Config) { c.Solver = SolverTreePM; c.PMGrid = -4 }, "pm_grid"},
+		{"z_final at the infinite future", func(c *Config) { c.ZFinal = -1 }, "z_final"},
+		{"z_final below -1", func(c *Config) { c.ZFinal = -3 }, "z_final"},
+
 		// Block stepping alone.
 		{"block steps with tree", func(c *Config) { c.BlockSteps = 3 }, ""},
 		{"block steps with treepm", func(c *Config) { c.BlockSteps = 3; c.Solver = SolverTreePM }, ""},

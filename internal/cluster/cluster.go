@@ -216,7 +216,6 @@ func RankRunHooked(r *comm.Rank, spec Spec, hooks RunHooks) error {
 		Tree:           spec.Tree,
 		NRanks:         r.N(),
 		Curve:          spec.Curve,
-		Alltoall:       comm.AlltoallDirect,
 		BranchExchange: branchExchange,
 		UseWorkWeights: false,
 	}}
@@ -456,11 +455,7 @@ func writeGathered(r *comm.Rank, my *particle.Set, path string, clk step.Clock, 
 		if err != nil {
 			return err
 		}
-		b, ok := data.([]byte)
-		if !ok {
-			return fmt.Errorf("gather from rank %d: unexpected payload %T", src, data)
-		}
-		if err := all.DecodeAppend(b); err != nil {
+		if err := all.DecodeAppend(data); err != nil {
 			return fmt.Errorf("gather from rank %d: %w", src, err)
 		}
 	}

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
@@ -27,7 +28,7 @@ type ABM struct {
 	wg sync.WaitGroup
 
 	mu      sync.Mutex
-	waiters map[uint64]*abmFuture // request id -> future
+	waiters map[uint64]*Future // request id -> future
 	nextID  uint64
 	failed  error // first service-loop failure; poisons later requests
 }
@@ -36,22 +37,34 @@ type ABM struct {
 // reply per key, in order.
 type Handler func(src int, keys []uint64) [][]byte
 
-type abmRequest struct {
-	src  int
-	id   uint64
-	keys []uint64
+// appendABMRequest appends a request message: the u64 request id, then the
+// requested keys, 8 bytes each, to the end of the payload (the frame already
+// delimits it, and the envelope already names the requesting rank).
+func appendABMRequest(buf []byte, id uint64, keys []uint64) []byte {
+	return appendUint64s(binary.LittleEndian.AppendUint64(buf, id), keys)
 }
 
-type abmReply struct {
-	id   uint64
-	data [][]byte
+func parseABMRequest(data []byte) (id uint64, keys []uint64, err error) {
+	words, err := parseUint64s(data)
+	if err != nil || len(words) == 0 {
+		return 0, nil, fmt.Errorf("comm: abm request of %d bytes is not an id plus whole keys", len(data))
+	}
+	return words[0], words[1:], nil
 }
 
-type abmFuture struct {
-	done chan struct{}
-	data [][]byte
-	keys []uint64
-	err  error
+// appendABMReply appends a reply message: the u64 id of the request it
+// answers, then one block per requested key (appendBlocks).
+func appendABMReply(buf []byte, id uint64, replies [][]byte) []byte {
+	return appendBlocks(binary.LittleEndian.AppendUint64(buf, id), replies)
+}
+
+// parseABMReply reverses appendABMReply; the replies alias data.
+func parseABMReply(data []byte) (id uint64, replies [][]byte, err error) {
+	if len(data) < 8 {
+		return 0, nil, fmt.Errorf("comm: truncated abm reply")
+	}
+	replies, err = parseBlocks(data[8:])
+	return binary.LittleEndian.Uint64(data), replies, err
 }
 
 const (
@@ -76,7 +89,7 @@ func (r *Rank) NewABM(handler Handler) (*ABM, error) {
 	a := &ABM{
 		rank:    r,
 		handler: handler,
-		waiters: make(map[uint64]*abmFuture),
+		waiters: make(map[uint64]*Future),
 	}
 	a.wg.Add(1)
 	go a.serve()
@@ -97,27 +110,35 @@ func (a *ABM) serve() {
 			a.fail(fmt.Errorf("abm service recv: %w", err))
 			return
 		}
-		switch p := msg.Payload.(type) {
-		case abmRequest:
-			a.rank.stats.countABM(int64(len(p.keys)))
-			data := a.handler(msg.Src, p.keys)
-			if err := a.rank.Send(msg.Src, tagABMReply, abmReply{id: p.id, data: data}); err != nil {
+		switch msg.Tag {
+		case tagABMRequest:
+			id, keys, err := parseABMRequest(msg.Payload)
+			if err != nil {
+				a.fail(fmt.Errorf("abm request from rank %d: %w", msg.Src, err))
+				return
+			}
+			a.rank.stats.countABM(int64(len(keys)))
+			replies := a.handler(msg.Src, keys)
+			if err := a.rank.Send(msg.Src, tagABMReply, appendABMReply(nil, id, replies)); err != nil {
 				a.fail(fmt.Errorf("abm reply to rank %d: %w", msg.Src, err))
 				return
 			}
-		case abmReply:
-			a.mu.Lock()
-			f := a.waiters[p.id]
-			delete(a.waiters, p.id)
-			a.mu.Unlock()
-			if f != nil {
-				f.data = p.data
-				close(f.done)
-			}
-		case string:
-			if p == "stop" {
+		case tagABMReply:
+			id, replies, err := parseABMReply(msg.Payload)
+			if err != nil {
+				a.fail(fmt.Errorf("abm reply from rank %d: %w", msg.Src, err))
 				return
 			}
+			a.mu.Lock()
+			f := a.waiters[id]
+			delete(a.waiters, id)
+			a.mu.Unlock()
+			if f != nil {
+				f.data = replies
+				close(f.done)
+			}
+		case tagABMStop:
+			return
 		}
 	}
 }
@@ -130,7 +151,7 @@ func (a *ABM) fail(err error) {
 		a.failed = err
 	}
 	waiters := a.waiters
-	a.waiters = make(map[uint64]*abmFuture)
+	a.waiters = make(map[uint64]*Future)
 	a.mu.Unlock()
 	for _, f := range waiters {
 		f.err = err
@@ -149,16 +170,16 @@ func (a *ABM) Request(dst int, keys []uint64) (*Future, error) {
 	}
 	id := a.nextID
 	a.nextID++
-	fut := &abmFuture{done: make(chan struct{}), keys: keys}
+	fut := &Future{done: make(chan struct{}), keys: keys}
 	a.waiters[id] = fut
 	a.mu.Unlock()
-	if err := a.rank.Send(dst, tagABMRequest, abmRequest{src: a.rank.ID, id: id, keys: keys}); err != nil {
+	if err := a.rank.Send(dst, tagABMRequest, appendABMRequest(nil, id, keys)); err != nil {
 		a.mu.Lock()
 		delete(a.waiters, id)
 		a.mu.Unlock()
 		return nil, fmt.Errorf("abm request to rank %d: %w", dst, err)
 	}
-	return &Future{fut: fut, keys: keys}, nil
+	return fut, nil
 }
 
 // RequestSync is a convenience wrapper that sends immediately and waits.
@@ -173,19 +194,21 @@ func (a *ABM) RequestSync(dst int, keys []uint64) ([][]byte, error) {
 
 // Future resolves to the replies for one batch of keys.
 type Future struct {
-	fut  *abmFuture
+	done chan struct{} // closed by the service goroutine once data or err is set
+	data [][]byte
 	keys []uint64
+	err  error
 }
 
 // Wait blocks until the replies are available and returns them, one per key
 // in the order the keys were requested.  It fails when the transport failed
 // before the reply arrived.
 func (f *Future) Wait() ([][]byte, []uint64, error) {
-	<-f.fut.done
-	if f.fut.err != nil {
-		return nil, f.keys, f.fut.err
+	<-f.done
+	if f.err != nil {
+		return nil, f.keys, f.err
 	}
-	return f.fut.data, f.keys, nil
+	return f.data, f.keys, nil
 }
 
 // Close shuts down the service goroutine on every rank.  It must be called
@@ -204,7 +227,7 @@ func (a *ABM) Close() error {
 func (a *ABM) shutdown(cause error) {
 	// The self-send cannot fail on a live transport; if it does the service
 	// loop is already dead from the same underlying failure.
-	_ = a.rank.Send(a.rank.ID, tagABMStop, "stop")
+	_ = a.rank.Send(a.rank.ID, tagABMStop, nil)
 	a.wg.Wait()
 	a.fail(cause)
 }

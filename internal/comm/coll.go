@@ -1,7 +1,9 @@
 package comm
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -31,14 +33,14 @@ func (r *Rank) nextSeq() int64 {
 
 // isend sends an internal (collective) message, counted separately from the
 // application point-to-point statistics.
-func (r *Rank) isend(dst, tag int, payload any) error {
+func (r *Rank) isend(dst, tag int, payload []byte) error {
 	r.stats.countCollective(false, 1)
 	return r.t.Send(dst, tag, payload)
 }
 
 // irecv receives an internal message by exact (src, tag) with the
 // transport's default deadline.
-func (r *Rank) irecv(src, tag int) (any, error) {
+func (r *Rank) irecv(src, tag int) ([]byte, error) {
 	msg, err := r.t.Recv(src, matchExact(tag), time.Time{})
 	if err != nil {
 		return nil, err
@@ -72,180 +74,125 @@ func (r *Rank) Barrier() error {
 	return nil
 }
 
-// Broadcast distributes root's value to all ranks and returns it.
-func (r *Rank) Broadcast(root int, value any) (any, error) {
+// viaRoot is the message schedule of the rooted collectives: every rank sends
+// its payload to rank 0 (sub-channel 1), rank 0 combines the payloads — handed
+// over in rank order, so a floating-point reduction rounds like the serial
+// reference — and sends the result to every rank (sub-channel 2).  Every rank
+// returns the result.
+func (r *Rank) viaRoot(v []byte, combine func(parts [][]byte) ([]byte, error)) ([]byte, error) {
 	r.stats.countCollective(true, 0)
 	seq := r.nextSeq()
-	if r.N() == 1 {
-		return value, nil
-	}
-	tag := collTag(seq, 0)
-	if r.ID == root {
-		for dst := 0; dst < r.N(); dst++ {
-			if dst == root {
-				continue
-			}
-			if err := r.isend(dst, tag, value); err != nil {
-				return nil, fmt.Errorf("broadcast to rank %d: %w", dst, err)
-			}
-		}
-		return value, nil
-	}
-	v, err := r.irecv(root, tag)
-	if err != nil {
-		return nil, fmt.Errorf("broadcast from root %d: %w", root, err)
-	}
-	return v, nil
-}
-
-// gatherRoot collects one value per rank, in rank order, on rank 0; other
-// ranks receive nil.  Used by the reductions so the combining order (and
-// therefore the floating-point rounding) is the rank order, matching the
-// serial reference.
-func (r *Rank) gatherRoot(seq int64, v any) ([]any, error) {
-	tag := collTag(seq, 1)
+	up, down := collTag(seq, 1), collTag(seq, 2)
 	if r.ID != 0 {
-		if err := r.isend(0, tag, v); err != nil {
+		if err := r.isend(0, up, v); err != nil {
 			return nil, fmt.Errorf("gather to root: %w", err)
 		}
-		return nil, nil
+		return r.irecv(0, down)
 	}
-	buf := make([]any, r.N())
-	buf[0] = v
+	parts := make([][]byte, r.N())
+	parts[0] = v
 	for src := 1; src < r.N(); src++ {
-		p, err := r.irecv(src, tag)
+		p, err := r.irecv(src, up)
 		if err != nil {
 			return nil, fmt.Errorf("gather from rank %d: %w", src, err)
 		}
-		buf[src] = p
+		parts[src] = p
 	}
-	return buf, nil
+	result, err := combine(parts)
+	if err != nil {
+		return nil, err
+	}
+	for dst := 1; dst < r.N(); dst++ {
+		if err := r.isend(dst, down, result); err != nil {
+			return nil, err
+		}
+	}
+	return result, nil
 }
 
 // AllreduceFloat64 reduces one float64 per rank with op ("sum", "min",
 // "max") and returns the result on every rank.  The reduction combines
 // contributions in rank order on rank 0, so the result is bitwise
-// deterministic for a given rank count.
+// deterministic for a given rank count.  Each contribution, and the result,
+// travels as its 8 IEEE-754 bytes, little-endian.
 func (r *Rank) AllreduceFloat64(v float64, op string) (float64, error) {
-	r.stats.countCollective(true, 0)
-	seq := r.nextSeq()
-	if r.N() == 1 {
-		return reduceFloat64([]any{v}, op), nil
+	result, err := r.viaRoot(appendFloat64(nil, v), func(parts [][]byte) ([]byte, error) {
+		out := v
+		for src := 1; src < len(parts); src++ {
+			x, err := parseFloat64(parts[src])
+			if err != nil {
+				return nil, fmt.Errorf("rank %d: %w", src, err)
+			}
+			switch op {
+			case "min":
+				if x < out {
+					out = x
+				}
+			case "max":
+				if x > out {
+					out = x
+				}
+			default:
+				out += x
+			}
+		}
+		return appendFloat64(nil, out), nil
+	})
+	if err == nil {
+		v, err = parseFloat64(result)
 	}
-	buf, err := r.gatherRoot(seq, v)
 	if err != nil {
 		return 0, fmt.Errorf("allreduce float64: %w", err)
 	}
-	var out float64
-	tag := collTag(seq, 2)
-	if r.ID == 0 {
-		out = reduceFloat64(buf, op)
-		for dst := 1; dst < r.N(); dst++ {
-			if err := r.isend(dst, tag, out); err != nil {
-				return 0, fmt.Errorf("allreduce float64: %w", err)
-			}
-		}
-		return out, nil
-	}
-	p, err := r.irecv(0, tag)
-	if err != nil {
-		return 0, fmt.Errorf("allreduce float64: %w", err)
-	}
-	return p.(float64), nil
+	return v, nil
 }
 
-func reduceFloat64(buf []any, op string) float64 {
-	out := buf[0].(float64)
-	switch op {
-	case "min":
-		for i := 1; i < len(buf); i++ {
-			if x := buf[i].(float64); x < out {
-				out = x
-			}
-		}
-	case "max":
-		for i := 1; i < len(buf); i++ {
-			if x := buf[i].(float64); x > out {
-				out = x
-			}
-		}
-	default:
-		for i := 1; i < len(buf); i++ {
-			out += buf[i].(float64)
-		}
-	}
-	return out
+func appendFloat64(buf []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 }
 
-// AllreduceInt64 sums one int64 per rank across the world.
-func (r *Rank) AllreduceInt64(v int64) (int64, error) {
-	r.stats.countCollective(true, 0)
-	seq := r.nextSeq()
-	if r.N() == 1 {
-		return v, nil
+func parseFloat64(data []byte) (float64, error) {
+	if len(data) != 8 {
+		return 0, fmt.Errorf("comm: float64 payload of %d bytes", len(data))
 	}
-	buf, err := r.gatherRoot(seq, v)
-	if err != nil {
-		return 0, fmt.Errorf("allreduce int64: %w", err)
-	}
-	tag := collTag(seq, 2)
-	if r.ID == 0 {
-		var out int64
-		for _, p := range buf {
-			out += p.(int64)
-		}
-		for dst := 1; dst < r.N(); dst++ {
-			if err := r.isend(dst, tag, out); err != nil {
-				return 0, fmt.Errorf("allreduce int64: %w", err)
-			}
-		}
-		return out, nil
-	}
-	p, err := r.irecv(0, tag)
-	if err != nil {
-		return 0, fmt.Errorf("allreduce int64: %w", err)
-	}
-	return p.(int64), nil
+	return math.Float64frombits(binary.LittleEndian.Uint64(data)), nil
 }
 
-// Allgather collects one value per rank into a slice indexed by rank,
-// returned on every rank.  The caller must not mutate the result.
-func (r *Rank) Allgather(v any) ([]any, error) {
-	r.stats.countCollective(true, 0)
-	seq := r.nextSeq()
-	if r.N() == 1 {
-		return []any{v}, nil
+// AllgatherBytes collects one byte block per rank into a slice indexed by
+// rank, returned on every rank: rank 0 fans the gathered blocks out as one
+// appendBlocks payload.  The caller must not mutate the result.
+func (r *Rank) AllgatherBytes(v []byte) ([][]byte, error) {
+	packed, err := r.viaRoot(v, func(parts [][]byte) ([]byte, error) {
+		return appendBlocks(nil, parts), nil
+	})
+	var parts [][]byte
+	if err == nil {
+		parts, err = parseBlocks(packed)
 	}
-	buf, err := r.gatherRoot(seq, v)
+	if err == nil && len(parts) != r.N() {
+		err = fmt.Errorf("%d blocks for %d ranks", len(parts), r.N())
+	}
 	if err != nil {
 		return nil, fmt.Errorf("allgather: %w", err)
 	}
-	tag := collTag(seq, 2)
-	if r.ID == 0 {
-		for dst := 1; dst < r.N(); dst++ {
-			if err := r.isend(dst, tag, buf); err != nil {
-				return nil, fmt.Errorf("allgather: %w", err)
-			}
-		}
-		return buf, nil
-	}
-	p, err := r.irecv(0, tag)
-	if err != nil {
-		return nil, fmt.Errorf("allgather: %w", err)
-	}
-	return p.([]any), nil
+	return parts, nil
 }
 
 // AllgatherUint64 gathers variable-length uint64 slices from every rank and
-// returns the concatenation (in rank order) on every rank.
+// returns the concatenation (in rank order) on every rank.  Each contribution
+// travels as 8 little-endian bytes per element.
 func (r *Rank) AllgatherUint64(v []uint64) ([]uint64, error) {
-	parts, err := r.Allgather(v)
+	parts, err := r.AllgatherBytes(appendUint64s(nil, v))
 	if err != nil {
 		return nil, err
 	}
 	var out []uint64
-	for _, p := range parts {
-		out = append(out, p.([]uint64)...)
+	for src, p := range parts {
+		u, err := parseUint64s(p)
+		if err != nil {
+			return nil, fmt.Errorf("allgather uint64: rank %d: %w", src, err)
+		}
+		out = append(out, u...)
 	}
 	return out, nil
 }
@@ -305,7 +252,7 @@ func (r *Rank) alltoallDirect(seq int64, send [][]byte) ([][]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("alltoall direct recv from %d: %w", src, err)
 		}
-		recv[src], _ = p.([]byte)
+		recv[src] = p
 	}
 	return recv, nil
 }
@@ -327,29 +274,24 @@ func (r *Rank) alltoallPairwise(seq int64, send [][]byte) ([][]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("alltoall pairwise step %d recv: %w", s, err)
 		}
-		recv[src], _ = p.([]byte)
+		recv[src] = p
 	}
 	return recv, nil
-}
-
-// bundle is the leader-to-leader unit of the hierarchical relay: the blocks
-// from every source in one group to every destination in another.
-type bundle struct {
-	Src  []int
-	Dst  []int
-	Data [][]byte
 }
 
 // alltoallHierarchical relays all traffic through group leaders: ranks are
 // grouped into "nodes" of size g; only leaders exchange inter-node traffic.
 // Sub-channels: [0,n) member->leader uploads by destination, [n,2n)
 // leader->leader bundles by sending leader, [2n,3n) leader->member
-// deliveries by original source.
+// deliveries by original source.  A bundle is the blocks from every source in
+// the sending group to every destination in the receiving one as one
+// appendBlocks payload, source-major; both leaders know the two groups, so
+// the order alone says whose block is whose.
 func (r *Rank) alltoallHierarchical(seq int64, send [][]byte) ([][]byte, error) {
 	n := r.N()
 	g := nodeGroupSize(n)
 	leader := (r.ID / g) * g
-	nGroups := (n + g - 1) / g
+	groupHi := min(leader+g, n)
 
 	if r.ID != leader {
 		// Send all outgoing blocks to the leader, then receive all incoming.
@@ -364,90 +306,78 @@ func (r *Rank) alltoallHierarchical(seq int64, send [][]byte) ([][]byte, error) 
 			if err != nil {
 				return nil, fmt.Errorf("alltoall hierarchical delivery: %w", err)
 			}
-			recv[src], _ = p.([]byte)
+			recv[src] = p
 		}
 		return recv, nil
 	}
 
-	// Leader: gather blocks from group members (including itself).
-	groupHi := leader + g
-	if groupHi > n {
-		groupHi = n
-	}
-	// blocks[srcLocal][dst]
-	blocks := make(map[int][][]byte)
-	blocks[r.ID] = send
+	// Leader: gather the group's outgoing blocks, out[src-leader][dst].
+	out := make([][][]byte, groupHi-leader)
+	out[0] = send
 	for m := leader + 1; m < groupHi; m++ {
-		mb := make([][]byte, n)
+		out[m-leader] = make([][]byte, n)
 		for dst := 0; dst < n; dst++ {
 			p, err := r.irecv(m, collTag(seq, dst))
 			if err != nil {
 				return nil, fmt.Errorf("alltoall hierarchical gather from member %d: %w", m, err)
 			}
-			mb[dst], _ = p.([]byte)
+			out[m-leader][dst] = p
 		}
-		blocks[m] = mb
 	}
-	// Exchange bundles between leaders.
-	for gi := 0; gi < nGroups; gi++ {
-		otherLeader := gi * g
-		if otherLeader == leader {
+	// Send every other leader its bundle.
+	for other := 0; other < n; other += g {
+		if other == leader {
 			continue
 		}
-		otherHi := otherLeader + g
-		if otherHi > n {
-			otherHi = n
+		var bundle [][]byte
+		for _, blocks := range out {
+			bundle = append(bundle, blocks[other:min(other+g, n)]...)
 		}
-		var b bundle
-		for src := leader; src < groupHi; src++ {
-			for dst := otherLeader; dst < otherHi; dst++ {
-				b.Src = append(b.Src, src)
-				b.Dst = append(b.Dst, dst)
-				b.Data = append(b.Data, blocks[src][dst])
-			}
-		}
-		if err := r.isend(otherLeader, collTag(seq, n+leader), b); err != nil {
+		if err := r.isend(other, collTag(seq, n+leader), appendBlocks(nil, bundle)); err != nil {
 			return nil, fmt.Errorf("alltoall hierarchical inter-leader send: %w", err)
 		}
 	}
-	// Receive bundles from other leaders.
-	incoming := make(map[int]map[int][]byte) // dst -> src -> data
-	for dst := leader; dst < groupHi; dst++ {
-		incoming[dst] = make(map[int][]byte)
-	}
-	// Intra-group traffic.
-	for src := leader; src < groupHi; src++ {
-		for dst := leader; dst < groupHi; dst++ {
-			incoming[dst][src] = blocks[src][dst]
+	// Collect the group's incoming blocks, in[dst-leader][src]: intra-group
+	// traffic directly, the rest from the other leaders' bundles.
+	in := make([][][]byte, groupHi-leader)
+	for d := range in {
+		in[d] = make([][]byte, n)
+		for src := leader; src < groupHi; src++ {
+			in[d][src] = out[src-leader][leader+d]
 		}
 	}
-	for gi := 0; gi < nGroups; gi++ {
-		otherLeader := gi * g
-		if otherLeader == leader {
+	for other := 0; other < n; other += g {
+		if other == leader {
 			continue
 		}
-		p, err := r.irecv(otherLeader, collTag(seq, n+otherLeader))
+		otherHi := min(other+g, n)
+		p, err := r.irecv(other, collTag(seq, n+other))
 		if err != nil {
 			return nil, fmt.Errorf("alltoall hierarchical inter-leader recv: %w", err)
 		}
-		b := p.(bundle)
-		for i := range b.Src {
-			incoming[b.Dst[i]][b.Src[i]] = b.Data[i]
+		bundle, err := parseBlocks(p)
+		if err == nil && len(bundle) != (otherHi-other)*len(in) {
+			err = fmt.Errorf("%d blocks for %d sources x %d destinations", len(bundle), otherHi-other, len(in))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("alltoall hierarchical bundle from leader %d: %w", other, err)
+		}
+		for src := other; src < otherHi; src++ {
+			for d := range in {
+				in[d][src] = bundle[0]
+				bundle = bundle[1:]
+			}
 		}
 	}
 	// Deliver to members.
 	for m := leader + 1; m < groupHi; m++ {
 		for src := 0; src < n; src++ {
-			if err := r.isend(m, collTag(seq, 2*n+src), incoming[m][src]); err != nil {
+			if err := r.isend(m, collTag(seq, 2*n+src), in[m-leader][src]); err != nil {
 				return nil, fmt.Errorf("alltoall hierarchical deliver to member %d: %w", m, err)
 			}
 		}
 	}
-	recv := make([][]byte, n)
-	for src := 0; src < n; src++ {
-		recv[src] = incoming[r.ID][src]
-	}
-	return recv, nil
+	return in[0], nil
 }
 
 // nodeGroupSize picks the "node" size for the hierarchical relay.
@@ -455,9 +385,6 @@ func nodeGroupSize(n int) int {
 	g := 1
 	for g*g < n {
 		g++
-	}
-	if g < 1 {
-		g = 1
 	}
 	return g
 }

@@ -23,7 +23,8 @@ type World struct {
 // Table 2 style breakdowns and the Alltoall benchmarks.  Point-to-point
 // counters cover application sends (including the ABM and the alltoall
 // algorithms built on them); collective counters cover the sequenced
-// messages of Barrier/Broadcast/Allreduce/Allgather.
+// messages of Barrier/Allreduce/Allgather/Alltoallv.  Bytes are payload
+// lengths as sent — a measurement, identical on every fabric.
 type Stats struct {
 	PointToPointMsgs  int64
 	PointToPointBytes int64
@@ -210,7 +211,7 @@ type chanTransport struct {
 func (t *chanTransport) Self() int { return t.self }
 func (t *chanTransport) N() int    { return t.fabric.n }
 
-func (t *chanTransport) Send(dst, tag int, payload any) error {
+func (t *chanTransport) Send(dst, tag int, payload []byte) error {
 	if dst < 0 || dst >= t.fabric.n {
 		return fmt.Errorf("comm: send to invalid rank %d (world size %d)", dst, t.fabric.n)
 	}
@@ -275,11 +276,11 @@ func (r *Rank) Close() error { return r.t.Close() }
 
 // Send delivers payload to rank dst with the given tag.  It does not block
 // on the receiver (buffered semantics) and fails when dst is known dead.
-func (r *Rank) Send(dst, tag int, payload any) error {
+func (r *Rank) Send(dst, tag int, payload []byte) error {
 	if tag < 0 || tag >= internalTagBase {
 		return fmt.Errorf("comm: application tags must be in [0, 2^40); got %d", tag)
 	}
-	r.stats.countMsg(payloadSize(payload))
+	r.stats.countMsg(len(payload))
 	return r.t.Send(dst, tag, payload)
 }
 
@@ -287,13 +288,13 @@ func (r *Rank) Send(dst, tag int, payload any) error {
 // given tag (any application tag if tag < 0) arrives, and returns its
 // payload and source.  It fails instead of blocking forever when the
 // awaited peer is gone or the transport's default deadline passes.
-func (r *Rank) Recv(src, tag int) (any, int, error) {
+func (r *Rank) Recv(src, tag int) ([]byte, int, error) {
 	return r.RecvDeadline(src, tag, 0)
 }
 
 // RecvDeadline is Recv with an explicit timeout (0 = the transport's
 // default).
-func (r *Rank) RecvDeadline(src, tag int, timeout time.Duration) (any, int, error) {
+func (r *Rank) RecvDeadline(src, tag int, timeout time.Duration) ([]byte, int, error) {
 	var match func(int) bool
 	if tag >= 0 {
 		match = matchExact(tag)
@@ -307,20 +308,4 @@ func (r *Rank) RecvDeadline(src, tag int, timeout time.Duration) (any, int, erro
 		return nil, 0, err
 	}
 	return msg.Payload, msg.Src, nil
-}
-
-// payloadSize estimates the byte size of a payload for the statistics.
-func payloadSize(p any) int {
-	switch v := p.(type) {
-	case []byte:
-		return len(v)
-	case []float64:
-		return 8 * len(v)
-	case []uint64:
-		return 8 * len(v)
-	case []int:
-		return 8 * len(v)
-	default:
-		return 64
-	}
 }

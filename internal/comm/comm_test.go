@@ -3,6 +3,7 @@ package comm
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -24,10 +25,10 @@ func TestPointToPointAndBarrier(t *testing.T) {
 	err := w.Run(func(r *Rank) error {
 		// Ring send: each rank sends its id to the next.
 		next := (r.ID + 1) % r.N()
-		must(t, r.Send(next, 7, []int{r.ID}))
+		must(t, r.Send(next, 7, []byte{byte(r.ID)}))
 		payload, src, err := r.Recv((r.ID-1+r.N())%r.N(), 7)
 		must(t, err)
-		got := payload.([]int)[0]
+		got := int(payload[0])
 		if got != src {
 			t.Errorf("rank %d received %d from %d", r.ID, got, src)
 		}
@@ -60,20 +61,31 @@ func TestCollectives(t *testing.T) {
 		if mn != 0 {
 			t.Errorf("allreduce min = %g", mn)
 		}
-		v, err := r.Broadcast(2, fmt.Sprintf("hello-%d", r.ID))
-		must(t, err)
-		if v.(string) != "hello-2" {
-			t.Errorf("broadcast got %v", v)
+		// Variable-length contributions (rank i gives i elements, rank 0 none)
+		// come back concatenated in rank order.
+		var mine, want []uint64
+		for i := 0; i < r.ID; i++ {
+			mine = append(mine, uint64(r.ID*10+i))
 		}
-		all, err := r.AllgatherUint64([]uint64{uint64(r.ID), uint64(r.ID * 10)})
-		must(t, err)
-		if len(all) != 10 {
-			t.Errorf("allgather length %d", len(all))
+		for rank := 0; rank < r.N(); rank++ {
+			for i := 0; i < rank; i++ {
+				want = append(want, uint64(rank*10+i))
+			}
 		}
-		n, err := r.AllreduceInt64(1)
+		all, err := r.AllgatherUint64(mine)
 		must(t, err)
-		if n != 5 {
-			t.Errorf("allreduce int64 = %d", n)
+		if !reflect.DeepEqual(all, want) {
+			t.Errorf("allgather uint64 = %v, want %v", all, want)
+		}
+		blocks, err := r.AllgatherBytes([]byte(strings.Repeat("x", r.ID)))
+		must(t, err)
+		for rank, b := range blocks {
+			if string(b) != strings.Repeat("x", rank) {
+				t.Errorf("allgather bytes: block %d = %q", rank, b)
+			}
+		}
+		if len(blocks) != r.N() {
+			t.Errorf("allgather bytes: %d blocks", len(blocks))
 		}
 		return nil
 	})
@@ -258,7 +270,7 @@ func TestWildcardRecvSkipsInternalTags(t *testing.T) {
 		if r.ID == 0 {
 			p, src, err := r.Recv(-1, -1)
 			must(t, err)
-			if src != 1 || string(p.([]byte)) != "app" {
+			if src != 1 || string(p) != "app" {
 				t.Errorf("wildcard recv got %v from %d", p, src)
 			}
 		}

@@ -9,11 +9,11 @@
 //
 // Three pattern families are built on the Transport seam:
 //
-//   - Point-to-point: Rank.Send and Rank.Recv move a tagged payload between
-//     two ranks.  Sends are buffered (never block on the receiver); receives
-//     block until a match, a deadline (DeadlineError), or peer death
+//   - Point-to-point: Rank.Send and Rank.Recv move a tagged byte payload
+//     between two ranks.  Sends are buffered (never block on the receiver);
+//     receives block until a match, a deadline (DeadlineError), or peer death
 //     (PeerDeadError).
-//   - Collectives: Barrier, Broadcast, Allreduce*, Allgather* and
+//   - Collectives: Barrier, AllreduceFloat64, AllgatherBytes/Uint64 and
 //     AlltoallvBytes are deterministic message schedules over point-to-point
 //     sends.  Each call stamps its messages with a per-rank sequence number
 //     in a reserved internal tag space, so collectives cannot be confused
@@ -25,6 +25,25 @@
 //     (NewABM) — a background request/reply engine for remote tree-node
 //     fetches during traversal, multiplexed over the same transport via a
 //     wildcard receive that is blind to internal tags.
+//
+// # Payloads are bytes
+//
+// A message is a tag and a []byte, and a transport moves the bytes unchanged:
+// no fabric knows a payload's type, a zero-length payload is a nil one, and
+// Stats.PointToPointBytes is the sum of payload lengths on every fabric.  The
+// record that crosses the rank boundary owns its one encoding, as an
+// append/parse pair beside its type:
+//
+//   - comm encodes only what it originates: the ABM request and reply
+//     (abm.go), the reduction scalars and the block list behind the allgather
+//     fan-out and the hierarchical alltoall's bundle (coll.go, frame.go).
+//   - Callers encode what they send: particle records
+//     (particle.EncodeRange/DecodeAppend) through the domain exchange and the
+//     cluster gathers, cell blocks (tree.EncodeCells/DecodeCells) through the
+//     branch exchange and as ABM replies.
+//
+// Every parser bounds-checks counts and lengths against the remaining input
+// before allocating; DESIGN.md "Wire format" specifies each record.
 //
 // # Transports
 //

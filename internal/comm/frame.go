@@ -16,7 +16,7 @@ import (
 //	seq     uint64  per-peer reliability sequence (0 for unsequenced kinds)
 //	tag     int64   message tag (data frames)
 //	plen    uint32  payload length
-//	payload [plen]  codec-encoded message body
+//	payload [plen]  the message's bytes, exactly as handed to Send
 //	crc     uint32  IEEE CRC32 over header+payload
 //
 // A frame whose checksum fails but whose header parsed cleanly is dropped —
@@ -109,4 +109,74 @@ func readFrame(r io.Reader, hdr []byte) (frame, error) {
 	}
 	f.payload = body[:plen]
 	return f, nil
+}
+
+// appendBlocks appends a list of byte blocks to buf: a u32 count, then each
+// block as a u32 length followed by its bytes.  It is the body of every
+// comm-owned message that carries several payloads at once — an ABM reply (one
+// block per requested key), the AllgatherBytes fan-out (one block per rank) and
+// the hierarchical alltoall's leader-to-leader bundle (one block per
+// (source, destination) pair, source-major).
+func appendBlocks(buf []byte, blocks [][]byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(blocks)))
+	for _, b := range blocks {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b)))
+		buf = append(buf, b...)
+	}
+	return buf
+}
+
+// parseBlocks reverses appendBlocks.  The blocks alias data (zero-length ones
+// come back nil).  The count and every length are checked against the
+// remaining input before anything is allocated or sliced, and trailing bytes
+// are an error.
+func parseBlocks(data []byte) ([][]byte, error) {
+	if len(data) < 4 {
+		return nil, fmt.Errorf("comm: truncated block count")
+	}
+	n := binary.LittleEndian.Uint32(data)
+	rest := data[4:]
+	if uint64(n)*4 > uint64(len(rest)) {
+		return nil, fmt.Errorf("comm: implausible block count %d for %d remaining bytes", n, len(rest))
+	}
+	out := make([][]byte, n)
+	for i := range out {
+		if len(rest) < 4 {
+			return nil, fmt.Errorf("comm: truncated block length")
+		}
+		bl := binary.LittleEndian.Uint32(rest)
+		rest = rest[4:]
+		if uint64(bl) > uint64(len(rest)) {
+			return nil, fmt.Errorf("comm: implausible block length %d for %d remaining bytes", bl, len(rest))
+		}
+		if bl > 0 {
+			out[i] = rest[:bl:bl]
+		}
+		rest = rest[bl:]
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("comm: %d trailing bytes after %d blocks", len(rest), n)
+	}
+	return out, nil
+}
+
+// appendUint64s appends v as consecutive little-endian u64s; the enclosing
+// payload delimits the run (AllgatherUint64 contributions, ABM request keys).
+func appendUint64s(buf []byte, v []uint64) []byte {
+	for _, u := range v {
+		buf = binary.LittleEndian.AppendUint64(buf, u)
+	}
+	return buf
+}
+
+// parseUint64s reverses appendUint64s over the whole of data.
+func parseUint64s(data []byte) ([]uint64, error) {
+	if len(data)%8 != 0 {
+		return nil, fmt.Errorf("comm: %d bytes are not whole u64s", len(data))
+	}
+	out := make([]uint64, len(data)/8)
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint64(data[8*i:])
+	}
+	return out, nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
-	"reflect"
 	"testing"
 )
 
@@ -65,45 +64,83 @@ func TestFrameRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	values := []any{
+// TestWireRecordsRoundTrip pins the comm-owned payload records — the block
+// list (ABM reply body, allgather fan-out, hierarchical bundle), the ABM
+// request and the ABM reply: each parses back to what was appended, with
+// zero-length blocks coming back nil.
+func TestWireRecordsRoundTrip(t *testing.T) {
+	for _, blocks := range [][][]byte{
 		nil,
-		[]byte{1, 2, 3},
-		[]byte{},
-		[]uint64{7, 8, 9},
-		[]float64{1.5, -2.25, math.Inf(1)},
-		[]int{-1, 0, 42},
-		3.14159,
-		int64(-77),
-		12345,
-		uint64(1 << 60),
-		"a string payload",
-		true,
-		false,
-		abmRequest{src: 2, id: 99, keys: []uint64{5, 6}},
-		abmReply{id: 99, data: [][]byte{[]byte("a"), nil, []byte("ccc")}},
-		bundle{Src: []int{0, 1}, Dst: []int{2, 3}, Data: [][]byte{[]byte("x"), nil}},
-		[]any{[]byte("nested"), 5, nil, []uint64{1}},
-	}
-	for i, v := range values {
-		buf, err := encodePayload(nil, v)
+		{nil},
+		{[]byte("a"), nil, []byte("ccc"), {}},
+		{make([]byte, 70000)},
+	} {
+		got, err := parseBlocks(appendBlocks(nil, blocks))
 		if err != nil {
-			t.Fatalf("value %d (%T): encode: %v", i, v, err)
+			t.Fatalf("blocks %q: %v", blocks, err)
 		}
-		got, rest, err := decodePayload(buf)
-		if err != nil {
-			t.Fatalf("value %d (%T): decode: %v", i, v, err)
+		if len(got) != len(blocks) {
+			t.Fatalf("blocks %q: parsed %d blocks", blocks, len(got))
 		}
-		if len(rest) != 0 {
-			t.Fatalf("value %d (%T): %d trailing bytes", i, v, len(rest))
+		for i := range got {
+			if !bytes.Equal(got[i], blocks[i]) || (len(blocks[i]) == 0 && got[i] != nil) {
+				t.Fatalf("blocks %q: block %d parsed as %q", blocks, i, got[i])
+			}
 		}
-		if !reflect.DeepEqual(got, v) {
-			t.Fatalf("value %d: got %#v want %#v", i, got, v)
+
+		id, replies, err := parseABMReply(appendABMReply(nil, 99, blocks))
+		if err != nil || id != 99 || len(replies) != len(blocks) {
+			t.Fatalf("abm reply %q: id %d, %d replies, err %v", blocks, id, len(replies), err)
+		}
+		for i := range replies {
+			if !bytes.Equal(replies[i], blocks[i]) {
+				t.Fatalf("abm reply %q: reply %d parsed as %q", blocks, i, replies[i])
+			}
 		}
 	}
-	// Unencodable type fails loudly.
-	if _, err := encodePayload(nil, struct{ X int }{1}); err == nil {
-		t.Error("arbitrary struct encoded without error")
+	for _, keys := range [][]uint64{nil, {5}, {5, 6, math.MaxUint64}} {
+		id, got, err := parseABMRequest(appendABMRequest(nil, 1<<60, keys))
+		if err != nil || id != 1<<60 || len(got) != len(keys) {
+			t.Fatalf("abm request %v: id %d keys %v err %v", keys, id, got, err)
+		}
+		for i := range got {
+			if got[i] != keys[i] {
+				t.Fatalf("abm request %v: parsed keys %v", keys, got)
+			}
+		}
+	}
+}
+
+// TestWireRecordsRejectMalformed pins the parsers' bounds checks: every
+// proper prefix of a valid record, trailing bytes, and hostile counts fail
+// with an error before anything is allocated from them.
+func TestWireRecordsRejectMalformed(t *testing.T) {
+	blocks := appendBlocks(nil, [][]byte{[]byte("abc"), nil, []byte("de")})
+	for cut := 0; cut < len(blocks); cut++ {
+		if _, err := parseBlocks(blocks[:cut]); err == nil {
+			t.Errorf("blocks truncated at %d of %d parsed", cut, len(blocks))
+		}
+	}
+	if _, err := parseBlocks(append(blocks[:len(blocks):len(blocks)], 0)); err == nil {
+		t.Error("blocks with a trailing byte parsed")
+	}
+	huge := binary.LittleEndian.AppendUint32(nil, math.MaxUint32)
+	if _, err := parseBlocks(huge); err == nil {
+		t.Error("block count 2^32-1 with no body parsed")
+	}
+	if _, err := parseBlocks(append(binary.LittleEndian.AppendUint32(nil, 1), huge...)); err == nil {
+		t.Error("block length 2^32-1 with no body parsed")
+	}
+	for _, n := range []int{0, 7, 9, 15} {
+		if _, _, err := parseABMRequest(make([]byte, n)); err == nil {
+			t.Errorf("%d-byte abm request parsed", n)
+		}
+	}
+	if _, _, err := parseABMReply(make([]byte, 7)); err == nil {
+		t.Error("7-byte abm reply parsed")
+	}
+	if _, _, err := parseABMReply(make([]byte, 8)); err == nil {
+		t.Error("abm reply without a block list parsed")
 	}
 }
 
@@ -139,33 +176,41 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzDecodePayload does the same for the payload codec.
-func FuzzDecodePayload(f *testing.F) {
-	seedValues := []any{
-		[]byte("bytes"), []uint64{1, 2}, []float64{3.5}, "str", 7, int64(-1),
-		abmRequest{src: 1, id: 2, keys: []uint64{3}},
-		abmReply{id: 4, data: [][]byte{[]byte("d")}},
-		bundle{Src: []int{0}, Dst: []int{1}, Data: [][]byte{[]byte("b")}},
-		[]any{1, "two"},
-	}
-	for _, v := range seedValues {
-		buf, err := encodePayload(nil, v)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf)
-	}
+// FuzzParseBlocks does the same for the block list — the shape of the
+// hierarchical bundle, the allgather fan-out and the ABM reply body: whatever
+// parses re-encodes to the same bytes.
+func FuzzParseBlocks(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(appendBlocks(nil, nil))
+	valid := appendBlocks(nil, [][]byte{[]byte("b"), nil, []byte("block")})
+	f.Add(valid)
+	f.Add(valid[:len(valid)-2])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v, rest, err := decodePayload(data)
+		blocks, err := parseBlocks(data)
 		if err != nil {
 			return
 		}
-		if len(rest) > len(data) {
-			t.Fatal("decode returned more input than given")
+		if !bytes.Equal(appendBlocks(nil, blocks), data) {
+			t.Fatalf("%x parsed but re-encodes differently", data)
 		}
-		// A decoded value must re-encode (closed type set).
-		if _, err := encodePayload(nil, v); err != nil {
-			t.Fatalf("decoded value %T not re-encodable: %v", v, err)
+	})
+}
+
+// FuzzParseABM covers both ABM message parsers on the same input.
+func FuzzParseABM(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(appendABMRequest(nil, 2, []uint64{3, 4}))
+	f.Add(appendABMReply(nil, 4, [][]byte{[]byte("d"), nil}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if id, keys, err := parseABMRequest(data); err == nil {
+			if !bytes.Equal(appendABMRequest(nil, id, keys), data) {
+				t.Fatalf("request %x parsed but re-encodes differently", data)
+			}
+		}
+		if id, replies, err := parseABMReply(data); err == nil {
+			if !bytes.Equal(appendABMReply(nil, id, replies), data) {
+				t.Fatalf("reply %x parsed but re-encodes differently", data)
+			}
 		}
 	})
 }

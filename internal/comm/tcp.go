@@ -282,7 +282,7 @@ func (t *tcpTransport) peerDown(src int) error {
 
 // --- Send path -----------------------------------------------------------
 
-func (t *tcpTransport) Send(dst, tag int, payload any) error {
+func (t *tcpTransport) Send(dst, tag int, payload []byte) error {
 	select {
 	case <-t.closed:
 		return ErrClosed
@@ -299,14 +299,13 @@ func (t *tcpTransport) Send(dst, tag int, payload any) error {
 	if r := p.dead.Load(); r != nil {
 		return &PeerDeadError{Rank: dst, Reason: *r}
 	}
-	body, err := encodePayload(nil, payload)
-	if err != nil {
-		return err
+	if len(payload) > maxFramePayload {
+		return fmt.Errorf("comm: %d-byte payload exceeds the %d-byte frame limit", len(payload), maxFramePayload)
 	}
 	p.amu.Lock()
 	p.sendSeq++
 	seq := p.sendSeq
-	wire := appendFrame(nil, frame{kind: kindData, src: uint32(t.opt.Rank), seq: seq, tag: int64(tag), payload: body})
+	wire := appendFrame(nil, frame{kind: kindData, src: uint32(t.opt.Rank), seq: seq, tag: int64(tag), payload: payload})
 	p.unacked[seq] = &pendingFrame{wire: wire, attempts: 1, nextTry: time.Now().Add(t.backoff(p, 1))}
 	p.amu.Unlock()
 	t.writeFrame(p, wire, kindData, true)
@@ -384,14 +383,7 @@ func (t *tcpTransport) readLoop(p *tcpPeer) {
 			if !p.firstDelivery(f.seq) {
 				continue // duplicate retransmission
 			}
-			v, _, err := decodePayload(f.payload)
-			if err != nil {
-				// A checksummed frame that fails to decode is a protocol bug,
-				// not line noise; fail loudly.
-				t.markDead(p, fmt.Sprintf("undecodable payload: %v", err))
-				return
-			}
-			t.mbox.put(envelope{src: p.rank, tag: int(f.tag), payload: v})
+			t.mbox.put(envelope{src: p.rank, tag: int(f.tag), payload: f.payload})
 		case kindAck:
 			p.amu.Lock()
 			delete(p.unacked, f.seq)

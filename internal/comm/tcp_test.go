@@ -69,14 +69,14 @@ func checkErrs(t *testing.T, errs []error) {
 func tcpExercise(t *testing.T, r *Rank) error {
 	n := r.N()
 	// Ring point-to-point.
-	if err := r.Send((r.ID+1)%n, 7, []int{r.ID}); err != nil {
+	if err := r.Send((r.ID+1)%n, 7, []byte{byte(r.ID)}); err != nil {
 		return err
 	}
 	payload, src, err := r.Recv((r.ID-1+n)%n, 7)
 	if err != nil {
 		return err
 	}
-	if got := payload.([]int)[0]; got != src {
+	if got := int(payload[0]); got != src {
 		return fmt.Errorf("ring recv got %d from %d", got, src)
 	}
 	if err := r.Barrier(); err != nil {
@@ -89,13 +89,6 @@ func tcpExercise(t *testing.T, r *Rank) error {
 	}
 	if want := float64(n*(n+1)) / 2; sum != want {
 		return fmt.Errorf("allreduce sum %g want %g", sum, want)
-	}
-	v, err := r.Broadcast(0, "from-zero")
-	if err != nil {
-		return err
-	}
-	if v.(string) != "from-zero" {
-		return fmt.Errorf("broadcast got %v", v)
 	}
 	all, err := r.AllgatherUint64([]uint64{uint64(r.ID)})
 	if err != nil {
@@ -241,4 +234,116 @@ func TestTCPSendToDeadPeerFails(t *testing.T) {
 		return fmt.Errorf("sends to a dead peer kept succeeding")
 	})
 	checkErrs(t, errs)
+}
+
+// bothFabrics runs body on an n-rank channel world and on an n-rank TCP
+// loopback world and returns each world's summed statistics.
+func bothFabrics(t *testing.T, n int, body func(r *Rank) error) (chanStats, tcpStats Stats) {
+	t.Helper()
+	w := NewWorld(n)
+	must(t, w.Run(body))
+	var mu sync.Mutex
+	checkErrs(t, runTCPWorld(t, n, nil, func(r *Rank) error {
+		if err := body(r); err != nil {
+			return err
+		}
+		s := r.Statistics() // a TCP rank owns its sink: sum them
+		mu.Lock()
+		tcpStats.PointToPointMsgs += s.PointToPointMsgs
+		tcpStats.PointToPointBytes += s.PointToPointBytes
+		mu.Unlock()
+		return nil
+	}))
+	return w.Statistics(), tcpStats
+}
+
+// TestABMBytesAreMeasured pins PointToPointBytes as a measurement: after a
+// fixed ABM exchange it equals the summed lengths of the request and reply
+// payloads, on the channel world and on TCP loopback alike.  (While payloads
+// were Go values the ABM structs were booked at a flat 64-byte guess.)
+func TestABMBytesAreMeasured(t *testing.T) {
+	if testing.Short() {
+		t.Skip("TCP loopback test skipped in -short")
+	}
+	const n = 3
+	replyLen := func(key uint64) int { return int(key % 5) } // includes empty replies
+	var wantBytes, wantMsgs int64
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			if dst == src {
+				continue
+			}
+			keys := []uint64{uint64(10*src + dst), uint64(10*src + dst + 1), uint64(10*src + dst + 2)}
+			wantBytes += int64(8 + 8*len(keys)) // request: id + keys
+			wantBytes += 8 + 4                  // reply: id + block count
+			for _, k := range keys {
+				wantBytes += int64(4 + replyLen(k))
+			}
+			wantMsgs += 2
+		}
+		wantMsgs++ // the zero-byte stop message each rank sends itself
+	}
+	chanStats, tcpStats := bothFabrics(t, n, func(r *Rank) error {
+		abm, err := r.NewABM(func(src int, keys []uint64) [][]byte {
+			out := make([][]byte, len(keys))
+			for i, k := range keys {
+				out[i] = make([]byte, replyLen(k))
+			}
+			return out
+		})
+		if err != nil {
+			return err
+		}
+		for dst := 0; dst < n; dst++ {
+			if dst == r.ID {
+				continue
+			}
+			base := uint64(10*r.ID + dst)
+			replies, err := abm.RequestSync(dst, []uint64{base, base + 1, base + 2})
+			if err != nil {
+				return err
+			}
+			for i, rep := range replies {
+				if len(rep) != replyLen(base+uint64(i)) {
+					return fmt.Errorf("reply %d from rank %d has %d bytes", i, dst, len(rep))
+				}
+			}
+		}
+		return abm.Close()
+	})
+	for fabric, s := range map[string]Stats{"chan": chanStats, "tcp": tcpStats} {
+		if s.PointToPointBytes != wantBytes || s.PointToPointMsgs != wantMsgs {
+			t.Errorf("%s: %d bytes in %d messages, want %d in %d", fabric, s.PointToPointBytes, s.PointToPointMsgs, wantBytes, wantMsgs)
+		}
+	}
+}
+
+// TestEmptyPayloadsArriveNil pins "zero-length is nil": a nil and an empty
+// payload are the same message on both fabrics, to self and to a peer.
+func TestEmptyPayloadsArriveNil(t *testing.T) {
+	if testing.Short() {
+		t.Skip("TCP loopback test skipped in -short")
+	}
+	bothFabrics(t, 2, func(r *Rank) error {
+		for _, dst := range []int{r.ID, 1 - r.ID} {
+			if err := r.Send(dst, 1, nil); err != nil {
+				return err
+			}
+			if err := r.Send(dst, 2, []byte{}); err != nil {
+				return err
+			}
+		}
+		for _, src := range []int{r.ID, 1 - r.ID} {
+			for tag := 1; tag <= 2; tag++ {
+				p, _, err := r.Recv(src, tag)
+				if err != nil {
+					return err
+				}
+				if p != nil {
+					return fmt.Errorf("rank %d: tag %d from rank %d arrived as %#v, want nil", r.ID, tag, src, p)
+				}
+			}
+		}
+		return r.Barrier()
+	})
 }

@@ -7,11 +7,11 @@ import (
 	"time"
 )
 
-// Message is the unit of exchange between ranks: a tagged payload stamped
-// with its source rank.
+// Message is the unit of exchange between ranks: a tagged byte payload
+// stamped with its source rank.
 type Message struct {
 	Src, Tag int
-	Payload  any
+	Payload  []byte
 }
 
 // Transport is the seam between the communication patterns (point-to-point
@@ -29,16 +29,19 @@ type Message struct {
 //     or the transport closes (ErrClosed).  A zero deadline means the
 //     transport's configured default; transports whose default is zero wait
 //     without a time limit but still fail fast on peer death.
-//   - Payloads cross Send/Recv by reference in process and by value (through
-//     the wire codec) across processes; callers must not mutate a payload
-//     after sending it.
+//   - Payloads are bytes, and a transport moves them unchanged: the record
+//     that crosses the rank boundary owns its encoding (see doc.go for who
+//     encodes what), never the transport.  A zero-length payload and a nil
+//     one are the same message; receivers test len.  In process the slice
+//     crosses by reference, so neither side may mutate a payload after it
+//     was sent; across processes it is framed as-is.
 type Transport interface {
 	// Self returns the local rank id.
 	Self() int
 	// N returns the world size.
 	N() int
 	// Send delivers payload to rank dst with the given tag.
-	Send(dst, tag int, payload any) error
+	Send(dst, tag int, payload []byte) error
 	// Recv returns the next message matching (src, match): src < 0 matches
 	// any source, and match (nil = any application tag) filters tags.
 	Recv(src int, match func(tag int) bool, deadline time.Time) (Message, error)
@@ -102,7 +105,7 @@ func matchExact(want int) func(int) bool {
 // envelope is a queued message.
 type envelope struct {
 	src, tag int
-	payload  any
+	payload  []byte
 }
 
 // mailbox delivers envelopes to one rank with (src, tag) matching, a
@@ -129,8 +132,13 @@ func newMailbox(peerDown func(src int) error) *mailbox {
 	return m
 }
 
-// put delivers an envelope.  Delivery to a closed mailbox is dropped.
+// put delivers an envelope.  Delivery to a closed mailbox is dropped.  Every
+// fabric delivers through here, so this is where "zero-length is nil" is made
+// true for all of them.
 func (m *mailbox) put(e envelope) {
+	if len(e.payload) == 0 {
+		e.payload = nil
+	}
 	m.mu.Lock()
 	if m.closed == nil {
 		m.pending = append(m.pending, e)

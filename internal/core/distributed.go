@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"twohot/internal/comm"
@@ -22,7 +21,6 @@ type DistributedConfig struct {
 	NRanks int
 	Curve  keys.Curve
 
-	Alltoall comm.AlltoallAlgorithm
 	// BranchExchange selects how the shared upper-tree branch cells are
 	// distributed: "allgather" is the WS93 global concatenation, "ring" is
 	// the 2HOT hierarchical pairwise aggregation that scales to very large
@@ -193,15 +191,13 @@ func DistributedRankForcesReuse(r *comm.Rank, my *particle.Set, cfg DistributedC
 	if cfg.Tree.BackgroundSubtraction {
 		rhoBar = totalMass / box.Volume()
 	}
-	accTol := cfg.Tree.ErrTol * totalMass / (box.MaxSide() / 2 * box.MaxSide() / 2)
 
 	// --- Domain decomposition -------------------------------------------
 	t0 := time.Now()
 	if frozen == nil {
 		decomp, err = domain.Decompose(r, my, box, domain.Options{
-			Curve:    cfg.Curve,
-			Alltoall: cfg.Alltoall,
-			UseWork:  cfg.UseWorkWeights,
+			Curve:   cfg.Curve,
+			UseWork: cfg.UseWorkWeights,
 		}, nil)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: domain decomposition: %w", err)
@@ -213,7 +209,7 @@ func DistributedRankForcesReuse(r *comm.Rank, my *particle.Set, cfg DistributedC
 		// guarantees matches the box computed above.
 		decomp = frozen
 		box = decomp.Box
-		if err := domain.ExchangeParticles(r, my, decomp, cfg.Alltoall); err != nil {
+		if err := domain.ExchangeParticles(r, my, decomp); err != nil {
 			return nil, nil, fmt.Errorf("core: frozen-domain exchange: %w", err)
 		}
 		my.SortByKey(decomp.Box, decomp.Curve)
@@ -306,20 +302,8 @@ func DistributedRankForcesReuse(r *comm.Rank, my *particle.Set, cfg DistributedC
 		return cells
 	}
 
-	walkCfg := traverse.Config{
-		MAC:          cfg.Tree.MAC,
-		Theta:        cfg.Tree.Theta,
-		AccTol:       accTol,
-		Kernel:       cfg.Tree.Kernel,
-		Eps:          cfg.Tree.Eps,
-		G:            cfg.Tree.G,
-		Periodic:     cfg.Tree.Periodic,
-		BoxSize:      cfg.Tree.BoxSize,
-		WS:           cfg.Tree.WS,
-		LatticeOrder: cfg.Tree.LatticeOrder,
-	}
 	t0 = time.Now()
-	w := traverse.NewWalker(dt.Tree, walkCfg)
+	w := traverse.NewWalker(dt.Tree, cfg.Tree.walkConfig(totalMass, box))
 	w.WorkOut = make([]float64, len(dt.Tree.Pos))
 	// Activity restriction: the flags traveled with the particles through the
 	// exchange above, so the post-exchange set carries exactly the sinks the
@@ -392,98 +376,64 @@ func walkAll(w *traverse.Walker) (acc []vec.V3, pot []float64, counters traverse
 }
 
 // exchangeBranches distributes every rank's branch cells to every other rank.
+// Cell blocks concatenate (tree.EncodeCells), so both modes move and append
+// encoded bytes and decode each received block once.
 func exchangeBranches(r *comm.Rank, dt *tree.Distributed, mode string) error {
-	local := dt.LocalBranches()
-	encoded := dt.EncodeCells(local)
-
-	switch mode {
-	case "ring":
-		// Hierarchical pairwise aggregation (Section 3.2): exchange the
-		// accumulated branch set with the 2^i-th neighbor along the
-		// space-filling curve, log2(N) times.
-		known := [][]byte{encoded}
-		n := r.N()
-		const tagBranch = 7000
-		for step := 1; step < n; step <<= 1 {
-			dst := (r.ID + step) % n
-			src := (r.ID - step%n + n) % n
-			payload, err := concatBlocks(known)
-			if err != nil {
-				return err
-			}
-			if err := r.Send(dst, tagBranch+step, payload); err != nil {
-				return err
-			}
-			data, _, err := r.Recv(src, tagBranch+step)
-			if err != nil {
-				return err
-			}
-			if b, ok := data.([]byte); ok && len(b) > 0 {
-				known = append(known, b)
-				cells, err := tree.DecodeCells(b)
-				if err != nil {
-					return fmt.Errorf("branch cells from rank %d: %w", src, err)
-				}
-				for _, c := range cells {
-					if c.Owner != r.ID {
-						dt.AddRemoteCell(c)
-					}
-				}
-			}
-		}
-		return r.Barrier()
-	default: // "allgather" (WS93 global concatenation)
-		parts, err := r.Allgather(encoded)
+	encoded := dt.EncodeCells(dt.LocalBranches())
+	addRemote := func(src int, block []byte) error {
+		cells, err := tree.DecodeCells(block)
 		if err != nil {
-			return err
+			return fmt.Errorf("branch cells from rank %d: %w", src, err)
 		}
-		for src, p := range parts {
-			if src == r.ID {
-				continue
-			}
-			b, ok := p.([]byte)
-			if !ok || len(b) == 0 {
-				continue
-			}
-			cells, err := tree.DecodeCells(b)
-			if err != nil {
-				return fmt.Errorf("branch cells from rank %d: %w", src, err)
-			}
-			for _, c := range cells {
+		for _, c := range cells {
+			if c.Owner != r.ID {
 				dt.AddRemoteCell(c)
 			}
 		}
 		return nil
 	}
-}
 
-// concatBlocks merges several EncodeCells buffers into one (cells are
-// length-prefixed so DecodeCells below can parse the concatenation of decoded
-// groups; we simply re-encode by decoding and re-counting).
-func concatBlocks(blocks [][]byte) ([]byte, error) {
-	if len(blocks) == 1 {
-		return blocks[0], nil
-	}
-	var all []tree.Cell
-	for _, b := range blocks {
-		cells, err := tree.DecodeCells(b)
-		if err != nil {
-			return nil, err
+	switch mode {
+	case "ring":
+		// Hierarchical pairwise aggregation (Section 3.2): exchange the
+		// accumulated branch set with the 2^i-th neighbor along the
+		// space-filling curve, log2(N) times.  When N is not a power of two
+		// the last rounds re-deliver cells already known, which
+		// AddRemoteCell ignores.
+		known := encoded
+		n := r.N()
+		const tagBranch = 7000
+		for step := 1; step < n; step <<= 1 {
+			dst := (r.ID + step) % n
+			src := (r.ID - step%n + n) % n
+			if err := r.Send(dst, tagBranch+step, known); err != nil {
+				return err
+			}
+			block, _, err := r.Recv(src, tagBranch+step)
+			if err != nil {
+				return err
+			}
+			if err := addRemote(src, block); err != nil {
+				return err
+			}
+			known = append(known, block...)
 		}
-		all = append(all, cells...)
+		return r.Barrier()
+	default: // "allgather" (WS93 global concatenation)
+		blocks, err := r.AllgatherBytes(encoded)
+		if err != nil {
+			return err
+		}
+		for src, block := range blocks {
+			if src == r.ID {
+				continue
+			}
+			if err := addRemote(src, block); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	return reencode(all), nil
-}
-
-// reencode rebuilds an EncodeCells buffer from decoded cells.  It round-trips
-// through a throwaway tree because EncodeCell needs leaf particle access.
-func reencode(cells []tree.Cell) []byte {
-	t := &tree.Tree{}
-	ptrs := make([]*tree.Cell, len(cells))
-	for i := range cells {
-		ptrs[i] = &cells[i]
-	}
-	return t.EncodeCells(ptrs)
 }
 
 func maxDuration(a, b time.Duration) time.Duration {
@@ -513,13 +463,6 @@ func VerifyAgainstShared(out *particle.Set, cfg TreeConfig) (AccuracyStats, erro
 		return AccuracyStats{}, err
 	}
 	return CompareAccelerations(out.Acc, res.Acc), nil
-}
-
-// SofteningForDensity returns a reasonable softening length for a
-// cosmological box: 1/20 of the mean interparticle separation (the order of
-// magnitude used by production runs).
-func SofteningForDensity(boxSize float64, np int) float64 {
-	return boxSize / math.Cbrt(float64(np)) / 20
 }
 
 // DefaultKernel is the production smoothing kernel of the paper.

@@ -53,13 +53,6 @@ type Timings struct {
 	Total               time.Duration
 }
 
-// Solver is a gravitational force solver.
-type Solver interface {
-	// Forces computes accelerations and kernel sums for the particle set.
-	Forces(pos []vec.V3, mass []float64) (*Result, error)
-	Name() string
-}
-
 // TreeConfig configures the 2HOT tree solver.
 type TreeConfig struct {
 	Order    int // multipole order p (2 = quadrupole, 4 = hexadecapole, up to 8)
@@ -165,7 +158,7 @@ func (s *TreeSolver) ResetReuse() {
 	s.walker = nil
 }
 
-// Name implements Solver.
+// Name identifies the solver in reports.
 func (s *TreeSolver) Name() string { return "2hot-tree" }
 
 // RootBox returns the cubical root volume used for the given positions.
@@ -176,19 +169,38 @@ func (s *TreeSolver) RootBox(pos []vec.V3) vec.Box {
 	return vec.BoundingBox(pos).Cubed(1e-3)
 }
 
-// AccTolAbsolute converts the dimensionless error tolerance into an absolute
+// accTol converts the dimensionless error tolerance into an absolute
 // acceleration tolerance using the characteristic acceleration
 // G_internal * M_total / R^2 of the system (G is applied after traversal, so
 // the traversal-level tolerance omits it).
-func (s *TreeSolver) AccTolAbsolute(totalMass float64, box vec.Box) float64 {
+func (c TreeConfig) accTol(totalMass float64, box vec.Box) float64 {
 	r := box.MaxSide() / 2
 	if r == 0 {
 		r = 1
 	}
-	return s.Cfg.ErrTol * totalMass / (r * r)
+	return c.ErrTol * totalMass / (r * r)
 }
 
-// Forces implements Solver.
+// walkConfig is the traversal configuration this tree configuration implies
+// for a system of the given total mass in box.
+func (c TreeConfig) walkConfig(totalMass float64, box vec.Box) traverse.Config {
+	return traverse.Config{
+		MAC:          c.MAC,
+		Theta:        c.Theta,
+		AccTol:       c.accTol(totalMass, box),
+		Kernel:       c.Kernel,
+		Eps:          c.Eps,
+		G:            c.G,
+		Periodic:     c.Periodic,
+		BoxSize:      c.BoxSize,
+		WS:           c.WS,
+		LatticeOrder: c.LatticeOrder,
+		SplitRS:      c.SplitRS,
+		SplitRCut:    c.SplitRCut,
+	}
+}
+
+// Forces computes accelerations and kernel sums for the particle set.
 func (s *TreeSolver) Forces(pos []vec.V3, mass []float64) (*Result, error) {
 	return s.ForcesWithWork(pos, mass, nil)
 }
@@ -279,20 +291,7 @@ func (s *TreeSolver) ForcesActive(pos []vec.V3, mass []float64, work []float64, 
 	s.LastTree = tr
 	buildTime := time.Since(tb)
 
-	walkCfg := traverse.Config{
-		MAC:          cfg.MAC,
-		Theta:        cfg.Theta,
-		AccTol:       s.AccTolAbsolute(totalMass, box),
-		Kernel:       cfg.Kernel,
-		Eps:          cfg.Eps,
-		G:            cfg.G,
-		Periodic:     cfg.Periodic,
-		BoxSize:      cfg.BoxSize,
-		WS:           cfg.WS,
-		LatticeOrder: cfg.LatticeOrder,
-		SplitRS:      cfg.SplitRS,
-		SplitRCut:    cfg.SplitRCut,
-	}
+	walkCfg := cfg.walkConfig(totalMass, box)
 	// Walker setup happens outside the traversal window so that
 	// Timings.Total - Timings.TreeTraversal isolates the per-step rebuild
 	// pipeline (staging, build, solver setup, scatter) the persistent state
@@ -379,23 +378,7 @@ func (s *TreeSolver) ForceAt(x vec.V3) (vec.V3, float64, error) {
 	if s.LastTree == nil {
 		return vec.V3{}, 0, fmt.Errorf("core: no tree built yet")
 	}
-	cfg := s.Cfg
-	totalMass := s.LastTree.TotalMass()
-	walkCfg := traverse.Config{
-		MAC:          cfg.MAC,
-		Theta:        cfg.Theta,
-		AccTol:       s.AccTolAbsolute(totalMass, s.LastTree.Box),
-		Kernel:       cfg.Kernel,
-		Eps:          cfg.Eps,
-		G:            cfg.G,
-		Periodic:     cfg.Periodic,
-		BoxSize:      cfg.BoxSize,
-		WS:           cfg.WS,
-		LatticeOrder: cfg.LatticeOrder,
-		SplitRS:      cfg.SplitRS,
-		SplitRCut:    cfg.SplitRCut,
-	}
-	w := traverse.NewWalker(s.LastTree, walkCfg)
+	w := traverse.NewWalker(s.LastTree, s.Cfg.walkConfig(s.LastTree.TotalMass(), s.LastTree.Box))
 	a, p := w.ForceAt(x)
 	return a, p, nil
 }
@@ -413,10 +396,11 @@ type DirectSolver struct {
 	Workers  int
 }
 
-// Name implements Solver.
+// Name identifies the solver in reports.
 func (s *DirectSolver) Name() string { return "direct-n2" }
 
-// Forces implements Solver.
+// Forces computes accelerations and kernel sums for the particle set by
+// direct summation.
 func (s *DirectSolver) Forces(pos []vec.V3, mass []float64) (*Result, error) {
 	if len(pos) != len(mass) {
 		return nil, fmt.Errorf("core: %d positions but %d masses", len(pos), len(mass))

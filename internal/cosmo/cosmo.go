@@ -202,9 +202,6 @@ func (p Params) OmegaR() float64 {
 	return p.OmegaG + p.OmegaNu
 }
 
-// OmegaCDM returns the cold dark matter density parameter today.
-func (p Params) OmegaCDM() float64 { return p.OmegaM - p.OmegaB }
-
 // darkEnergyDensity returns the dark-energy density relative to today as a
 // function of the scale factor for the w0/wa parameterization.
 func (p Params) darkEnergyDensity(a float64) float64 {
@@ -273,12 +270,6 @@ func (p Params) Age(a float64) float64 {
 // AgeGyr returns the age at scale factor a in Gyr (not Gyr/h).
 func (p Params) AgeGyr(a float64) float64 {
 	return p.Age(a) * GyrPerTimeUnit / p.H
-}
-
-// LookupTime returns the cosmic time difference between two scale factors.
-func (p Params) LookupTime(a1, a2 float64) float64 {
-	f := func(x float64) float64 { return 1 / (x * p.Hubble(x)) }
-	return integrate(f, a1, a2)
 }
 
 // DriftFactor returns the symplectic drift integral int_{a1}^{a2} da /

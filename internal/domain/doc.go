@@ -7,8 +7,9 @@
 // (a sample sort with an American-flag radix sort on-node), chooses splitter
 // keys so that each rank's domain receives approximately equal work —
 // particle counts, or the per-particle interaction counts recorded by the
-// previous force solve (Options.UseWork) — and exchanges particles with a
-// selectable Alltoallv (direct, pairwise or hierarchical).  A previous
+// previous force solve (Options.UseWork) — and exchanges particles, as
+// particle wire records (particle.EncodeRange), with the direct Alltoallv (the
+// paper's direct/pairwise/hierarchical comparison lives in comm).  A previous
 // Decomposition seeds the splitter sampling, the cheap refinement path for
 // near-static steps.
 //

@@ -25,11 +25,13 @@ func (d *Decomposition) OwnerOfPosition(p vec.V3) int {
 	return d.Owner(uint64(keys.FromPosition(p, d.Box, d.Curve)))
 }
 
+// samplesPerRank is how many evenly spaced keys each rank contributes to the
+// splitter sample.
+const samplesPerRank = 64
+
 // Options configures the decomposition.
 type Options struct {
-	Curve          keys.Curve
-	SamplesPerRank int
-	Alltoall       comm.AlltoallAlgorithm
+	Curve keys.Curve
 	// UseWork weights the splits by the per-particle work recorded during
 	// the previous force calculation (the paper's load-balancing strategy)
 	// instead of plain particle counts.
@@ -42,9 +44,6 @@ type Options struct {
 // decomposition (cheap refinement when particles have moved little).
 // The particles of each rank are left sorted by key.
 func Decompose(r *comm.Rank, set *particle.Set, box vec.Box, opt Options, prev *Decomposition) (*Decomposition, error) {
-	if opt.SamplesPerRank == 0 {
-		opt.SamplesPerRank = 64
-	}
 	ks := set.Keys(box, opt.Curve)
 	var weights []float64
 	if opt.UseWork {
@@ -54,12 +53,12 @@ func Decompose(r *comm.Rank, set *particle.Set, box vec.Box, opt Options, prev *
 	if prev != nil {
 		prevSplit = prev.Splitters
 	}
-	splitters, err := parsort.ChooseSplitters(r, ks, weights, opt.SamplesPerRank, prevSplit)
+	splitters, err := parsort.ChooseSplitters(r, ks, weights, samplesPerRank, prevSplit)
 	if err != nil {
 		return nil, err
 	}
 	d := &Decomposition{Box: box, Curve: opt.Curve, Splitters: splitters}
-	if err := ExchangeParticles(r, set, d, opt.Alltoall); err != nil {
+	if err := ExchangeParticles(r, set, d); err != nil {
 		return nil, err
 	}
 	set.SortByKey(box, opt.Curve)
@@ -69,8 +68,8 @@ func Decompose(r *comm.Rank, set *particle.Set, box vec.Box, opt Options, prev *
 // ExchangeParticles moves every particle to the rank that owns its key under
 // the decomposition.  After the initial decomposition the exchange pattern is
 // very sparse (particles only drift into neighboring domains), which the
-// Alltoallv implementations exploit by sending empty blocks cheaply.
-func ExchangeParticles(r *comm.Rank, set *particle.Set, d *Decomposition, algo comm.AlltoallAlgorithm) error {
+// direct Alltoallv exploits by sending empty blocks cheaply.
+func ExchangeParticles(r *comm.Rank, set *particle.Set, d *Decomposition) error {
 	n := r.N()
 	outgoing := make([][]int, n)
 	ks := set.Keys(d.Box, d.Curve)
@@ -90,7 +89,7 @@ func ExchangeParticles(r *comm.Rank, set *particle.Set, d *Decomposition, algo c
 		send[dst] = set.EncodeRange(outgoing[dst])
 		toRemove = append(toRemove, outgoing[dst]...)
 	}
-	recv, err := r.AlltoallvBytes(send, algo)
+	recv, err := r.AlltoallvBytes(send, comm.AlltoallDirect)
 	if err != nil {
 		return err
 	}

@@ -227,15 +227,6 @@ func maxAbs3(a, b, c int) int {
 	return m
 }
 
-// BuildLocal converts the multipole expansion of the full box (about the box
-// center) into a local Taylor expansion of the far-lattice field about the
-// same center, of the given order.
-func (lat *Lattice) BuildLocal(box *multipole.Expansion, order int) *multipole.Local {
-	loc := multipole.NewLocal(order, box.Center)
-	loc.AddM2L(box, lat.T)
-	return loc
-}
-
 // ReplicaOffsets returns the explicit image offsets with max|n_i| <= ws,
 // excluding the origin, i.e. the 26 (ws=1) or 124 (ws=2) boundary cubes the
 // paper traverses explicitly.

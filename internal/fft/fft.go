@@ -203,13 +203,6 @@ func (g *Grid3) At(i, j, k int) complex128 { return g.Data[g.Index(i, j, k)] }
 // Set stores a value at (i, j, k).
 func (g *Grid3) Set(i, j, k int, v complex128) { g.Data[g.Index(i, j, k)] = v }
 
-// Fill sets all entries to v.
-func (g *Grid3) Fill(v complex128) {
-	for i := range g.Data {
-		g.Data[i] = v
-	}
-}
-
 // Forward performs the 3-D forward transform in place.
 func (g *Grid3) Forward() { g.transform(false) }
 

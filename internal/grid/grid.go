@@ -39,16 +39,6 @@ func (m *Mesh) Index(i, j, k int) int {
 // At returns the value of cell (i,j,k).
 func (m *Mesh) At(i, j, k int) float64 { return m.Data[m.Index(i, j, k)] }
 
-// CellSize returns L/N.
-func (m *Mesh) CellSize() float64 { return m.L / float64(m.N) }
-
-// Clear zeroes the mesh.
-func (m *Mesh) Clear() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
 // Total returns the sum over all cells.
 func (m *Mesh) Total() float64 {
 	s := 0.0

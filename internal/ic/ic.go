@@ -47,12 +47,6 @@ type Particles struct {
 // N returns the particle count.
 func (p *Particles) N() int { return len(p.Pos) }
 
-// PeculiarVelocity returns the peculiar velocity a*dx/dt of particle i in
-// km/s.
-func (p *Particles) PeculiarVelocity(i int) vec.V3 {
-	return p.Mom[i].Scale(1 / p.A)
-}
-
 // Generate builds a particle realization of the spectrum at the requested
 // starting redshift.
 func Generate(par cosmo.Params, spec *transfer.Spectrum, opt Options) (*Particles, error) {

@@ -80,16 +80,6 @@ func Quantize(p vec.V3, box vec.Box) Coords {
 	return c
 }
 
-// Unquantize returns the position of the lattice cell center inside box.
-func Unquantize(c Coords, box vec.Box) vec.V3 {
-	size := box.Size()
-	var p vec.V3
-	for i := 0; i < 3; i++ {
-		p[i] = box.Lo[i] + (float64(c[i])+0.5)/coordMax*size[i]
-	}
-	return p
-}
-
 // spread3 spreads the low 21 bits of x so that there are two zero bits
 // between each original bit.
 func spread3(x uint32) uint64 {
@@ -136,11 +126,6 @@ func ToCoords(k Key, curve Curve) Coords {
 // FromPosition maps a position inside box to a body key.
 func FromPosition(p vec.V3, box vec.Box, curve Curve) Key {
 	return FromCoords(Quantize(p, box), curve)
-}
-
-// ToPosition maps a body key back to the center of its deepest-level cell.
-func ToPosition(k Key, box vec.Box, curve Curve) vec.V3 {
-	return Unquantize(ToCoords(k, curve), box)
 }
 
 // Level returns the tree level of a cell key: 0 for the root, MaxDepth for a
@@ -213,13 +198,6 @@ func (k Key) CellBox(root vec.Box) vec.Box {
 		lo[2] + size[2]/n,
 	}
 	return vec.Box{Lo: lo, Hi: hi}
-}
-
-// CellKeyForBox returns the Morton cell key at the given level containing
-// position p.
-func CellKeyForBox(p vec.V3, root vec.Box, level int) Key {
-	body := FromPosition(p, root, Morton)
-	return body.AncestorAt(level)
 }
 
 // CommonAncestor returns the deepest cell key that is an ancestor of both a

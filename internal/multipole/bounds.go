@@ -30,17 +30,6 @@ func (e *Expansion) AccelErrorBound(d float64) float64 {
 	return bound
 }
 
-// PotentialErrorBound is the analogous bound on the error in the kernel sum
-// (potential) itself.
-func (e *Expansion) PotentialErrorBound(d float64) float64 {
-	if d <= e.Bmax {
-		return math.Inf(1)
-	}
-	p := float64(e.P)
-	bNext := e.B[e.P+1]
-	return bNext / (math.Pow(d, p+1) * (d - e.Bmax))
-}
-
 // BHAccept implements the classic Barnes–Hut opening criterion: the cell of
 // size `size` at distance d is accepted when size/d < theta, with the
 // additional WS93 safety that d must exceed bmax.

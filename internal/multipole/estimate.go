@@ -147,7 +147,7 @@ func m2pGenerated(q int, m []float64, r vec.V3) Result {
 // leading entries are every smaller table's (the enumeration is
 // order-independent), so no per-order table is looked up.
 func (e *Expansion) evaluateTable(r vec.V3, q int, scratch []float64) Result {
-	t := tables[maxTableOrder]
+	t := tables[MaxTableOrder]
 	derivativesInto(t, r, q+1, scratch[:NumTerms(q+1)])
 	var res Result
 	for i := 0; i < t.Offset[q+1]; i++ {

@@ -60,10 +60,9 @@ func NewExpansionArena(p, capacity int) *ExpansionArena {
 	}
 }
 
-// Cap returns the arena's capacity; Used how many expansions were handed
-// out; Order the expansion order it was built for.
+// Cap returns the arena's capacity; Order the expansion order it was built
+// for.
 func (a *ExpansionArena) Cap() int   { return len(a.exps) }
-func (a *ExpansionArena) Used() int  { return a.used }
 func (a *ExpansionArena) Order() int { return a.p }
 
 // Reset recycles the whole arena.  Expansions handed out before the reset are
@@ -158,7 +157,7 @@ func (e *Expansion) AddParticles(pos []vec.V3, m []float64) {
 
 // powers returns per-dimension power tables pow[dim][k] = d[dim]^k for
 // k = 0..p, by value so the P2M / M2M / L2P operators stay off the heap.
-func powers(p int, d vec.V3) (pow [3][maxTableOrder + 1]float64) {
+func powers(p int, d vec.V3) (pow [3][MaxTableOrder + 1]float64) {
 	for c := 0; c < 3; c++ {
 		pow[c][0] = 1
 		for k := 1; k <= p; k++ {
@@ -244,19 +243,13 @@ func (e *Expansion) Evaluate(x vec.V3) Result {
 	return e.EvaluateTruncated(x, e.P, scratch[:])
 }
 
-// EvaluateWithScratch is Evaluate reusing a caller-provided scratch slice of
-// length at least ScratchSize(P).
-func (e *Expansion) EvaluateWithScratch(x vec.V3, scratch []float64) Result {
-	return e.EvaluateTruncated(x, e.P, scratch)
-}
-
 // ScratchSize returns the derivative-tensor scratch length needed to evaluate
 // an expansion of order p.
 func ScratchSize(p int) int { return NumTerms(p + 1) }
 
 // maxScratch is ScratchSize of the highest order that can be evaluated
-// (NumTerms(maxTableOrder)), as a constant for stack arrays.
-const maxScratch = (maxTableOrder + 1) * (maxTableOrder + 2) * (maxTableOrder + 3) / 6
+// (NumTerms(MaxTableOrder)), as a constant for stack arrays.
+const maxScratch = (MaxTableOrder + 1) * (MaxTableOrder + 2) * (MaxTableOrder + 3) / 6
 
 // Local is a local (Taylor) expansion of the far field about a center:
 // S(center + h) = sum_gamma (1/gamma!) h^gamma L_gamma.

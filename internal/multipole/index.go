@@ -16,8 +16,8 @@
 //     ./m2pgen under go generate): one straight-line M2P routine per
 //     truncation order q = 0..MaxGeneratedOrder, holding the derivative
 //     tensor of 1/r to order q+1 in local variables and then contracting it
-//     with the moments.  EvaluateTruncated, EvaluateTruncatedBlock, Evaluate
-//     and EvaluateWithScratch dispatch to them on q alone — the order the
+//     with the moments.  EvaluateTruncated, EvaluateTruncatedBlock and
+//     Evaluate dispatch to them on q alone — the order the
 //     caller asks for, clamped to the stored order — so every tree walk,
 //     whatever its configuration, runs them for q <= MaxGeneratedOrder.
 //   - The table-interpreted path (DerivativesInto + evaluateTable): the only
@@ -86,15 +86,16 @@ func CanonicalPos(a MultiIndex) int {
 	return pos
 }
 
-// maxTableOrder is the highest order Table serves: evaluating an order-p
+// MaxTableOrder is the highest order Table serves: evaluating an order-p
 // expansion needs the derivative tensor of order p+1, and the lattice M2L
-// tensors go one further.
-const maxTableOrder = MaxOrder + 2
+// tensors go one further.  A far-lattice expansion of order l over a tree of
+// order p asks for Table(p+l), so configurations must keep p+l within it.
+const MaxTableOrder = MaxOrder + 2
 
 // tables holds the index table of every order, built once at package
 // initialization and read-only afterwards, so the evaluation hot paths share
 // them without synchronization.
-var tables = func() (ts [maxTableOrder + 1]*IndexTable) {
+var tables = func() (ts [MaxTableOrder + 1]*IndexTable) {
 	for p := range ts {
 		ts[p] = newTable(p)
 	}
@@ -103,7 +104,7 @@ var tables = func() (ts [maxTableOrder + 1]*IndexTable) {
 
 // Table returns the index table for order p.
 func Table(p int) *IndexTable {
-	if p < 0 || p > maxTableOrder {
+	if p < 0 || p > MaxTableOrder {
 		panic(fmt.Sprintf("multipole: unsupported order %d", p))
 	}
 	return tables[p]

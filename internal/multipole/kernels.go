@@ -1,10 +1,6 @@
 package multipole
 
-import (
-	"math"
-
-	"twohot/internal/vec"
-)
+import "math"
 
 // FlopsPerMonopole is the conventional operation count per monopole
 // interaction used by the paper (Table 3) when converting interaction counts
@@ -19,21 +15,6 @@ const (
 	FlopsPerQuadrupole   = 112
 	FlopsPerHexadecapole = 450
 )
-
-// MonopoleAccel accumulates the softened monopole (particle-particle)
-// acceleration and kernel sum at the sink position from a single source.
-// eps2 is the square of the Plummer-equivalent softening handed to the
-// kernel; callers using non-Plummer kernels apply them separately.
-func MonopoleAccel(sink, src vec.V3, m, eps2 float64) Result {
-	d := src.Sub(sink) // points from sink toward source
-	r2 := d.Norm2() + eps2
-	inv := 1 / math.Sqrt(r2)
-	inv3 := m * inv * inv * inv
-	return Result{
-		Phi: m * inv,
-		Acc: d.Scale(inv3),
-	}
-}
 
 // Source32 is the packed single-precision source used by the blocked
 // ("m x n") interaction kernels.  This is the structure-of-arrays layout the
@@ -121,33 +102,6 @@ func BlockedMonopole32(src *Source32, snk *Sink32, eps2 float32) {
 		snk.Az[i] += az
 		snk.Pot[i] += pot
 		snk.countComputed += int64(m)
-	}
-}
-
-// BlockedMonopole64 is the double-precision variant of the blocked kernel,
-// used when accumulating reference forces.
-func BlockedMonopole64(srcX, srcY, srcZ, srcM []float64, snkX, snkY, snkZ []float64,
-	ax, ay, az, pot []float64, eps2 float64) {
-	for i := range snkX {
-		xi, yi, zi := snkX[i], snkY[i], snkZ[i]
-		var axi, ayi, azi, poti float64
-		for j := range srcX {
-			dx := srcX[j] - xi
-			dy := srcY[j] - yi
-			dz := srcZ[j] - zi
-			r2 := dx*dx + dy*dy + dz*dz + eps2
-			inv := 1 / math.Sqrt(r2)
-			mj := srcM[j]
-			poti += mj * inv
-			mInv3 := mj * inv * inv * inv
-			axi += dx * mInv3
-			ayi += dy * mInv3
-			azi += dz * mInv3
-		}
-		ax[i] += axi
-		ay[i] += ayi
-		az[i] += azi
-		pot[i] += poti
 	}
 }
 

@@ -207,8 +207,8 @@ func BenchmarkM2P(b *testing.B) {
 // The per-particle operators (P2M in the tree build, L2P in the solve's
 // post-processing) and the per-cell M2M must stay off the heap.
 func TestSmallOperatorsDoNotAllocate(t *testing.T) {
-	if maxScratch != NumTerms(maxTableOrder) {
-		t.Fatalf("maxScratch = %d, want NumTerms(%d) = %d", maxScratch, maxTableOrder, NumTerms(maxTableOrder))
+	if maxScratch != NumTerms(MaxTableOrder) {
+		t.Fatalf("maxScratch = %d, want NumTerms(%d) = %d", maxScratch, MaxTableOrder, NumTerms(MaxTableOrder))
 	}
 	rng := rand.New(rand.NewSource(16))
 	center := vec.V3{0.5, 0.5, 0.5}

@@ -5,9 +5,9 @@
 package particle
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"twohot/internal/keys"
@@ -85,20 +85,6 @@ func (s *Set) AppendFrom(src *Set, i int) {
 	s.Rung = append(s.Rung, src.Rung[i])
 	s.MomEpoch = append(s.MomEpoch, src.MomEpoch[i])
 	s.Flags = append(s.Flags, src.Flags[i])
-}
-
-// Swap exchanges particles i and j.
-func (s *Set) Swap(i, j int) {
-	s.Pos[i], s.Pos[j] = s.Pos[j], s.Pos[i]
-	s.Mom[i], s.Mom[j] = s.Mom[j], s.Mom[i]
-	s.Mass[i], s.Mass[j] = s.Mass[j], s.Mass[i]
-	s.ID[i], s.ID[j] = s.ID[j], s.ID[i]
-	s.Acc[i], s.Acc[j] = s.Acc[j], s.Acc[i]
-	s.Pot[i], s.Pot[j] = s.Pot[j], s.Pot[i]
-	s.Work[i], s.Work[j] = s.Work[j], s.Work[i]
-	s.Rung[i], s.Rung[j] = s.Rung[j], s.Rung[i]
-	s.MomEpoch[i], s.MomEpoch[j] = s.MomEpoch[j], s.MomEpoch[i]
-	s.Flags[i], s.Flags[j] = s.Flags[j], s.Flags[i]
 }
 
 // Clone returns a deep copy.
@@ -200,23 +186,28 @@ func (s *Set) Permute(idx []int) {
 	*s = *newSet
 }
 
-// particleRecordSize is the encoded byte size of one particle.
-const particleRecordSize = 3*8 + 3*8 + 8 + 8 + 8 + 8 + 1 + 1 // pos, mom, mass, id, work, mom epoch, rung, flags
+// particleRecordSize is the encoded byte size of one particle: pos and mom
+// (3 f64 each), mass, id, work and momentum epoch (8 bytes each), rung and
+// flags (1 byte each), little-endian, in that order.
+const particleRecordSize = 3*8 + 3*8 + 8 + 8 + 8 + 8 + 1 + 1
 
-// EncodeRange serializes particles [lo, hi) into a byte slice for exchange.
+// EncodeRange serializes the particles at indices, in that order, as
+// consecutive fixed-size records for exchange.  Acc and Pot do not travel.
 func (s *Set) EncodeRange(indices []int) []byte {
-	buf := bytes.NewBuffer(make([]byte, 0, len(indices)*particleRecordSize))
+	buf := make([]byte, len(indices)*particleRecordSize)
+	rec := buf
 	for _, i := range indices {
-		binary.Write(buf, binary.LittleEndian, s.Pos[i])
-		binary.Write(buf, binary.LittleEndian, s.Mom[i])
-		binary.Write(buf, binary.LittleEndian, s.Mass[i])
-		binary.Write(buf, binary.LittleEndian, s.ID[i])
-		binary.Write(buf, binary.LittleEndian, s.Work[i])
-		binary.Write(buf, binary.LittleEndian, s.MomEpoch[i])
-		binary.Write(buf, binary.LittleEndian, s.Rung[i])
-		binary.Write(buf, binary.LittleEndian, s.Flags[i])
+		putV3(rec[0:], s.Pos[i])
+		putV3(rec[24:], s.Mom[i])
+		binary.LittleEndian.PutUint64(rec[48:], math.Float64bits(s.Mass[i]))
+		binary.LittleEndian.PutUint64(rec[56:], uint64(s.ID[i]))
+		binary.LittleEndian.PutUint64(rec[64:], math.Float64bits(s.Work[i]))
+		binary.LittleEndian.PutUint64(rec[72:], math.Float64bits(s.MomEpoch[i]))
+		rec[80] = uint8(s.Rung[i])
+		rec[81] = s.Flags[i]
+		rec = rec[particleRecordSize:]
 	}
-	return buf.Bytes()
+	return buf
 }
 
 // DecodeAppend appends particles serialized by EncodeRange.
@@ -224,30 +215,30 @@ func (s *Set) DecodeAppend(data []byte) error {
 	if len(data)%particleRecordSize != 0 {
 		return fmt.Errorf("particle: encoded data length %d is not a multiple of record size", len(data))
 	}
-	r := bytes.NewReader(data)
-	n := len(data) / particleRecordSize
-	for i := 0; i < n; i++ {
-		var pos, mom vec.V3
-		var mass, work, epoch float64
-		var id int64
-		var rung int8
-		var flags uint8
-		binary.Read(r, binary.LittleEndian, &pos)
-		binary.Read(r, binary.LittleEndian, &mom)
-		binary.Read(r, binary.LittleEndian, &mass)
-		binary.Read(r, binary.LittleEndian, &id)
-		binary.Read(r, binary.LittleEndian, &work)
-		binary.Read(r, binary.LittleEndian, &epoch)
-		binary.Read(r, binary.LittleEndian, &rung)
-		binary.Read(r, binary.LittleEndian, &flags)
-		s.Append(pos, mom, mass, id)
+	for rec := data; len(rec) > 0; rec = rec[particleRecordSize:] {
+		s.Append(getV3(rec[0:]), getV3(rec[24:]),
+			math.Float64frombits(binary.LittleEndian.Uint64(rec[48:])),
+			int64(binary.LittleEndian.Uint64(rec[56:])))
 		j := s.Len() - 1
-		s.Work[j] = work
-		s.MomEpoch[j] = epoch
-		s.Rung[j] = rung
-		s.Flags[j] = flags
+		s.Work[j] = math.Float64frombits(binary.LittleEndian.Uint64(rec[64:]))
+		s.MomEpoch[j] = math.Float64frombits(binary.LittleEndian.Uint64(rec[72:]))
+		s.Rung[j] = int8(rec[80])
+		s.Flags[j] = rec[81]
 	}
 	return nil
+}
+
+func putV3(b []byte, v vec.V3) {
+	for k, x := range v {
+		binary.LittleEndian.PutUint64(b[8*k:], math.Float64bits(x))
+	}
+}
+
+func getV3(b []byte) (v vec.V3) {
+	for k := range v {
+		v[k] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*k:]))
+	}
+	return v
 }
 
 // Select removes the particles at the given (sorted, unique) indices and

@@ -1,6 +1,7 @@
 package particle
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -24,6 +25,11 @@ func randomSet(n int, seed int64) *Set {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	s := randomSet(57, 1)
 	idx := []int{3, 17, 44}
+	for _, i := range idx {
+		s.Work[i], s.MomEpoch[i] = float64(i)+0.5, 1/float64(i)
+		s.Rung[i], s.Flags[i] = int8(-i), FlagActive|FlagMoved
+		s.Acc[i], s.Pot[i] = vec.V3{1, 2, 3}, 4 // do not travel
+	}
 	blob := s.EncodeRange(idx)
 	dst := New(0)
 	if err := dst.DecodeAppend(blob); err != nil {
@@ -36,6 +42,15 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if dst.Pos[k] != s.Pos[i] || dst.Mom[k] != s.Mom[i] || dst.ID[k] != s.ID[i] || dst.Mass[k] != s.Mass[i] {
 			t.Fatalf("particle %d corrupted in transit", i)
 		}
+		if dst.Work[k] != s.Work[i] || dst.MomEpoch[k] != s.MomEpoch[i] || dst.Rung[k] != s.Rung[i] || dst.Flags[k] != s.Flags[i] {
+			t.Fatalf("particle %d lost its stepping state in transit", i)
+		}
+		if dst.Acc[k] != (vec.V3{}) || dst.Pot[k] != 0 {
+			t.Fatalf("particle %d arrived with a force result", i)
+		}
+	}
+	if len(blob) != len(idx)*82 {
+		t.Fatalf("%d particles encode to %d bytes, want 82 each", len(idx), len(blob))
 	}
 	if err := dst.DecodeAppend([]byte{1, 2, 3}); err == nil {
 		t.Error("expected error for truncated record")
@@ -129,4 +144,29 @@ func TestSetActiveTouchesOnlyTheActiveBit(t *testing.T) {
 			t.Errorf("particle %d: flags %02b, want %02b", i, s.Flags[i], w)
 		}
 	}
+}
+
+// FuzzDecodeAppend asserts the particle-record parser never panics: input
+// that is not whole records is rejected, anything else re-encodes to itself.
+func FuzzDecodeAppend(f *testing.F) {
+	valid := randomSet(4, 3).EncodeRange([]int{0, 1, 2, 3})
+	f.Add(valid)
+	f.Add(valid[:100])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := New(0)
+		if err := s.DecodeAppend(data); err != nil {
+			if len(data)%82 == 0 {
+				t.Fatalf("whole records rejected: %v", err)
+			}
+			return
+		}
+		idx := make([]int, s.Len())
+		for i := range idx {
+			idx[i] = i
+		}
+		if !bytes.Equal(s.EncodeRange(idx), data) {
+			t.Fatal("decoded records re-encode differently")
+		}
+	})
 }

@@ -46,11 +46,6 @@ type Header struct {
 // canonicalFields is the particle record layout written by this package.
 var canonicalFields = []string{"x", "y", "z", "vx", "vy", "vz", "mass", "ident"}
 
-// SetFloat stores a float64 parameter.
-func (h *Header) SetFloat(key string, v float64) {
-	h.Parameters[key] = strconv.FormatFloat(v, 'g', 17, 64)
-}
-
 // Float returns a float64 parameter.
 func (h *Header) Float(key string) (float64, bool) {
 	s, ok := h.Parameters[key]

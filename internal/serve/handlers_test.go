@@ -332,4 +332,15 @@ func TestHandlersRejectBadSubmissions(t *testing.T) {
 	if code := post("alfa", `{"unknown_field": 1}`); code != http.StatusBadRequest {
 		t.Fatalf("unknown config field returned %d", code)
 	}
+	// Configurations that used to be admitted and then panic in the runner.
+	for _, body := range []string{
+		`{"lattice_order": 7}`,
+		`{"order": 8, "lattice_order": 3}`,
+		`{"solver": "treepm", "pm_grid": -4}`,
+		`{"z_final": -1}`,
+	} {
+		if code := post("alfa", body); code != http.StatusBadRequest {
+			t.Errorf("submission %s returned %d", body, code)
+		}
+	}
 }

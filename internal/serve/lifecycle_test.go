@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -185,6 +186,63 @@ func TestSuspendBeforeFirstStep(t *testing.T) {
 		t.Fatalf("resumed run finished at step %d, want %d", final.Stats.Step, cfg.NSteps)
 	}
 	assertSameFinalState(t, refPath, filepath.Join(root, "alice", info.ID, cfg.Name+"-final.sdf"))
+}
+
+// TestPanickingJobFailsAlone pins the blast radius of a panic inside a run:
+// the job ends failed with the panic text, its slots return to the pool and
+// its stream closes, while another tenant's concurrently running job
+// completes with the uninterrupted result.  (The runner goroutine used to
+// have no recover, so the panic ended the process.)  Validation rejects the
+// configurations known to panic, so the panic comes from an observer the
+// test plants on the doomed job's simulation.
+func TestPanickingJobFailsAlone(t *testing.T) {
+	steady := testConfig("steady", 6)
+	refPath := referenceFinal(t, steady)
+
+	root := t.TempDir()
+	s := newTestServer(t, Options{Dir: root, PoolWorkers: 2, QueueCap: 4})
+	s.newSim = func(cfg twohot.Config, opts ...twohot.Option) (*twohot.Simulation, error) {
+		tw, err := twohot.New(cfg, opts...)
+		if err == nil && cfg.Name == "doomed" {
+			tw.AddObserver(twohot.ObserverFuncs{Step: func(twohot.StepInfo) { panic("solver invariant tripped") }})
+		}
+		return tw, err
+	}
+	bystander, err := s.Submit("bob", steady)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doomed, err := s.Submit("alice", testConfig("doomed", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	got := waitState(t, s, doomed.ID, StateFailed, 60*time.Second)
+	if !strings.Contains(got.Error, "solver invariant tripped") {
+		t.Fatalf("panicking job failed with error %q, want the panic text", got.Error)
+	}
+	waitFor(t, "the panicking job's stream to close", 10*time.Second, func() bool {
+		events, unsubscribe := s.broker.subscribe(doomed.ID)
+		defer unsubscribe()
+		select {
+		case _, open := <-events:
+			return !open
+		default:
+			return false
+		}
+	})
+	s.mu.Lock()
+	aliceSlots := s.tenantUse["alice"]
+	s.mu.Unlock()
+	if aliceSlots != 0 {
+		t.Fatalf("panicking job still holds %d slots", aliceSlots)
+	}
+
+	final := waitState(t, s, bystander.ID, StateCompleted, 120*time.Second)
+	if final.Stats.Step != steady.NSteps {
+		t.Fatalf("bystander finished at step %d, want %d", final.Stats.Step, steady.NSteps)
+	}
+	assertSameFinalState(t, refPath, filepath.Join(root, "bob", bystander.ID, steady.Name+"-final.sdf"))
 }
 
 // TestCloseSuspendsRunning pins graceful shutdown: Close drains the pool by

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"time"
@@ -55,11 +56,21 @@ func (s *Server) runSim(sm *sim, ctx context.Context) {
 // checkpoint-representable (multi-rung block state) — the same gate Run's
 // periodic checkpoints use — so global-stepped runs suspend without
 // disturbing the trajectory at all.
-func (s *Server) drive(sm *sim, ctx context.Context, ckpt string) error {
+//
+// A panic in the run (a solver invariant tripped by a configuration the
+// validation let through) is returned as the job's error: the runner
+// goroutine has no caller to unwind to, so left alone it would end the
+// process and with it every other tenant's jobs.
+func (s *Server) drive(sm *sim, ctx context.Context, ckpt string) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("serve: simulation panicked: %v", p)
+		}
+	}()
 	if err := os.MkdirAll(sm.dir, 0o755); err != nil {
 		return err
 	}
-	tw, err := twohot.New(sm.cfg)
+	tw, err := s.newSim(sm.cfg)
 	if err != nil {
 		return err
 	}

@@ -63,6 +63,9 @@ var errServerClosing = errors.New("server shutting down")
 type Server struct {
 	opt    Options
 	broker *broker
+	// newSim constructs the Simulation behind a job: twohot.New, except in
+	// tests that need a run to misbehave.
+	newSim func(twohot.Config, ...twohot.Option) (*twohot.Simulation, error)
 
 	mu         sync.Mutex
 	closed     bool
@@ -92,6 +95,7 @@ func New(opt Options) (*Server, error) {
 	return &Server{
 		opt:           opt,
 		broker:        newBroker(opt.EventBuffer),
+		newSim:        twohot.New,
 		sims:          map[string]*sim{},
 		queue:         map[string][]*sim{},
 		tenantUse:     map[string]int{},

@@ -28,14 +28,3 @@ func SplitFactors(r, rs float64) (ff, pf float64) {
 	ff = pf + 2*u/math.Sqrt(math.Pi)*math.Exp(-u*u)
 	return ff, pf
 }
-
-// SplitForceFactor returns only the force damping factor of SplitFactors.
-func SplitForceFactor(r, rs float64) float64 {
-	ff, _ := SplitFactors(r, rs)
-	return ff
-}
-
-// SplitPotentialFactor returns only the potential damping factor erfc(r/2rs).
-func SplitPotentialFactor(r, rs float64) float64 {
-	return math.Erfc(r / (2 * rs))
-}

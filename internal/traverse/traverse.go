@@ -40,7 +40,6 @@ type Config struct {
 	BoxSize      float64
 	WS           int // explicit replica shells (2 in the paper); 0 disables replicas
 	LatticeOrder int // local-expansion order for the far lattice; 0 disables it
-	LatticeShell int // lattice summation extent (defaults inside ewald)
 
 	// MinimumOrder forces every accepted cell interaction to be evaluated at
 	// at least this order (the adaptive-order selection still upgrades when
@@ -215,7 +214,7 @@ func NewWalker(t *tree.Tree, cfg Config) *Walker {
 		w.offsets = append([]vec.V3{{0, 0, 0}}, ewald.ReplicaOffsets(ws, cfg.BoxSize)...)
 		if cfg.LatticeOrder > 0 {
 			order := cfg.LatticeOrder + t.Opt.Order
-			lat := ewald.NewLattice(order, ws, cfg.BoxSize, cfg.LatticeShell)
+			lat := ewald.NewLattice(order, ws, cfg.BoxSize, 0) // 0 = the default summation extent
 			w.lattice = lat
 			w.local = multipole.NewLocal(cfg.LatticeOrder, t.Root().Exp.Center)
 			w.local.AddM2L(t.Root().Exp, lat.T)
@@ -232,8 +231,8 @@ func NewWalker(t *tree.Tree, cfg Config) *Walker {
 // construction), the pooled per-worker traversal buffers, and the previous
 // tree's sink bounds (the seed of the clean-subtree bound cache).  cfg replaces
 // the walker's Config and must agree with the original on the fields the
-// retained state was derived from — Periodic, BoxSize, WS, LatticeOrder and
-// LatticeShell; scalar fields (AccTol, G, kernel) may change freely.  The
+// retained state was derived from — Periodic, BoxSize, WS and LatticeOrder;
+// scalar fields (AccTol, G, kernel) may change freely.  The
 // box-summed local expansion is recomputed from the new tree's root moments,
 // so a traversal after ResetTree is bit-identical to one on a freshly
 // constructed walker.

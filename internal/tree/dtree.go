@@ -340,20 +340,3 @@ func (d *Distributed) upperMoments(c *Cell, children []int32) {
 	e.FinalizeNorms()
 	c.Exp = e
 }
-
-// ChildrenOf returns the (local) children of the cell with the given key, for
-// answering ABM requests from other ranks.
-func (t *Tree) ChildrenOf(key keys.Key) []*Cell {
-	idx, ok := t.Hash.Get(key)
-	if !ok {
-		return nil
-	}
-	c := t.Cell[idx]
-	var out []*Cell
-	for oct := 0; oct < 8; oct++ {
-		if c.ChildIdx[oct] != NoChild {
-			out = append(out, t.Cell[c.ChildIdx[oct]])
-		}
-	}
-	return out
-}

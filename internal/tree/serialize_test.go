@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -118,29 +119,71 @@ func TestEncodeDecodeArbitraryCellsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeCellsTruncated verifies the error paths: every proper prefix of a
-// valid encoding must fail cleanly (no panic, no silent partial success).
+// TestDecodeCellsTruncated verifies the error paths: a prefix of a valid
+// block that ends inside a cell must fail cleanly (no panic, no silent
+// partial success); one that ends on a cell boundary is itself a block and
+// decodes to exactly the cells it holds.
 func TestDecodeCellsTruncated(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	cells := make([]*Cell, 3)
-	for i := range cells {
-		c := randomWireCell(rng)
-		cells[i] = &c
-	}
 	tr := &Tree{}
-	blob := tr.EncodeCells(cells)
-	if _, err := DecodeCells(blob); err != nil {
-		t.Fatalf("full blob must decode: %v", err)
+	var blob []byte
+	boundary := map[int]int{0: 0} // prefix length -> cells it holds
+	for i := 0; i < 3; i++ {
+		c := randomWireCell(rng)
+		blob = append(blob, tr.EncodeCells([]*Cell{&c})...)
+		boundary[len(blob)] = i + 1
 	}
-	for cut := 0; cut < len(blob); cut++ {
-		if _, err := DecodeCells(blob[:cut]); err == nil {
+	for cut := 0; cut <= len(blob); cut++ {
+		cells, err := DecodeCells(blob[:cut])
+		if want, whole := boundary[cut]; whole {
+			if err != nil || len(cells) != want {
+				t.Fatalf("prefix of %d whole cells decoded to %d cells, err %v", want, len(cells), err)
+			}
+		} else if err == nil {
 			t.Fatalf("truncation at %d of %d bytes decoded without error", cut, len(blob))
 		}
 	}
 }
 
+// TestCellBlocksConcatenate pins the property the ring branch exchange
+// forwards on: the concatenation of two blocks decodes to the cells of the
+// first followed by the cells of the second, and the empty block is empty.
+func TestCellBlocksConcatenate(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	tr := &Tree{}
+	var a, b []*Cell
+	for i := 0; i < 7; i++ {
+		c := randomWireCell(rng)
+		if i < 3 {
+			a = append(a, &c)
+		} else {
+			b = append(b, &c)
+		}
+	}
+	if blob := tr.EncodeCells(nil); len(blob) != 0 {
+		t.Fatalf("empty block is %d bytes", len(blob))
+	}
+	joined := append(tr.EncodeCells(a), tr.EncodeCells(b)...)
+	if !bytes.Equal(joined, tr.EncodeCells(append(a, b...))) {
+		t.Fatal("EncodeCells(a) ‖ EncodeCells(b) differs from EncodeCells(a ++ b)")
+	}
+	decoded, err := DecodeCells(joined)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(a, b...)
+	if len(decoded) != len(want) {
+		t.Fatalf("decoded %d cells, want %d", len(decoded), len(want))
+	}
+	for i := range decoded {
+		if !wireCellsEqual(want[i], &decoded[i]) {
+			t.Fatalf("cell %d changed in the concatenation", i)
+		}
+	}
+}
+
 // TestDecodeCellsCorruptHeaders checks the defensive bounds on the framing
-// fields: hostile counts and sizes must error out, not allocate or panic.
+// fields: hostile sizes must error out, not allocate or panic.
 func TestDecodeCellsCorruptHeaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	c := randomWireCell(rng)
@@ -154,10 +197,9 @@ func TestDecodeCellsCorruptHeaders(t *testing.T) {
 			t.Errorf("%s: expected an error", name)
 		}
 	}
-	corrupt("negative cell count", func(b []byte) { b[7] = 0x80 })
-	corrupt("huge cell count", func(b []byte) { b[6] = 0x7f })
-	corrupt("negative cell size", func(b []byte) { b[15] = 0x80 })
-	corrupt("oversized cell size", func(b []byte) { b[12] = 0x7f })
+	corrupt("cell size with the top bit set", func(b []byte) { b[7] = 0x80 })
+	corrupt("oversized cell size", func(b []byte) { b[4] = 0x7f })
+	corrupt("undersized cell size", func(b []byte) { b[0]-- })
 }
 
 // FuzzDecodeCells asserts DecodeCells never panics on arbitrary input; the

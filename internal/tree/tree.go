@@ -570,14 +570,3 @@ func (t *Tree) TotalMass() float64 {
 	}
 	return m
 }
-
-// Depth returns the maximum cell level present.
-func (t *Tree) Depth() int {
-	d := 0
-	for i := range t.Cell {
-		if t.Cell[i].Level > d {
-			d = t.Cell[i].Level
-		}
-	}
-	return d
-}

@@ -27,9 +27,6 @@ func (a V3) Sub(b V3) V3 { return V3{a[0] - b[0], a[1] - b[1], a[2] - b[2]} }
 // Scale returns s * a.
 func (a V3) Scale(s float64) V3 { return V3{s * a[0], s * a[1], s * a[2]} }
 
-// Mul returns the component-wise product a*b.
-func (a V3) Mul(b V3) V3 { return V3{a[0] * b[0], a[1] * b[1], a[2] * b[2]} }
-
 // Dot returns the dot product a·b.
 func (a V3) Dot(b V3) float64 { return a[0]*b[0] + a[1]*b[1] + a[2]*b[2] }
 
@@ -96,9 +93,6 @@ type Box struct {
 	Lo, Hi V3
 }
 
-// NewBox returns the box spanning lo..hi.
-func NewBox(lo, hi V3) Box { return Box{Lo: lo, Hi: hi} }
-
 // UnitBox returns the unit cube [0,1)^3.
 func UnitBox() Box { return Box{Lo: V3{0, 0, 0}, Hi: V3{1, 1, 1}} }
 
@@ -145,11 +139,6 @@ func (b Box) ContainsClosed(p V3) bool {
 // Expand grows the box to include p, returning the result.
 func (b Box) Expand(p V3) Box {
 	return Box{Lo: Min(b.Lo, p), Hi: Max(b.Hi, p)}
-}
-
-// Union returns the smallest box containing both boxes.
-func (b Box) Union(o Box) Box {
-	return Box{Lo: Min(b.Lo, o.Lo), Hi: Max(b.Hi, o.Hi)}
 }
 
 // Cubed returns the smallest cube (equal sides) centered on the same center
