@@ -71,8 +71,12 @@ type Config struct {
 	// steps skip the full radix sort).
 	Incremental bool `json:"incremental"`
 	// Ranks, when > 1, runs every force solve through the message-passing
-	// DistributedStep pipeline on that many in-process ranks, with
-	// work-weighted domain rebalancing fed back from step to step.
+	// pipeline on that many ranks (one core.RankSolver each), with
+	// work-weighted domain rebalancing fed back from step to step: every
+	// decomposition balances the per-particle interaction counts of the
+	// previous solve, and those weights are part of every snapshot, so a run
+	// resumed from a checkpoint decomposes — and, with global stepping, ends —
+	// exactly like the uninterrupted one.
 	Ranks int `json:"ranks,omitempty"`
 	// Transport selects the fabric a Ranks > 1 run communicates over:
 	// "chan" (the default, also the empty string) runs every rank as a
@@ -80,7 +84,12 @@ type Config struct {
 	// runs them as separate supervised worker processes over TCP loopback —
 	// the fault-tolerant deployment mode, with checkpoint-based recovery
 	// when a rank process dies (see RunClusterSupervised and cmd/2hot).
-	// Both fabrics produce bit-identical results.
+	// What is pinned: with global stepping (BlockSteps == 0) the same Config
+	// ends in the same particle bytes on either fabric and across a resume
+	// or crash recovery.  With block stepping each fabric is self-consistent
+	// (deterministic, resume- and recovery-identical) but the two differ from
+	// each other: they start a substep's decomposition from different
+	// layouts (ROADMAP item 3).
 	Transport string `json:"transport,omitempty"`
 	// BlockSteps, when positive, replaces every global step with a
 	// hierarchical block step of that many power-of-two rung levels:

@@ -5,8 +5,10 @@
 // stepping, outputs), a Simulation that runs it, and measurement helpers
 // (power spectra, halo catalogs, mass functions).
 //
-// The engine is composed of three pluggable pieces, all selected lazily from
-// the Config or injected through functional options on New:
+// The engine is composed of three pluggable pieces, built from the Config
+// when first used (construction only applies defaults; trees and meshes are
+// allocated by the first solve) or injected through functional options on
+// New:
 //
 //   - ForceSolver — the gravity backend (tree, distributed tree, TreePM,
 //     PM, direct summation), one contract with an honest Capabilities

@@ -7,19 +7,21 @@
 // There is one rank body (RankRun) and it owns no integrator arithmetic: it
 // drives the engines of internal/step — step.Global, or step.Block when
 // Spec.BlockSteps > 0, chosen exactly as a single-process Simulation chooses
-// — against a step.Forcer backed by the rank's share of
-// core.DistributedRankForces.  What the body adds is the distributed
-// bookkeeping around each engine call: the rechunk to the canonical layout,
-// the collective checkpoint gate, and the gather to rank 0.  Checkpoints
-// carry the same step-grid metadata as Simulation checkpoints
-// (sdf.Snapshot.SetStepGrid), so the two kinds restore interchangeably.
+// — against the rank's core.RankSolver, the same force body
+// core.DistributedStep runs on in-process ranks.  What the body adds is the
+// distributed bookkeeping around each engine call: the rechunk to the
+// canonical layout, the collective checkpoint gate, and the gather to rank 0.
+// Checkpoints carry the same step-grid metadata and per-particle work weights
+// as Simulation checkpoints (sdf.Snapshot), so the two kinds restore
+// interchangeably.
 //
 // The body is transport-agnostic: driving it on the in-process channel world
 // and on TCP loopback runs the identical code, which is what makes an
 // N-process run bit-identical to the in-process one.  A restart is
 // bit-identical to an uninterrupted run because every step begins from the
 // canonical layout (rechunk below) and checkpoints capture exactly that
-// layout in full float64 precision.
+// layout — positions, momenta and the work weights that steer the next
+// decomposition — in full float64 precision.
 package cluster
 
 import (
@@ -32,8 +34,6 @@ import (
 	"twohot/internal/comm"
 	"twohot/internal/core"
 	"twohot/internal/cosmo"
-	"twohot/internal/domain"
-	"twohot/internal/keys"
 	"twohot/internal/particle"
 	"twohot/internal/sdf"
 	"twohot/internal/step"
@@ -51,7 +51,6 @@ type Spec struct {
 	// Physics and stepping.
 	Cosmology string          `json:"cosmology"`
 	Tree      core.TreeConfig `json:"tree"`
-	Curve     keys.Curve      `json:"curve"`
 	NSteps    int             `json:"n_steps"`
 	DlnA      float64         `json:"dln_a"`
 
@@ -174,7 +173,7 @@ type engine interface {
 // the input snapshot and then drives the same stepping engine a
 // single-process Simulation drives — step.Global, or step.Block when
 // Spec.BlockSteps > 0 — against its share of the distributed force solve
-// (rankForcer): Advance, rechunk back to the canonical layout, and on the
+// (core.RankSolver): Advance, rechunk back to the canonical layout, and on the
 // checkpoint cadence a collective checkpoint gate followed by a gather to
 // rank 0.  The run ends with the engine's Synchronize and a final gather, so
 // the result snapshot is synchronized.
@@ -186,10 +185,6 @@ type engine interface {
 //
 // The box must be periodic: the engines wrap positions into it, and the
 // frozen-domain key space of a block must not change between substeps.
-//
-// Domain decomposition runs without work weights: per-particle work is not
-// part of the checkpoint format, and balancing on it would make a restarted
-// run decompose differently from the uninterrupted one.
 func RankRun(r *comm.Rank, spec Spec) error {
 	return RankRunHooked(r, spec, RunHooks{})
 }
@@ -212,19 +207,11 @@ func RankRunHooked(r *comm.Rank, spec Spec, hooks RunHooks) error {
 	my := snap.Particles.Chunk(r.ID, r.N())
 	clk := step.Clock{A: snap.ScaleFac, AMom: snap.MomentumScaleFac}
 
-	fz := &rankForcer{r: r, cfg: core.DistributedConfig{
+	fz := core.NewRankSolver(r, core.DistributedConfig{
 		Tree:           spec.Tree,
-		NRanks:         r.N(),
-		Curve:          spec.Curve,
 		BranchExchange: branchExchange,
-		UseWorkWeights: false,
-	}}
-	// Spec.Tree.Workers is a per-process budget; DistributedRankForces
-	// divides its Workers by the rank count (an in-process world shares one
-	// machine), so scale up to hand each process the full budget.
-	if spec.Tree.Workers > 0 {
-		fz.cfg.Tree.Workers = spec.Tree.Workers * r.N()
-	}
+		UseWorkWeights: true,
+	})
 
 	var eng engine = step.NewGlobal(par, spec.Tree.BoxSize)
 	var blk *step.Block
@@ -234,9 +221,9 @@ func RankRunHooked(r *comm.Rank, spec Spec, hooks RunHooks) error {
 	}
 
 	for s := startStep; s < spec.NSteps; s++ {
-		// Fresh splitters at every step; within a block step the forcer
-		// freezes them across the substeps.
-		fz.decomp = nil
+		// Fresh splitters at every step; within a block step the solver
+		// keeps them across the substeps.
+		fz.Thaw()
 		if _, err := eng.Advance(fz, my, &clk, spec.DlnA); err != nil {
 			return fmt.Errorf("cluster: rank %d step %d: %w", r.ID, s, err)
 		}
@@ -258,7 +245,7 @@ func RankRunHooked(r *comm.Rank, spec Spec, hooks RunHooks) error {
 
 	// Close the leapfrog with fresh splitters and gather the synchronized
 	// result (a fresh run starting from it re-primes cleanly).
-	fz.decomp = nil
+	fz.Thaw()
 	res, err := eng.Synchronize(fz, my, &clk)
 	if err != nil {
 		return fmt.Errorf("cluster: rank %d synchronize: %w", r.ID, err)
@@ -280,10 +267,6 @@ func RankRunHooked(r *comm.Rank, spec Spec, hooks RunHooks) error {
 func newBlockEngine(r *comm.Rank, par cosmo.Params, spec Spec, nTotal int) *step.Block {
 	sep := spec.Tree.BoxSize / math.Cbrt(float64(nTotal))
 	eng := step.NewBlock(par, spec.Tree.BoxSize, sep, spec.BlockSteps, spec.RungDisplacementFrac)
-	// Work weights never steer the cluster decomposition (UseWorkWeights is
-	// off), so the between-block decay would only churn Work bytes a
-	// checkpoint resume (which resets Work) could not reproduce.
-	eng.WorkDecay = 0
 	// Rung agreement: sum the per-rank histograms so every rank derives the
 	// same substep schedule — and sees the same global rung occupancy.
 	eng.AgreeRungs = func(local []int) ([]int, error) {
@@ -304,45 +287,6 @@ func newBlockEngine(r *comm.Rank, par cosmo.Params, spec Spec, nTotal int) *step
 	return eng
 }
 
-// rankForcer adapts one rank's share of the distributed force pipeline to the
-// step.Forcer contract, so the stepping engines drive it like any other
-// solver.  A non-nil active mask is stamped into the particle flags (they
-// travel with each particle through the domain exchange) and prunes every
-// rank's traversal.  decomp is the decomposition of the previous solve,
-// reused as frozen splitters by the next one; the rank body clears it before
-// every engine call, so only the substeps of one block step ever share a
-// domain shape (boundary-crossers are shipped on the frozen splitters) and a
-// global step decomposes afresh.
-type rankForcer struct {
-	r      *comm.Rank
-	cfg    core.DistributedConfig
-	decomp *domain.Decomposition
-}
-
-func (f *rankForcer) Accelerations(p *particle.Set) (*core.Result, error) {
-	return f.ActiveForces(p, nil, nil)
-}
-
-func (f *rankForcer) ActiveForces(p *particle.Set, active, moved []bool) (*core.Result, error) {
-	cfg := f.cfg
-	if active != nil {
-		p.SetActive(active)
-		cfg.ActiveMask = true
-	}
-	out, d, err := core.DistributedRankForcesReuse(f.r, p, cfg, f.decomp)
-	if err != nil {
-		return nil, err
-	}
-	f.decomp = d
-	return &core.Result{
-		Acc:      p.Acc,
-		Pot:      p.Pot,
-		Work:     p.Work,
-		Counters: out.Counters,
-		Timings:  out.Timings,
-	}, nil
-}
-
 // syncIfUnrepresentable closes the leapfrog before a due checkpoint when the
 // world holds per-particle momentum epochs a single-epoch snapshot cannot
 // represent (a multi-rung block; the engine's CheckpointReady says so).  The
@@ -351,7 +295,7 @@ func (f *rankForcer) ActiveForces(p *particle.Set, active, moved []bool) (*core.
 // uniform trailing epoch, which the snapshot's two scale factors represent
 // exactly; they are written unchanged, which keeps an all-rung-0 block run's
 // checkpoints byte-identical to a global run's.
-func syncIfUnrepresentable(r *comm.Rank, my *particle.Set, clk *step.Clock, eng engine, fz *rankForcer) error {
+func syncIfUnrepresentable(r *comm.Rank, my *particle.Set, clk *step.Clock, eng engine, fz *core.RankSolver) error {
 	local := 0.0
 	if eng.CheckpointReady(clk.AMom) != nil {
 		local = 1
@@ -363,7 +307,7 @@ func syncIfUnrepresentable(r *comm.Rank, my *particle.Set, clk *step.Clock, eng 
 	if global == 0 {
 		return nil
 	}
-	fz.decomp = nil
+	fz.Thaw()
 	if _, err := eng.Synchronize(fz, my, clk); err != nil {
 		return err
 	}

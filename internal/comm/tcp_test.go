@@ -65,7 +65,7 @@ func checkErrs(t *testing.T, errs []error) {
 
 // tcpExercise is the shared protocol workout: point-to-point, barrier, all
 // the collectives, the three alltoall algorithms, and the ABM — the same
-// patterns DistributedRankForces drives.
+// patterns core.RankSolver drives.
 func tcpExercise(t *testing.T, r *Rank) error {
 	n := r.N()
 	// Ring point-to-point.

@@ -6,7 +6,6 @@ import (
 
 	"twohot/internal/comm"
 	"twohot/internal/domain"
-	"twohot/internal/keys"
 	"twohot/internal/particle"
 	"twohot/internal/softening"
 	"twohot/internal/traverse"
@@ -14,12 +13,16 @@ import (
 	"twohot/internal/vec"
 )
 
-// DistributedConfig configures a distributed (message-passing) force step.
+// DistributedConfig configures a distributed (message-passing) force solve.
+// The decomposition curve is not configurable: the local trees take a Morton
+// key range, so the splitters are Morton keys by construction.
 type DistributedConfig struct {
+	// Tree configures every rank's local solve.  Tree.Workers is the budget
+	// of one rank (RankSolver); DistributedStep, whose ranks share a process,
+	// takes it as the budget of the whole world and divides it.
 	Tree TreeConfig
 
 	NRanks int
-	Curve  keys.Curve
 
 	// BranchExchange selects how the shared upper-tree branch cells are
 	// distributed: "allgather" is the WS93 global concatenation, "ring" is
@@ -28,17 +31,16 @@ type DistributedConfig struct {
 	BranchExchange string
 
 	// UseWorkWeights balances domains by the per-particle interaction counts
-	// of the previous step rather than by particle number.
+	// of the previous step rather than by particle number.  Every production
+	// caller sets it (the paper's load balancing, Section 3.1); the weights
+	// ride in Set.Work through every exchange and in every snapshot, so a
+	// resumed run decomposes exactly like the uninterrupted one.
 	UseWorkWeights bool
 
-	// ActiveMask restricts the solve's sinks to the particles carrying
-	// particle.FlagActive: the flags travel with the particles through the
-	// domain exchange, each rank maps its post-exchange flags into tree order
-	// and prunes the traversal to the active sink groups, and only the active
-	// slots of Acc/Pot/Work are written back (inactive particles keep their
-	// previous values, exactly like step.Scatter with a mask).  A set whose
-	// particles are all flagged active degenerates to the full solve,
-	// bit-identically.
+	// ActiveMask tells DistributedStep that the set's particle.FlagActive
+	// bits carry an activity mask (see RankSolver.ActiveForces for what a
+	// masked solve does).  A set whose particles are all flagged active
+	// degenerates to the full solve, bit-identically.
 	ActiveMask bool
 }
 
@@ -54,21 +56,11 @@ type DistributedResult struct {
 	PerRankTraversal []time.Duration
 }
 
-// RankOutcome is one rank's share of a distributed force calculation: the
-// stage timings, interaction counters, and traversal wall-clock the
-// aggregation of Table 2 needs.
-type RankOutcome struct {
-	Timings   Timings
-	Counters  traverse.Counters
-	Traversal time.Duration
-}
-
 // DistributedStep performs one complete distributed force calculation for the
-// particles in set: domain decomposition (parallel sample sort and particle
-// exchange), local tree builds, branch exchange, shared upper-tree assembly,
-// and the request/reply (ABM) dual traversal.  It returns the particles with
-// their accelerations filled in (order is NOT preserved: particles come back
-// grouped by owning rank) together with the stage timings of Table 2.
+// particles in set on cfg.NRanks in-process ranks: the set is dealt out in
+// contiguous chunks, every rank runs one RankSolver solve, and the particles
+// come back with their accelerations filled in (order is NOT preserved: they
+// are grouped by owning rank) together with the stage timings of Table 2.
 func DistributedStep(set *particle.Set, cfg DistributedConfig) (*DistributedResult, error) {
 	cfg.Tree.defaults()
 	if cfg.NRanks < 1 {
@@ -77,6 +69,10 @@ func DistributedStep(set *particle.Set, cfg DistributedConfig) (*DistributedResu
 	if set.Len() < cfg.NRanks*2 {
 		return nil, fmt.Errorf("core: %d particles is too few for %d ranks", set.Len(), cfg.NRanks)
 	}
+	// The ranks run on goroutines of this process, so the worker budget is
+	// split rather than oversubscribed.  (Worker count never changes a result
+	// bit, so this is purely a scheduling choice.)
+	cfg.Tree.Workers = max(1, cfg.Tree.Workers/cfg.NRanks)
 	world := comm.NewWorld(cfg.NRanks)
 
 	// Initial ownership: contiguous chunks of the input ordering.
@@ -85,37 +81,34 @@ func DistributedStep(set *particle.Set, cfg DistributedConfig) (*DistributedResu
 		perRank[r] = set.Chunk(r, cfg.NRanks)
 	}
 
-	outcomes := make([]*RankOutcome, cfg.NRanks)
+	results := make([]*Result, cfg.NRanks)
+	traversal := make([]time.Duration, cfg.NRanks)
 	start := time.Now()
 
 	err := world.Run(func(r *comm.Rank) error {
-		out, err := DistributedRankForces(r, perRank[r.ID], cfg)
-		if err != nil {
-			return err
-		}
-		outcomes[r.ID] = out
-		return nil
+		rs := NewRankSolver(r, cfg)
+		res, err := rs.solve(perRank[r.ID], cfg.ActiveMask)
+		results[r.ID], traversal[r.ID] = res, rs.traversal
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	// Aggregate.
-	res := &DistributedResult{NRanks: cfg.NRanks, Comm: world.Statistics()}
+	res := &DistributedResult{NRanks: cfg.NRanks, Comm: world.Statistics(), PerRankTraversal: traversal}
 	res.ParticlesOut = particle.New(set.Len())
 	var maxTrav, sumTrav time.Duration
 	for r := 0; r < cfg.NRanks; r++ {
-		res.Counters.Add(outcomes[r].Counters)
-		res.PerRankTraversal = append(res.PerRankTraversal, outcomes[r].Traversal)
-		if outcomes[r].Traversal > maxTrav {
-			maxTrav = outcomes[r].Traversal
-		}
-		sumTrav += outcomes[r].Traversal
-		res.Timings.DomainDecomposition = maxDuration(res.Timings.DomainDecomposition, outcomes[r].Timings.DomainDecomposition)
-		res.Timings.TreeBuild = maxDuration(res.Timings.TreeBuild, outcomes[r].Timings.TreeBuild)
-		res.Timings.TreeTraversal = maxDuration(res.Timings.TreeTraversal, outcomes[r].Timings.TreeTraversal)
-		res.Timings.Communication = maxDuration(res.Timings.Communication, outcomes[r].Timings.Communication)
-		res.Timings.ForceEvaluation = maxDuration(res.Timings.ForceEvaluation, outcomes[r].Timings.ForceEvaluation)
+		res.Counters.Add(results[r].Counters)
+		maxTrav = max(maxTrav, traversal[r])
+		sumTrav += traversal[r]
+		t := results[r].Timings
+		res.Timings.DomainDecomposition = max(res.Timings.DomainDecomposition, t.DomainDecomposition)
+		res.Timings.TreeBuild = max(res.Timings.TreeBuild, t.TreeBuild)
+		res.Timings.TreeTraversal = max(res.Timings.TreeTraversal, t.TreeTraversal)
+		res.Timings.Communication = max(res.Timings.Communication, t.Communication)
+		res.Timings.ForceEvaluation = max(res.Timings.ForceEvaluation, t.ForceEvaluation)
 		for i := 0; i < perRank[r].Len(); i++ {
 			res.ParticlesOut.AppendFrom(perRank[r], i)
 		}
@@ -132,37 +125,70 @@ func DistributedStep(set *particle.Set, cfg DistributedConfig) (*DistributedResu
 }
 
 // fetchFailure carries a FetchChildren error out of the traversal (whose
-// callback signature has no error path) to the recover in
-// DistributedRankForces.
+// callback signature has no error path) to the recover in walkAll.
 type fetchFailure struct{ err error }
 
-// DistributedRankForces is one rank's share of DistributedStep: domain
-// decomposition, local tree build, branch exchange, and the ABM dual
-// traversal, all against the rank's own particle set (mutated in place: the
-// rank ends up owning a contiguous key range with Acc/Pot/Work filled in).
-// It is the body both the in-process world and the multi-process TCP workers
-// run — the same code on both transports is what makes an N-process run
-// bit-identical to the in-process one.
+// RankSolver is how one rank turns its particles into forces: domain
+// decomposition, local tree build, branch exchange and the ABM dual
+// traversal, against the rank's own particle set (mutated in place: the rank
+// ends up owning a contiguous key range with Acc/Pot/Work filled in).  It
+// satisfies step.Forcer, so the stepping engines drive a rank like any other
+// solver, and it is the one body every distributed path runs —
+// DistributedStep once per in-process rank, cluster.RankRun for the life of a
+// run — which is what makes their results bit-identical.
 //
 // Global quantities (total mass, bounding box) are computed by rank-ordered
 // collective reductions, so no process ever needs the full particle set.
-func DistributedRankForces(r *comm.Rank, my *particle.Set, cfg DistributedConfig) (*RankOutcome, error) {
-	out, _, err := DistributedRankForcesReuse(r, my, cfg, nil)
-	return out, err
+//
+// A solver keeps the decomposition of its previous solve and reuses those
+// splitters verbatim — particles that drifted across a domain boundary are
+// shipped to their owner and re-sorted, but no new splitters are chosen — so
+// the substeps of one block step see a stable domain shape.  Thaw makes the
+// next solve choose fresh splitters.  Reuse requires a periodic box (the key
+// space must not change between solves).
+type RankSolver struct {
+	r         *comm.Rank
+	cfg       DistributedConfig
+	decomp    *domain.Decomposition
+	traversal time.Duration // wall-clock of the last solve's traversal
 }
 
-// DistributedRankForcesReuse is DistributedRankForces with an explicit
-// decomposition seam for block-stepped cluster runs: when frozen is non-nil
-// its splitters are reused verbatim — particles that drifted across a domain
-// boundary are shipped to their owner and re-sorted, but no new splitters are
-// chosen — so the substeps of one block see a stable domain shape and the
-// rechunk-at-synchronization contract of internal/cluster holds.  Freezing
-// requires a periodic box (the key space must not change between substeps);
-// pass nil to choose fresh splitters exactly like DistributedRankForces.
-// The returned decomposition is the one used, for the caller to freeze.
-func DistributedRankForcesReuse(r *comm.Rank, my *particle.Set, cfg DistributedConfig, frozen *domain.Decomposition) (out *RankOutcome, decomp *domain.Decomposition, err error) {
+// NewRankSolver returns rank r's solver.  cfg.Tree.Workers is this rank's own
+// worker budget; cfg.NRanks and cfg.ActiveMask are not consulted (the world
+// size is r.N(), the mask is ActiveForces' argument).
+func NewRankSolver(r *comm.Rank, cfg DistributedConfig) *RankSolver {
 	cfg.Tree.defaults()
-	out = &RankOutcome{}
+	return &RankSolver{r: r, cfg: cfg}
+}
+
+// Thaw drops the kept decomposition: the next solve chooses fresh splitters.
+func (s *RankSolver) Thaw() { s.decomp = nil }
+
+// Accelerations solves for every particle of p.
+func (s *RankSolver) Accelerations(p *particle.Set) (*Result, error) {
+	return s.solve(p, false)
+}
+
+// ActiveForces restricts the solve's sinks to the active mask (nil = all).
+// The mask is stamped into the particle.FlagActive bits, which travel with
+// the particles through the domain exchange; each rank maps its post-exchange
+// flags into tree order and prunes the traversal to the active sink groups,
+// and only the active slots of Acc/Pot/Work are written (inactive particles
+// keep their previous values, exactly like step.Scatter with a mask).  moved
+// is ignored: the local trees are rebuilt on every solve.
+func (s *RankSolver) ActiveForces(p *particle.Set, active, moved []bool) (*Result, error) {
+	if active != nil {
+		p.SetActive(active)
+	}
+	return s.solve(p, active != nil)
+}
+
+// solve is one force solve over the rank's set my; masked says whether the
+// set's FlagActive bits restrict the sinks.  The returned Result aliases the
+// set's own Acc/Pot/Work arrays.
+func (s *RankSolver) solve(my *particle.Set, masked bool) (*Result, error) {
+	r, cfg := s.r, s.cfg
+	var timings Timings
 
 	// --- Global scalars -------------------------------------------------
 	var box vec.Box
@@ -171,13 +197,13 @@ func DistributedRankForcesReuse(r *comm.Rank, my *particle.Set, cfg DistributedC
 	} else {
 		local := vec.BoundingBox(my.Pos)
 		for axis := 0; axis < 3; axis++ {
-			lo, rerr := r.AllreduceFloat64(local.Lo[axis], "min")
-			if rerr != nil {
-				return nil, nil, fmt.Errorf("core: bounding box reduce: %w", rerr)
+			lo, err := r.AllreduceFloat64(local.Lo[axis], "min")
+			if err != nil {
+				return nil, fmt.Errorf("core: bounding box reduce: %w", err)
 			}
-			hi, rerr := r.AllreduceFloat64(local.Hi[axis], "max")
-			if rerr != nil {
-				return nil, nil, fmt.Errorf("core: bounding box reduce: %w", rerr)
+			hi, err := r.AllreduceFloat64(local.Hi[axis], "max")
+			if err != nil {
+				return nil, fmt.Errorf("core: bounding box reduce: %w", err)
 			}
 			local.Lo[axis], local.Hi[axis] = lo, hi
 		}
@@ -185,7 +211,7 @@ func DistributedRankForcesReuse(r *comm.Rank, my *particle.Set, cfg DistributedC
 	}
 	totalMass, err := r.AllreduceFloat64(my.TotalMass(), "sum")
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: total mass reduce: %w", err)
+		return nil, fmt.Errorf("core: total mass reduce: %w", err)
 	}
 	rhoBar := 0.0
 	if cfg.Tree.BackgroundSubtraction {
@@ -194,67 +220,54 @@ func DistributedRankForcesReuse(r *comm.Rank, my *particle.Set, cfg DistributedC
 
 	// --- Domain decomposition -------------------------------------------
 	t0 := time.Now()
-	if frozen == nil {
-		decomp, err = domain.Decompose(r, my, box, domain.Options{
-			Curve:   cfg.Curve,
-			UseWork: cfg.UseWorkWeights,
-		}, nil)
+	if s.decomp == nil {
+		s.decomp, err = domain.Decompose(r, my, box, domain.Options{UseWork: cfg.UseWorkWeights}, nil)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: domain decomposition: %w", err)
+			return nil, fmt.Errorf("core: domain decomposition: %w", err)
 		}
 	} else {
-		// Reuse the frozen splitters: ship boundary-crossers to their owner
-		// and restore key order, but keep the domain shape fixed.  The key
-		// space is the frozen decomposition's box, which a periodic run
-		// guarantees matches the box computed above.
-		decomp = frozen
-		box = decomp.Box
-		if err := domain.ExchangeParticles(r, my, decomp); err != nil {
-			return nil, nil, fmt.Errorf("core: frozen-domain exchange: %w", err)
+		// Reuse the kept splitters: ship boundary-crossers to their owner and
+		// restore key order, but keep the domain shape fixed.  The key space
+		// is the kept decomposition's box, which a periodic run guarantees
+		// matches the box computed above.
+		box = s.decomp.Box
+		if err := domain.ExchangeParticles(r, my, s.decomp); err != nil {
+			return nil, fmt.Errorf("core: frozen-domain exchange: %w", err)
 		}
-		my.SortByKey(decomp.Box, decomp.Curve)
+		my.SortByKey(box, s.decomp.Curve)
 	}
-	out.Timings.DomainDecomposition = time.Since(t0)
+	timings.DomainDecomposition = time.Since(t0)
 
 	// --- Local tree construction -----------------------------------------
 	t0 = time.Now()
 	keyLo := uint64(1) << 63 // smallest body key (placeholder bit)
 	keyHi := ^uint64(0)
 	if r.ID > 0 {
-		keyLo = decomp.Splitters[r.ID-1]
+		keyLo = s.decomp.Splitters[r.ID-1]
 	}
 	if r.ID < r.N()-1 {
-		keyHi = decomp.Splitters[r.ID]
-	}
-	// The worker budget is a per-world total: in-process ranks run on their
-	// own goroutines, so split it rather than oversubscribing.  (Worker
-	// count never changes result bits — pinned since the build/traversal
-	// parallelism PRs — so this is purely a scheduling choice; multi-process
-	// deployments pass a per-process budget of Workers*N.)
-	buildWorkers := cfg.Tree.Workers / r.N()
-	if buildWorkers < 1 {
-		buildWorkers = 1
+		keyHi = s.decomp.Splitters[r.ID]
 	}
 	dt, err := tree.NewDistributed(my.Pos, my.Mass, box, tree.Options{
 		Order:    cfg.Tree.Order,
 		LeafSize: cfg.Tree.LeafSize,
 		RhoBar:   rhoBar,
 		Rank:     r.ID,
-		Workers:  buildWorkers,
+		Workers:  cfg.Tree.Workers,
 	}, keyLo, keyHi)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: local tree build: %w", err)
+		return nil, fmt.Errorf("core: local tree build: %w", err)
 	}
 	localBuild := time.Since(t0)
 
 	// --- Branch exchange and shared upper tree ---------------------------
 	t0 = time.Now()
 	if err := exchangeBranches(r, dt, cfg.BranchExchange); err != nil {
-		return nil, nil, fmt.Errorf("core: branch exchange: %w", err)
+		return nil, fmt.Errorf("core: branch exchange: %w", err)
 	}
 	dt.BuildUpper()
-	out.Timings.Communication += time.Since(t0)
-	out.Timings.TreeBuild = localBuild + time.Since(t0)
+	timings.Communication += time.Since(t0)
+	timings.TreeBuild = localBuild + time.Since(t0)
 
 	// --- Traversal with ABM request/reply ---------------------------------
 	// The ABM handler runs concurrently with this rank's own traversal,
@@ -282,7 +295,7 @@ func DistributedRankForcesReuse(r *comm.Rank, my *particle.Set, cfg DistributedC
 		return replies
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: abm open: %w", err)
+		return nil, fmt.Errorf("core: abm open: %w", err)
 	}
 	var commWait time.Duration
 	dt.FetchChildren = func(c *tree.Cell) []tree.Cell {
@@ -309,7 +322,7 @@ func DistributedRankForcesReuse(r *comm.Rank, my *particle.Set, cfg DistributedC
 	// exchange above, so the post-exchange set carries exactly the sinks the
 	// stepping engine marked active.  Map them into tree (sorted) order.
 	var sinkActive []bool
-	if cfg.ActiveMask {
+	if masked {
 		sinkActive = make([]bool, my.Len())
 		nAct := 0
 		for i, orig := range dt.SortIndex {
@@ -325,17 +338,15 @@ func DistributedRankForcesReuse(r *comm.Rank, my *particle.Set, cfg DistributedC
 	}
 	w.SinkActive = sinkActive
 	acc, pot, counters, err := walkAll(w)
-	w.SinkActive = nil
 	if err != nil {
 		// The transport is failing; Close would only fail on the same cause.
 		_ = abm.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	out.Traversal = time.Since(t0)
-	out.Timings.TreeTraversal = out.Traversal - commWait
-	out.Timings.Communication += commWait
-	out.Timings.ForceEvaluation = out.Timings.TreeTraversal
-	out.Counters = counters
+	s.traversal = time.Since(t0)
+	timings.TreeTraversal = s.traversal - commWait
+	timings.Communication += commWait
+	timings.ForceEvaluation = timings.TreeTraversal
 
 	// Scatter the results back into the rank's particle set and record
 	// each particle's actual interaction count for the next decomposition
@@ -353,9 +364,9 @@ func DistributedRankForcesReuse(r *comm.Rank, my *particle.Set, cfg DistributedC
 	}
 
 	if err := abm.Close(); err != nil {
-		return nil, nil, fmt.Errorf("core: abm close: %w", err)
+		return nil, fmt.Errorf("core: abm close: %w", err)
 	}
-	return out, decomp, nil
+	return &Result{Acc: my.Acc, Pot: my.Pot, Work: my.Work, Counters: counters, Timings: timings}, nil
 }
 
 // walkAll runs the walker's full traversal, translating a FetchChildren
@@ -434,13 +445,6 @@ func exchangeBranches(r *comm.Rank, dt *tree.Distributed, mode string) error {
 		}
 		return nil
 	}
-}
-
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // EffectiveGflops converts an interaction-count record and a wall-clock time

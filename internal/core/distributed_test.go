@@ -132,3 +132,82 @@ func TestRingExchangeMatchesAllgather(t *testing.T) {
 		}
 	}
 }
+
+// TestRankSolverMatchesDistributedStep pins the claim that there is one rank
+// solve: driving a RankSolver by hand on a channel world — what
+// cluster.RankRun does for the life of a run — reproduces DistributedStep's
+// ParticlesOut bit for bit, for a full solve and for an active-subset solve,
+// with uneven work weights steering the decomposition.  The load is clustered,
+// so rank boundaries fall inside populated cells and the shared upper cells
+// above them hold more bodies than any one rank: the subset solve must not
+// read those counts as local particle ranges (it used to, and panicked or
+// pruned active sinks), and must give every active particle the full solve's
+// bits.
+func TestRankSolverMatchesDistributedStep(t *testing.T) {
+	const nRanks = 3
+	pos, mass := randomCluster(1500, 31)
+	set := particle.New(len(pos))
+	active := make([]bool, len(pos))
+	for i := range pos {
+		set.Append(pos[i], vec.V3{}, mass[i], int64(i))
+		set.Work[i] = float64(1 + i%7)
+		active[i] = i%3 != 0
+	}
+	cfg := DistributedConfig{
+		Tree: TreeConfig{
+			Order: 2, ErrTol: 1e-3, Kernel: softening.Plummer, Eps: 0.01,
+			Periodic: true, BoxSize: 1, BackgroundSubtraction: true, WS: 1, Workers: 2,
+		},
+		NRanks:         nRanks,
+		BranchExchange: "ring",
+		UseWorkWeights: true,
+	}
+	fullAcc := map[int64]vec.V3{}
+	for _, mask := range [][]bool{nil, active} {
+		ref := set.Clone()
+		stepCfg := cfg
+		if mask != nil {
+			ref.SetActive(mask)
+			stepCfg.ActiveMask = true
+		}
+		res, err := DistributedStep(ref, stepCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		chunks := make([]*particle.Set, nRanks)
+		err = comm.NewWorld(nRanks).Run(func(r *comm.Rank) error {
+			chunks[r.ID] = set.Chunk(r.ID, nRanks)
+			var sub []bool
+			if mask != nil {
+				lo, hi := particle.ChunkBounds(set.Len(), r.ID, nRanks)
+				sub = mask[lo:hi]
+			}
+			_, err := NewRankSolver(r, cfg).ActiveForces(chunks[r.ID], sub, nil)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		out, i := res.ParticlesOut, 0
+		for j, id := range out.ID {
+			if mask == nil {
+				fullAcc[id] = out.Acc[j]
+			} else if mask[id] && out.Acc[j] != fullAcc[id] {
+				t.Fatalf("active particle %d: subset solve gives %v, full solve %v", id, out.Acc[j], fullAcc[id])
+			}
+		}
+		for _, c := range chunks {
+			for j := 0; j < c.Len(); j, i = j+1, i+1 {
+				if i >= out.Len() || c.ID[j] != out.ID[i] || c.Pos[j] != out.Pos[i] ||
+					c.Acc[j] != out.Acc[i] || c.Pot[j] != out.Pot[i] || c.Work[j] != out.Work[i] {
+					t.Fatalf("masked=%v: particle %d of the hand-driven ranks differs from DistributedStep", mask != nil, i)
+				}
+			}
+		}
+		if i != out.Len() {
+			t.Fatalf("masked=%v: hand-driven ranks hold %d particles, DistributedStep %d", mask != nil, i, out.Len())
+		}
+	}
+}

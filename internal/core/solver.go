@@ -372,17 +372,6 @@ func (s *TreeSolver) ForcesActive(pos []vec.V3, mass []float64, work []float64, 
 	}, nil
 }
 
-// ForceAt evaluates the field of the most recently built tree at an arbitrary
-// position (for the multipole error experiments and lightcone sampling).
-func (s *TreeSolver) ForceAt(x vec.V3) (vec.V3, float64, error) {
-	if s.LastTree == nil {
-		return vec.V3{}, 0, fmt.Errorf("core: no tree built yet")
-	}
-	w := traverse.NewWalker(s.LastTree, s.Cfg.walkConfig(s.LastTree.TotalMass(), s.LastTree.Box))
-	a, p := w.ForceAt(x)
-	return a, p, nil
-}
-
 // DirectSolver is the O(N^2) float64 reference solver.  For periodic
 // configurations it uses brute-force Ewald summation, which is exact but very
 // slow (verification only).

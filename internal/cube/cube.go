@@ -58,83 +58,6 @@ func safeAtan(num, den float64) float64 {
 	return math.Atan(num / den)
 }
 
-// Accel returns the gravitational acceleration (G=1) exerted by the prism on
-// a field point at position x.  The formula is the classical corner sum valid
-// for field points inside as well as outside the prism; the acceleration
-// points toward the mass for positive density.
-func (p Prism) Accel(x vec.V3) vec.V3 {
-	// Work in the frame where the field point is the origin and the prism
-	// spans [x1,x2]x[y1,y2]x[z1,z2].
-	x1 := p.Box.Lo[0] - x[0]
-	x2 := p.Box.Hi[0] - x[0]
-	y1 := p.Box.Lo[1] - x[1]
-	y2 := p.Box.Hi[1] - x[1]
-	z1 := p.Box.Lo[2] - x[2]
-	z2 := p.Box.Hi[2] - x[2]
-	xs := [2]float64{x1, x2}
-	ys := [2]float64{y1, y2}
-	zs := [2]float64{z1, z2}
-
-	var gx, gy, gz float64
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			for k := 0; k < 2; k++ {
-				sign := 1.0
-				if (i+j+k)%2 == 1 {
-					sign = -1
-				}
-				xi, yj, zk := xs[i], ys[j], zs[k]
-				r := math.Sqrt(xi*xi + yj*yj + zk*zk)
-				// Component along x: y ln(z+r) + z ln(y+r) - x atan(yz/(xr))
-				gx += sign * (yj*safeLog(zk+r) + zk*safeLog(yj+r) - xi*safeAtan(yj*zk, xi*r))
-				gy += sign * (zk*safeLog(xi+r) + xi*safeLog(zk+r) - yj*safeAtan(zk*xi, yj*r))
-				gz += sign * (xi*safeLog(yj+r) + yj*safeLog(xi+r) - zk*safeAtan(xi*yj, zk*r))
-			}
-		}
-	}
-	// The corner sum above gives the attraction toward the mass in the
-	// convention where acceleration a_c = G rho * sum; positive density
-	// pulls the field point toward the prism.
-	return vec.V3{gx, gy, gz}.Scale(p.Rho)
-}
-
-// Potential returns the kernel sum S = integral rho/|x-y| dV of the prism at
-// the field point x.  The physical potential is -G*S.  The formula is the
-// Waldvogel corner sum, valid inside and outside.
-func (p Prism) Potential(x vec.V3) float64 {
-	x1 := p.Box.Lo[0] - x[0]
-	x2 := p.Box.Hi[0] - x[0]
-	y1 := p.Box.Lo[1] - x[1]
-	y2 := p.Box.Hi[1] - x[1]
-	z1 := p.Box.Lo[2] - x[2]
-	z2 := p.Box.Hi[2] - x[2]
-	xs := [2]float64{x1, x2}
-	ys := [2]float64{y1, y2}
-	zs := [2]float64{z1, z2}
-
-	var u float64
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			for k := 0; k < 2; k++ {
-				sign := 1.0
-				if (i+j+k)%2 == 1 {
-					sign = -1
-				}
-				xi, yj, zk := xs[i], ys[j], zs[k]
-				r := math.Sqrt(xi*xi + yj*yj + zk*zk)
-				term := xi*yj*safeLog(zk+r) + yj*zk*safeLog(xi+r) + zk*xi*safeLog(yj+r)
-				term -= 0.5 * xi * xi * safeAtan(yj*zk, xi*r)
-				term -= 0.5 * yj * yj * safeAtan(zk*xi, yj*r)
-				term -= 0.5 * zk * zk * safeAtan(xi*yj, zk*r)
-				u += sign * term
-			}
-		}
-	}
-	// The corner sum above evaluates to the negative of the kernel sum in
-	// this sign convention; flip it so the far field approaches +M/r.
-	return -u * p.Rho
-}
-
 // Moments returns the multipole moments of the homogeneous prism about the
 // given center, truncated at order p.  For a cube centered on its own center
 // only even multi-indices survive.
@@ -187,11 +110,12 @@ func BackgroundMoments(order int, side, rhoBar float64) *multipole.Expansion {
 // traversal would otherwise ignore) have their background contribution
 // removed exactly rather than through a truncated expansion.
 //
-// It is Prism.Accel and Prism.Potential of that cube fused into one corner
-// pass: each corner's distance, three logarithms and three arctangents appear
-// in both formulas and are evaluated once, with every remaining operation in
-// the order of the separate methods, so the results are bit-identical to
-// theirs.
+// It is the classical corner sums for the attraction and for the Waldvogel
+// potential (valid for field points inside as well as outside the cube) fused
+// into one corner pass: each corner's distance, three logarithms and three
+// arctangents appear in both formulas and are evaluated once.  The separate
+// formulas, Prism.Accel and Prism.Potential, live in cube_test.go as the
+// reference the fused pass is pinned to bit for bit.
 func BackgroundAccel(cellBox vec.Box, rhoBar float64, x vec.V3) (vec.V3, float64) {
 	rho := -rhoBar
 	xs := [2]float64{cellBox.Lo[0] - x[0], cellBox.Hi[0] - x[0]}

@@ -5,9 +5,14 @@
 //
 // # Contract
 //
-// Write serializes a Snapshot — the particle set in structure-of-arrays
-// form, the scale factors, box size, cosmology name and free-form Extra
-// parameters — and Read/ReadFrom parse one back.  Checkpoints additionally
+// Write serializes a Snapshot — per particle the position, momentum, mass,
+// identifier and work weight (the declared struct: nine 8-byte columns), plus
+// the scale factors, box size, cosmology name and free-form Extra parameters
+// — and Read/ReadFrom parse one back.  The work column is what lets a
+// resumed distributed run choose the same work-weighted domains as the
+// uninterrupted one; a file declaring only the first eight columns (written
+// before the column existed) reads with every weight 1, and any other layout
+// is rejected.  Checkpoints additionally
 // record the leapfrog offset between positions and momenta
 // (MomentumScaleFac) and, via Extra, the step-grid anchor, so a restarted
 // run keeps second-order accuracy and continues the original step grid bit

@@ -2,12 +2,12 @@ package sdf
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -43,8 +43,15 @@ type Header struct {
 	NBody  int64
 }
 
-// canonicalFields is the particle record layout written by this package.
-var canonicalFields = []string{"x", "y", "z", "vx", "vy", "vz", "mass", "ident"}
+// canonicalFields is the particle record layout written by this package:
+// nine little-endian 8-byte columns.  work is the per-particle interaction
+// count of the last force solve — the weight that steers the next domain
+// decomposition, which a resumed run must see to decompose like the
+// uninterrupted one.  Files from before the column existed declare the first
+// legacyFields columns only and read with the fresh-load weight, 1.
+var canonicalFields = []string{"x", "y", "z", "vx", "vy", "vz", "mass", "ident", "work"}
+
+const legacyFields = 8
 
 // Float returns a float64 parameter.
 func (h *Header) Float(key string) (float64, bool) {
@@ -202,20 +209,25 @@ func writeSnapshot(out io.Writer, s *Snapshot) error {
 	fmt.Fprintf(w, "\tdouble vx, vy, vz;\n")
 	fmt.Fprintf(w, "\tdouble mass;\n")
 	fmt.Fprintf(w, "\tint64_t ident;\n")
+	fmt.Fprintf(w, "\tdouble work;\n")
 	fmt.Fprintf(w, "}[%d];\n", n)
 	fmt.Fprint(w, headerTerminator)
 
 	p := s.Particles
+	rec := make([]byte, 8*len(canonicalFields))
+	put := func(col int, v float64) {
+		binary.LittleEndian.PutUint64(rec[8*col:], math.Float64bits(v))
+	}
 	for i := 0; i < n; i++ {
-		rec := []any{
-			p.Pos[i][0], p.Pos[i][1], p.Pos[i][2],
-			p.Mom[i][0], p.Mom[i][1], p.Mom[i][2],
-			p.Mass[i], p.ID[i],
+		for k := 0; k < 3; k++ {
+			put(k, p.Pos[i][k])
+			put(3+k, p.Mom[i][k])
 		}
-		for _, v := range rec {
-			if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-				return err
-			}
+		put(6, p.Mass[i])
+		binary.LittleEndian.PutUint64(rec[8*7:], uint64(p.ID[i]))
+		put(8, p.Work[i])
+		if _, err := w.Write(rec); err != nil {
+			return err
 		}
 	}
 	// Footer: checksum of header + body, itself outside the checksum.
@@ -318,7 +330,7 @@ func ReadFrom(br *bufio.Reader) (*Snapshot, error) {
 			h.Parameters[strings.TrimSpace(kv[0])] = strings.TrimSpace(kv[1])
 		}
 	}
-	if len(h.Fields) != len(canonicalFields) {
+	if len(h.Fields) != len(canonicalFields) && len(h.Fields) != legacyFields {
 		return nil, fmt.Errorf("sdf: unsupported struct layout %v", h.Fields)
 	}
 	for i, f := range h.Fields {
@@ -354,20 +366,21 @@ func ReadFrom(br *bufio.Reader) (*Snapshot, error) {
 		}
 	}
 
-	buf := make([]byte, 8*8)
+	rec := make([]byte, 8*len(h.Fields))
+	f64 := func(col int) float64 {
+		return math.Float64frombits(binary.LittleEndian.Uint64(rec[8*col:]))
+	}
 	for i := int64(0); i < h.NBody; i++ {
-		if _, err := io.ReadFull(r, buf); err != nil {
+		if _, err := io.ReadFull(r, rec); err != nil {
 			return nil, fmt.Errorf("sdf: truncated body at particle %d: %w", i, err)
 		}
-		vals := make([]float64, 7)
-		for j := 0; j < 7; j++ {
-			vals[j] = float64FromBytes(buf[8*j : 8*j+8])
-		}
-		id := int64(binary.LittleEndian.Uint64(buf[56:64]))
 		s.Particles.Append(
-			vec.V3{vals[0], vals[1], vals[2]},
-			vec.V3{vals[3], vals[4], vals[5]},
-			vals[6], id)
+			vec.V3{f64(0), f64(1), f64(2)},
+			vec.V3{f64(3), f64(4), f64(5)},
+			f64(6), int64(binary.LittleEndian.Uint64(rec[8*7:])))
+		if len(h.Fields) > legacyFields {
+			s.Particles.Work[i] = f64(8)
+		}
 	}
 
 	switch h.Parameters[checksumParam] {
@@ -386,12 +399,6 @@ func ReadFrom(br *bufio.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("sdf: unsupported checksum algorithm %q", h.Parameters[checksumParam])
 	}
 	return s, nil
-}
-
-func float64FromBytes(b []byte) float64 {
-	var v float64
-	binary.Read(bytes.NewReader(b), binary.LittleEndian, &v)
-	return v
 }
 
 // WriteStriped writes the snapshot across nFiles files (path.0, path.1, ...)

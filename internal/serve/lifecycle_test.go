@@ -20,9 +20,25 @@ import (
 // complete, with the final state bit-identical to an uninterrupted run of
 // the same configuration.  This is the first consumer exercising
 // WriteCheckpoint/RestoreCheckpoint and the observer hooks under real
-// concurrency, so it runs under -race in CI.
+// concurrency, so it runs under -race in CI.  The ranks=2 leg is the same
+// cycle over the distributed tree: the checkpoint must carry the work weights
+// that steer the next domain decomposition, or the resumed run decomposes
+// differently and every particle drifts off the uninterrupted trajectory.
 func TestLifecycleSuspendResumeBitIdentical(t *testing.T) {
-	cfg := testConfig("lifecycle", 24)
+	t.Run("ranks=1", func(t *testing.T) { lifecycleSuspendResume(t, testConfig("lifecycle", 24), 2) })
+	t.Run("ranks=2", func(t *testing.T) {
+		// Evolved to z = 0 and suspended late, when clustering has made the
+		// per-particle work uneven enough to move the splitters.
+		cfg := testConfig("lifecycle", 24)
+		cfg.Ranks, cfg.Transport = 2, "chan"
+		cfg.ZFinal = 0
+		lifecycleSuspendResume(t, cfg, 16)
+	})
+}
+
+// lifecycleSuspendResume runs the cycle, suspending once the run has
+// completed at least suspendAt steps.
+func lifecycleSuspendResume(t *testing.T, cfg twohot.Config, suspendAt int) {
 
 	refPath := referenceFinal(t, cfg)
 
@@ -32,12 +48,12 @@ func TestLifecycleSuspendResumeBitIdentical(t *testing.T) {
 	ts := httpServer(t, s)
 	info := submitHTTP(t, ts, "alice", cfg)
 
-	// Wait until the run is past its first steps, then suspend.  The run has
+	// Wait until the run is past suspendAt steps, then suspend.  The run has
 	// 24 steps; polling every millisecond reaches it long before the end.
-	waitFor(t, "step >= 2", 60*time.Second, func() bool {
+	waitFor(t, "the suspend step", 60*time.Second, func() bool {
 		var st struct{ Stats }
 		getJSON(t, ts.URL+"/api/sims/"+info.ID+"/stats", &st)
-		return st.Step >= 2
+		return st.Step >= suspendAt
 	})
 	resp, err := http.Post(ts.URL+"/api/sims/"+info.ID+"/suspend", "", nil)
 	if err != nil {

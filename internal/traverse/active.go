@@ -34,12 +34,17 @@ func (w *Walker) prepareActivity() int {
 }
 
 // subtreeActive reports whether the cell's particle range contains at least
-// one active sink (always true for full solves).
+// one active sink (always true for full solves).  The shared upper cells of a
+// distributed tree (Owner < 0) span several ranks: their NBodies counts every
+// rank's bodies and they have no local particle range, so they are never
+// pruned here — the descent reaches the local branch cells below them, whose
+// ranges are exact.
 func (w *Walker) subtreeActive(idx int32) bool {
 	if w.SinkActive == nil {
 		return true
 	}
-	return w.cellActive(w.Tree.Cell[idx])
+	c := w.Tree.Cell[idx]
+	return c.Owner < 0 || w.cellActive(c)
 }
 
 // cellActive is subtreeActive for a cell already in hand; the caller must

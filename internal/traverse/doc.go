@@ -37,7 +37,7 @@
 // The suites in this package pin, with exact float comparisons:
 //
 //   - ForcesForAll == forcesForAllLegacy (the original walk-from-root-per-
-//     group traversal, kept unexported as the reference oracle) — per
+//     group traversal, the reference oracle in legacy_test.go) — per
 //     particle and per interaction counter, across MACs, kernels, periodic
 //     settings and worker counts (equiv_test.go);
 //   - every worker count and both schedules (dynamic task pull vs static

@@ -2,7 +2,8 @@ package traverse
 
 // List-inheriting tree traversal.
 //
-// The legacy traversal (ForcesForAllLegacy) walks the source tree from the
+// The legacy traversal (forcesForAllLegacy, the oracle in legacy_test.go)
+// walks the source tree from the
 // root once per sink leaf cell *per replica offset* — 27 root walks per group
 // at WS=1, 125 at WS=2 — re-deciding the same far interactions for every
 // group.  This file implements the hierarchical alternative: the sink tree is
@@ -328,7 +329,7 @@ type inheritTask struct {
 // the tree with the list-inheriting traversal, using nWorkers goroutines over
 // sink subtrees.  The returned slices are indexed like the tree's
 // (key-sorted) particle arrays.  The result — accelerations, potentials and
-// interaction counters — is bit-identical to ForcesForAllLegacy for every
+// interaction counters — is bit-identical to forcesForAllLegacy for every
 // worker count.
 //
 // Trees with unresolved remote cells mutate while they are traversed (child

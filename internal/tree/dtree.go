@@ -144,8 +144,9 @@ func (d *Distributed) AddRemoteCell(c Cell) {
 // touches only its own storage and its (finished) children.  One cell is
 // visited once per level it sits on, replacing the serial reference's
 // repeated whole-table rounds, which rescanned every cell once per remaining
-// orphan level.  buildUpperSerial keeps the reference implementation; the
-// regression suite in dtree_upper_test.go pins the two to each other.
+// orphan level.  The reference implementation (buildUpperSerial) lives beside
+// the regression suite in dtree_upper_test.go, which pins the two to each
+// other.
 func (d *Distributed) BuildUpper() {
 	workers := d.Opt.workerCount()
 	maxLevel := 0
@@ -224,65 +225,6 @@ func (d *Distributed) BuildUpper() {
 			}
 		})
 	}
-}
-
-// buildUpperSerial is the original round-based reference implementation of
-// BuildUpper, kept verbatim so the regression suite can pin the parallel
-// level pass to it.
-func (d *Distributed) buildUpperSerial() {
-	// Gather all cells that currently have no parent in the table, deepest
-	// first.
-	for {
-		// Find the deepest level that still has an orphan non-root cell.
-		orphans := map[keys.Key][]int32{}
-		deepest := -1
-		for i, c := range d.Cell {
-			if c.Key == keys.RootKey {
-				continue
-			}
-			parent := c.Key.Parent()
-			if _, ok := d.Hash.Get(parent); ok {
-				// Parent exists: make sure the link is recorded.
-				pidx, _ := d.Hash.Get(parent)
-				p := d.Cell[pidx]
-				oct := c.Key.Octant()
-				if p.ChildIdx[oct] == NoChild {
-					p.ChildIdx[oct] = int32(i)
-					p.ChildMask |= 1 << uint(oct)
-				}
-				continue
-			}
-			if c.Level > deepest {
-				deepest = c.Level
-			}
-			orphans[parent] = append(orphans[parent], int32(i))
-		}
-		if len(orphans) == 0 {
-			break
-		}
-		created := false
-		for parent, children := range orphans {
-			// Only create parents for the deepest orphans this round so that
-			// moments propagate level by level.
-			if children[0] >= 0 && d.Cell[children[0]].Level != deepest {
-				continue
-			}
-			d.createUpperCell(parent, children)
-			created = true
-		}
-		if !created {
-			// All remaining orphans are shallower; loop again with the new
-			// deepest level.
-			continue
-		}
-	}
-}
-
-// createUpperCell creates one shared upper cell complete with moments; the
-// serial reference path uses it round by round.
-func (d *Distributed) createUpperCell(key keys.Key, children []int32) {
-	idx := d.createUpperShell(key, children)
-	d.upperMoments(d.Cell[idx], children)
 }
 
 // createUpperShell appends the metadata of a shared upper cell — child links,

@@ -23,8 +23,9 @@ import (
 // Simulation is a running cosmological N-body simulation.  Its engine is
 // composed of three pluggable pieces: a ForceSolver (the gravity backend), a
 // Stepper (the time integrator) and any number of Observers (diagnostic
-// hooks).  All three are constructed lazily from the Config on first use, or
-// injected through the functional options of New.
+// hooks).  The solver and the stepper are built from the Config the first
+// time Solver()/Stepper() is asked for them, or injected through the
+// functional options of New.
 type Simulation struct {
 	Cfg  Config
 	Par  cosmo.Params
@@ -58,8 +59,8 @@ type Simulation struct {
 
 // New validates the configuration and prepares a simulation (without
 // generating particles yet).  Options can inject a custom force solver,
-// stepping engine or observers; absent those, both engine pieces are
-// constructed lazily from the configuration on first use.
+// stepping engine or observers; absent those, Solver() and Stepper() build
+// theirs from the configuration on first use.
 func New(cfg Config, opts ...Option) (*Simulation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -92,8 +93,9 @@ func New(cfg Config, opts ...Option) (*Simulation, error) {
 	if needsActive {
 		probe := s.solver
 		if probe == nil {
-			// Adapters are lazy, so probing the configured backend's
-			// capabilities costs nothing (cfg already validated).
+			// Constructing an adapter only applies defaults (no trees, no
+			// meshes), so probing the configured backend's capabilities is
+			// cheap (cfg already validated).
 			probe, err = NewForceSolver(cfg)
 			if err != nil {
 				return nil, err

@@ -33,7 +33,7 @@ type Capabilities struct {
 // ForceSolver is the pluggable gravity backend of a Simulation: one contract
 // implemented by the 2HOT tree, the TreePM composite, the pure particle-mesh
 // baseline and the direct-summation reference.  A Simulation holds exactly
-// one ForceSolver, constructed lazily from its Config or injected with
+// one ForceSolver, constructed from its Config on first use or injected with
 // WithSolver.
 //
 // Both solve methods return results in the set's particle order.  They do not
@@ -66,9 +66,9 @@ type ForceSolver interface {
 }
 
 // NewForceSolver constructs the force solver a configuration describes —
-// the single place the SolverKind dispatch lives.  The returned solver is
-// lazy: the heavy backend state (tree staging buffers, mesh planning) is
-// allocated on the first solve, so constructing a solver for inspection is
+// the single place the SolverKind dispatch lives.  Construction only applies
+// defaults: the heavy backend state (tree staging buffers, mesh grids) is
+// allocated by the first solve, so constructing a solver for inspection is
 // free.
 func NewForceSolver(cfg Config) (ForceSolver, error) {
 	switch cfg.Solver {
@@ -93,21 +93,13 @@ func NewForceSolver(cfg Config) (ForceSolver, error) {
 
 // treeForceSolver adapts the shared-memory core.TreeSolver.
 type treeForceSolver struct {
-	cfg core.TreeConfig
-	ts  *core.TreeSolver
+	ts *core.TreeSolver
 }
 
 // NewTreeForceSolver wraps the shared-memory 2HOT tree solver as a
-// ForceSolver.  The underlying solver is constructed on the first solve.
+// ForceSolver.
 func NewTreeForceSolver(cfg core.TreeConfig) ForceSolver {
-	return &treeForceSolver{cfg: cfg}
-}
-
-func (t *treeForceSolver) solver() *core.TreeSolver {
-	if t.ts == nil {
-		t.ts = core.NewTreeSolver(t.cfg)
-	}
-	return t.ts
+	return &treeForceSolver{ts: core.NewTreeSolver(cfg)}
 }
 
 func (t *treeForceSolver) Name() string { return string(SolverTree) }
@@ -115,7 +107,7 @@ func (t *treeForceSolver) Name() string { return string(SolverTree) }
 func (t *treeForceSolver) Capabilities() Capabilities {
 	return Capabilities{
 		ActiveSubsets: true,
-		Incremental:   t.cfg.Incremental,
+		Incremental:   t.ts.Cfg.Incremental,
 		WorkFeedback:  true,
 		Potential:     true,
 	}
@@ -126,21 +118,16 @@ func (t *treeForceSolver) Accelerations(p *particle.Set) (*core.Result, error) {
 }
 
 func (t *treeForceSolver) ActiveForces(p *particle.Set, active, moved []bool) (*core.Result, error) {
-	return t.solver().ForcesActive(p.Pos, p.Mass, p.Work, active, moved)
+	return t.ts.ForcesActive(p.Pos, p.Mass, p.Work, active, moved)
 }
 
-func (t *treeForceSolver) Reset() {
-	if t.ts != nil {
-		t.ts.ResetReuse()
-	}
-}
+func (t *treeForceSolver) Reset() { t.ts.ResetReuse() }
 
 // distTreeForceSolver runs every solve through the message-passing
 // DistributedStep pipeline on in-process ranks.
 type distTreeForceSolver struct {
 	cfg   core.TreeConfig
 	ranks int
-	ts    *core.TreeSolver // only for its defaulted Cfg
 }
 
 // NewDistributedTreeForceSolver wraps the distributed tree pipeline
@@ -166,13 +153,6 @@ func (t *distTreeForceSolver) Capabilities() Capabilities {
 	return Capabilities{ActiveSubsets: true, WorkFeedback: true, Potential: true}
 }
 
-func (t *distTreeForceSolver) treeCfg() core.TreeConfig {
-	if t.ts == nil {
-		t.ts = core.NewTreeSolver(t.cfg) // applies the TreeConfig defaults
-	}
-	return t.ts.Cfg
-}
-
 func (t *distTreeForceSolver) Accelerations(p *particle.Set) (*core.Result, error) {
 	return t.ActiveForces(p, nil, nil)
 }
@@ -185,7 +165,7 @@ func (t *distTreeForceSolver) ActiveForces(p *particle.Set, active, moved []bool
 		p.SetActive(active)
 	}
 	res, err := core.DistributedStep(p, core.DistributedConfig{
-		Tree:           t.treeCfg(),
+		Tree:           t.cfg,
 		NRanks:         t.ranks,
 		BranchExchange: "ring",
 		UseWorkWeights: true,
@@ -215,8 +195,6 @@ func (t *distTreeForceSolver) Reset() {}
 // half depends on every position but is deterministic, so active slots of a
 // subset solve stay bit-identical to a full solve.
 type treePMForceSolver struct {
-	treeCfg core.TreeConfig
-	pmOpt   pm.Options
 	ts      *core.TreeSolver
 	ps      *pm.Solver
 	longAcc []vec.V3
@@ -226,24 +204,9 @@ type treePMForceSolver struct {
 // long range as one ForceSolver.  treeCfg must carry the split (SplitRS > 0,
 // matching the mesh options' Asmth split scale) and must leave background
 // subtraction and the far lattice off; NewForceSolver derives such a pair
-// from a Config via treePMTreeConfig/pmOptions.  Heavy state is allocated on
-// the first solve.
+// from a Config via treePMTreeConfig/pmOptions.
 func NewTreePMForceSolver(treeCfg core.TreeConfig, pmOpt pm.Options) ForceSolver {
-	return &treePMForceSolver{treeCfg: treeCfg, pmOpt: pmOpt}
-}
-
-func (s *treePMForceSolver) tree() *core.TreeSolver {
-	if s.ts == nil {
-		s.ts = core.NewTreeSolver(s.treeCfg)
-	}
-	return s.ts
-}
-
-func (s *treePMForceSolver) mesh() *pm.Solver {
-	if s.ps == nil {
-		s.ps = pm.NewSolver(s.pmOpt)
-	}
-	return s.ps
+	return &treePMForceSolver{ts: core.NewTreeSolver(treeCfg), ps: pm.NewSolver(pmOpt)}
 }
 
 func (s *treePMForceSolver) Name() string { return string(SolverTreePM) }
@@ -253,7 +216,7 @@ func (s *treePMForceSolver) Capabilities() Capabilities {
 	// mesh half supplies none), so the composite does not advertise one.
 	return Capabilities{
 		ActiveSubsets: true,
-		Incremental:   s.treeCfg.Incremental,
+		Incremental:   s.ts.Cfg.Incremental,
 		WorkFeedback:  true,
 		Potential:     false,
 	}
@@ -267,7 +230,7 @@ func (s *treePMForceSolver) ActiveForces(p *particle.Set, active, moved []bool) 
 	if p.Len() == 0 {
 		return &core.Result{}, nil
 	}
-	res, err := s.tree().ForcesActive(p.Pos, p.Mass, p.Work, active, moved)
+	res, err := s.ts.ForcesActive(p.Pos, p.Mass, p.Work, active, moved)
 	if err != nil {
 		return nil, err
 	}
@@ -278,7 +241,7 @@ func (s *treePMForceSolver) ActiveForces(p *particle.Set, active, moved []bool) 
 		s.longAcc = make([]vec.V3, p.Len())
 	}
 	long := s.longAcc[:p.Len()]
-	s.mesh().LongRange(p.Pos, p.Mass[0], long)
+	s.ps.LongRange(p.Pos, p.Mass[0], long)
 	for i := range res.Acc {
 		if active == nil || active[i] {
 			res.Acc[i] = res.Acc[i].Add(long[i])
@@ -288,16 +251,11 @@ func (s *treePMForceSolver) ActiveForces(p *particle.Set, active, moved []bool) 
 	return res, nil
 }
 
-func (s *treePMForceSolver) Reset() {
-	if s.ts != nil {
-		s.ts.ResetReuse()
-	}
-}
+func (s *treePMForceSolver) Reset() { s.ts.ResetReuse() }
 
 // pmForceSolver adapts the particle-mesh / TreePM solver.
 type pmForceSolver struct {
-	opt pm.Options
-	ps  *pm.Solver
+	ps *pm.Solver
 }
 
 // NewPMForceSolver wraps the mesh solver as a ForceSolver: pure PM when
@@ -308,18 +266,11 @@ type pmForceSolver struct {
 // bench tool compare the tree walk against.  Mesh state is allocated per
 // solve, so construction is free.
 func NewPMForceSolver(opt pm.Options) ForceSolver {
-	return &pmForceSolver{opt: opt}
-}
-
-func (s *pmForceSolver) solver() *pm.Solver {
-	if s.ps == nil {
-		s.ps = pm.NewSolver(s.opt)
-	}
-	return s.ps
+	return &pmForceSolver{ps: pm.NewSolver(opt)}
 }
 
 func (s *pmForceSolver) Name() string {
-	if s.opt.Asmth > 0 {
+	if s.ps.Opt.Asmth > 0 {
 		return string(SolverTreePM)
 	}
 	return string(SolverPM)
@@ -339,7 +290,7 @@ func (s *pmForceSolver) ActiveForces(p *particle.Set, active, moved []bool) (*co
 		return &core.Result{}, nil
 	}
 	acc := make([]vec.V3, p.Len())
-	s.solver().Accelerations(p.Pos, p.Mass[0], acc)
+	s.ps.Accelerations(p.Pos, p.Mass[0], acc)
 	return &core.Result{Acc: acc}, nil
 }
 

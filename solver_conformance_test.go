@@ -139,10 +139,10 @@ func TestSolverConformance(t *testing.T) {
 	}
 }
 
-// TestSolverLazyConstruction pins the lazy-engine satellite: New must not
-// build any solver or stepper (a pure tree run allocates no PM mesh, a pure
-// PM run no tree), and the first use must build exactly the configured
-// backend.
+// TestSolverLazyConstruction pins that New builds no solver or stepper (a
+// pure tree run owns no PM solver, a pure PM run no tree solver), that the
+// first use builds exactly the configured backend, and that building one
+// allocates no solve state.
 func TestSolverLazyConstruction(t *testing.T) {
 	for _, kind := range []SolverKind{SolverTree, SolverTreePM, SolverPM} {
 		cfg := conformanceConfig(kind)
@@ -157,21 +157,16 @@ func TestSolverLazyConstruction(t *testing.T) {
 			t.Fatalf("lazily built solver %q, want %q", name, kind)
 		}
 	}
-	// The adapters themselves defer backend construction until the first
-	// solve.
+	// Constructing an adapter applies defaults and nothing else: no tree is
+	// built before the first solve (the mesh solver holds only its options).
 	fs := NewTreeForceSolver(core.TreeConfig{})
-	if ts := fs.(*treeForceSolver).ts; ts != nil {
-		t.Error("tree adapter built its core.TreeSolver before the first solve")
-	}
-	pmCfg := conformanceConfig(SolverPM)
-	ps := NewPMForceSolver(pmCfg.pmOptions())
-	if p := ps.(*pmForceSolver).ps; p != nil {
-		t.Error("pm adapter built its pm.Solver before the first solve")
+	if fs.(*treeForceSolver).ts.LastTree != nil {
+		t.Error("tree adapter built a tree before the first solve")
 	}
 	tpCfg := conformanceConfig(SolverTreePM)
 	tp := NewTreePMForceSolver(tpCfg.treePMTreeConfig(), tpCfg.pmOptions())
-	if c := tp.(*treePMForceSolver); c.ts != nil || c.ps != nil {
-		t.Error("treepm composite built a backend before the first solve")
+	if c := tp.(*treePMForceSolver); c.ts.LastTree != nil || c.longAcc != nil {
+		t.Error("treepm composite allocated solve state before the first solve")
 	}
 }
 
