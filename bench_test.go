@@ -30,6 +30,15 @@ import (
 	"twohot/internal/vec"
 )
 
+// effectiveGflops converts an interaction-count record and a wall-clock time
+// into the paper's performance metric.
+func effectiveGflops(c traverse.Counters, elapsed time.Duration) float64 {
+	if elapsed <= 0 {
+		return 0
+	}
+	return float64(c.Flops()) / elapsed.Seconds() / 1e9
+}
+
 // ---------------------------------------------------------------------------
 // Table 3: gravitational micro-kernel performance (Gflop/s, 28 flops per
 // monopole interaction), scalar vs m x n blocked, float32.
@@ -230,8 +239,8 @@ func BenchmarkAblationBackgroundSubtraction(b *testing.B) {
 		with := base
 		with.BackgroundSubtraction = true
 		without := base
-		rBG, _ := core.NewTreeSolver(with).Forces(pos, mass)
-		rNo, _ := core.NewTreeSolver(without).Forces(pos, mass)
+		rBG, _ := core.NewTreeSolver(with).ActiveForces(&particle.Set{Pos: pos, Mass: mass}, nil, nil)
+		rNo, _ := core.NewTreeSolver(without).ActiveForces(&particle.Set{Pos: pos, Mass: mass}, nil, nil)
 		tBG := rBG.Counters.P2P + rBG.Counters.CellInteractions()
 		tNo := rNo.Counters.P2P + rNo.Counters.CellInteractions()
 		fmt.Printf("\nBackground-subtraction ablation (N=%d^3 early-time box, errtol=1e-5):\n", nSide)
@@ -265,12 +274,12 @@ func BenchmarkTable1MachinePerformance(b *testing.B) {
 	solver := core.NewTreeSolver(cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := solver.Forces(set.Pos, set.Mass)
+		res, err := solver.ActiveForces(set, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			gf := core.EffectiveGflops(res.Counters, res.Timings.TreeTraversal)
+			gf := effectiveGflops(res.Counters, res.Timings.TreeTraversal)
 			fmt.Printf("\nTable 1 (this machine): N=%d, %d cores, force step %.3fs, %.2f effective Gflop/s\n",
 				n, runtime.GOMAXPROCS(0), res.Timings.Total.Seconds(), gf)
 			b.ReportMetric(gf, "Gflop/s")
@@ -301,7 +310,7 @@ func BenchmarkFigure5StrongScaling(b *testing.B) {
 					b.Fatal(err)
 				}
 				if i == 0 {
-					gf := core.EffectiveGflops(res.Counters, res.Timings.Total)
+					gf := effectiveGflops(res.Counters, res.Timings.Total)
 					if ranks == 1 {
 						baseline = res.Timings.Total
 					}
@@ -537,7 +546,7 @@ func BenchmarkPeriodicCost(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			solver := core.NewTreeSolver(tc.cfg)
 			for i := 0; i < b.N; i++ {
-				if _, err := solver.Forces(set.Pos, set.Mass); err != nil {
+				if _, err := solver.ActiveForces(set, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -662,7 +671,7 @@ func BenchmarkTreeTraversal(b *testing.B) {
 				Kernel: softening.Plummer, Eps: 0.002})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := solver.Forces(set.Pos, set.Mass)
+				res, err := solver.ActiveForces(set, nil, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

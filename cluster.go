@@ -3,12 +3,11 @@ package twohot
 import (
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 
-	"twohot/internal/analysis"
 	"twohot/internal/cluster"
+	"twohot/internal/comm"
 	"twohot/internal/sdf"
 )
 
@@ -89,20 +88,19 @@ func RunClusterSupervised(cfg Config, opt ClusterRunOptions) (string, error) {
 	}
 	// The end-of-run analysis a single-process Run performs in situ is
 	// measured here by the supervisor from the gathered result snapshot —
-	// same trigger, same canonical particle order, so the catalog is
-	// byte-comparable with an in-process run's (Validate restricts cluster
-	// schedules to at_end; workers never run the observer loop).
-	if cfg.Analysis.AtEnd {
-		cat, err := AnalyzeSnapshot(cfg, spec.ResultPath,
-			analysis.Trigger{Kind: analysis.TriggerEnd, Step: cfg.NSteps})
+	// same trigger, same pipeline, same canonical particle order, so the
+	// catalog is byte-comparable with an in-process run's (Validate restricts
+	// cluster schedules to at_end; workers never run the observer loop).
+	if due := cfg.Analysis.schedule().End(cfg.NSteps); len(due) > 0 {
+		sim, err := New(cfg)
 		if err != nil {
 			return "", err
 		}
-		if !cfg.Analysis.NoFiles {
-			path := filepath.Join(dir, cfg.Name+"-analysis-"+cat.Trigger.Label()+".json")
-			if err := analysis.WriteCatalog(path, cat); err != nil {
-				return "", err
-			}
+		if err := sim.RestoreCheckpoint(spec.ResultPath); err != nil {
+			return "", err
+		}
+		if err := sim.runScheduledAnalysis(due); err != nil {
+			return "", err
 		}
 	}
 	return spec.ResultPath, nil
@@ -111,12 +109,12 @@ func RunClusterSupervised(cfg Config, opt ClusterRunOptions) (string, error) {
 // stageClusterRun prepares a cluster run: it stages the initial state as a
 // file every worker loads — either the caller's snapshot (a resume) or
 // freshly generated initial conditions — and derives the run spec.  The step
-// size is always the full grid's, ln(aFinal/aInit)/NSteps from the snapshot's
-// step-grid anchor — the expression Simulation.Run evaluates — so a resumed
-// run continues the original grid bit for bit, and a snapshot without an
-// anchor starts a fresh grid at its own epoch.  The same spec drives every
-// transport (the TCP supervisor here, the in-process channel world in tests),
-// which is what makes their results byte-comparable.
+// size is always the full grid's, Config.dlnA from the snapshot's step-grid
+// anchor — the call Simulation.Run makes — so a resumed run continues the
+// original grid bit for bit, and a snapshot without an anchor starts a fresh
+// grid at its own epoch.  The same spec drives every transport (the TCP
+// supervisor here, the in-process channel world in tests), which is what
+// makes their results byte-comparable.
 func stageClusterRun(cfg Config, dir, snapshotIn string) (cluster.Spec, error) {
 	icPath := snapshotIn
 	var snap *sdf.Snapshot
@@ -144,13 +142,12 @@ func stageClusterRun(cfg Config, dir, snapshotIn string) (cluster.Spec, error) {
 		return cluster.Spec{}, fmt.Errorf("twohot: snapshot %s already completed step %d of %d", icPath, stepsDone, cfg.NSteps)
 	}
 
-	aFinal := 1 / (1 + cfg.ZFinal)
 	spec := cluster.Spec{
-		N:                    cfg.Ranks,
+		TCPOptions:           comm.TCPOptions{N: cfg.Ranks},
 		Cosmology:            cfg.Cosmology,
 		Tree:                 cfg.treeConfig(),
 		NSteps:               cfg.NSteps,
-		DlnA:                 math.Log(aFinal/aInit) / float64(cfg.NSteps),
+		DlnA:                 cfg.dlnA(aInit),
 		BlockSteps:           cfg.BlockSteps,
 		RungDisplacementFrac: cfg.RungDisplacementFrac,
 		SnapshotIn:           icPath,

@@ -163,6 +163,60 @@ func readSnapshot(t *testing.T, path string) *sdf.Snapshot {
 	return snap
 }
 
+// TestCheckpointCadenceIdenticalAcrossFabrics pins the one checkpoint cadence
+// (step.CheckpointDue): ranks 2, 4 steps, a checkpoint every 2 leaves the
+// step-2 checkpoint — and no step-4-of-4 one, which -restart would refuse —
+// whether the Config runs as Simulation.Run on "chan", as cluster.RankRun on
+// the channel world or as supervised TCP worker processes, and with global
+// stepping the three checkpoints hold the same particle bytes.
+func TestCheckpointCadenceIdenticalAcrossFabrics(t *testing.T) {
+	base := clusterConfig(t)
+	base.NSteps, base.CheckpointEvery = 4, 2
+	legs := []struct {
+		name string
+		run  func(cfg Config) error
+	}{
+		{"Simulation.Run on chan", func(cfg Config) error {
+			cfg.Transport = "chan"
+			sim, err := New(cfg)
+			if err != nil {
+				return err
+			}
+			return sim.Run()
+		}},
+		{"RankRun on the channel world", func(cfg Config) error { runClusterChan(t, cfg, ""); return nil }},
+		{"RunClusterSupervised", func(cfg Config) error {
+			_, err := RunClusterSupervised(cfg, ClusterRunOptions{})
+			return err
+		}},
+	}
+	if testing.Short() {
+		legs = legs[:2] // without the multi-process leg
+	}
+	var ref *sdf.Snapshot
+	for _, leg := range legs {
+		cfg := base
+		cfg.OutputDir = t.TempDir()
+		if err := leg.run(cfg); err != nil {
+			t.Fatalf("%s: %v", leg.name, err)
+		}
+		ckpt := readSnapshot(t, filepath.Join(cfg.OutputDir, cfg.Name+"-ckpt.sdf"))
+		if done, _ := ckpt.StepGrid(); done != 2 {
+			t.Errorf("%s: checkpoint left behind completed step %d of %d, want 2", leg.name, done, cfg.NSteps)
+		}
+		if ref == nil {
+			ref = ckpt
+			continue
+		}
+		if ckpt.ScaleFac != ref.ScaleFac || ckpt.MomentumScaleFac != ref.MomentumScaleFac {
+			t.Errorf("%s: checkpoint epochs a=%v a_mom=%v, want %v / %v", leg.name,
+				ckpt.ScaleFac, ckpt.MomentumScaleFac, ref.ScaleFac, ref.MomentumScaleFac)
+		} else if differ, total, _ := differingComponents(t, ref.Particles, ckpt.Particles, cfg.BoxSize); differ != 0 {
+			t.Errorf("%s: checkpoint differs from the chan run's in %d of %d components", leg.name, differ, total)
+		}
+	}
+}
+
 // TestClusterCheckpointInterchange pins that cluster and Simulation
 // checkpoints carry the same step-grid metadata: each kind restores through
 // the other's entry point and continues the original grid.

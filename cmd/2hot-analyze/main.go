@@ -1,7 +1,9 @@
-// Command 2hot-analyze post-processes an SDF snapshot: it measures the matter
-// power spectrum, finds FOF halos with spherical-overdensity masses, and
-// prints the mass function together with the Tinker08 prediction — the
-// analysis half of the paper's pipeline (Section 3.4.5).
+// Command 2hot-analyze post-processes an SDF snapshot through the in-situ
+// analysis pipeline (internal/analysis): it measures the matter power
+// spectrum, finds FOF halos with spherical-overdensity masses, and prints the
+// mass function together with the Tinker08 prediction — the analysis half of
+// the paper's pipeline (Section 3.4.5).  The numbers are those of an in-situ
+// catalog of the same state measured with the same mesh and membership cut.
 package main
 
 import (
@@ -9,8 +11,8 @@ import (
 	"fmt"
 	"os"
 
+	"twohot/internal/analysis"
 	"twohot/internal/cosmo"
-	"twohot/internal/grid"
 	"twohot/internal/halo"
 	"twohot/internal/massfunc"
 	"twohot/internal/sdf"
@@ -32,43 +34,46 @@ func main() {
 	fmt.Printf("snapshot: %d particles, a=%.4f, L=%g Mpc/h, cosmology %s\n",
 		snap.Particles.Len(), snap.ScaleFac, snap.BoxSize, snap.Cosmology)
 
-	ps := grid.MeasureParticlePower(snap.Particles.Pos, snap.BoxSize, *mesh, grid.PowerSpectrumOptions{})
+	// Theory curves need the header's cosmology; without one the catalog
+	// carries the raw measurements.
+	var th analysis.Theory
+	if par, err := cosmo.ByName(snap.Cosmology); err == nil {
+		spec := transfer.NewSpectrum(par, transfer.EisensteinHu)
+		z := 1/snap.ScaleFac - 1
+		th = analysis.Theory{
+			Pred:     massfunc.NewPredictor(par, spec, z),
+			LinearPk: func(k float64) float64 { return spec.PAt(k, z) },
+		}
+	}
+	cat, err := analysis.Run(snap.Particles, analysis.Meta{A: snap.ScaleFac}, analysis.Options{
+		BoxSize: snap.BoxSize,
+		Halos:   true, MassFunction: true, PowerSpectrum: true,
+		Halo:     halo.Options{MinMembers: *minMembers},
+		Mesh:     *mesh,
+		MaxHalos: 10, // the listing below; the mass function bins them all
+	}, th)
+	if err != nil {
+		fatal(err)
+	}
+
 	fmt.Println("\npower spectrum:")
-	for i, p := range ps {
+	for i, p := range cat.Power {
 		if i%4 == 0 {
 			fmt.Printf("  k=%.4f h/Mpc  P=%.5g (Mpc/h)^3  (%d modes)\n", p.K, p.P, p.Modes)
 		}
 	}
 
-	opt := halo.Options{BoxSize: snap.BoxSize, MinMembers: *minMembers}
-	halos := halo.FOF(snap.Particles.Pos, snap.Particles.Mass, opt)
-	halo.SphericalOverdensity(snap.Particles.Pos, snap.Particles.Mass, halos, opt)
-	fmt.Printf("\n%d FOF halos (>= %d members)\n", len(halos), *minMembers)
-	for i, h := range halos {
-		if i >= 10 {
-			break
-		}
+	fmt.Printf("\n%d FOF halos (>= %d members)\n", cat.NumHalos, *minMembers)
+	for i, h := range cat.Halos {
 		fmt.Printf("  %3d  N=%6d  M_FOF=%.3e  M200b=%.3e Msun/h  R200b=%.3f Mpc/h\n",
 			i, h.N, h.Mass*1e10, h.M200b*1e10, h.R200b)
 	}
 
-	if snap.Cosmology != "" {
-		if par, err := cosmo.ByName(snap.Cosmology); err == nil {
-			spec := transfer.NewSpectrum(par, transfer.EisensteinHu)
-			pred := massfunc.NewPredictor(par, spec, 1/snap.ScaleFac-1)
-			var masses []float64
-			for _, h := range halos {
-				if h.M200b > 0 {
-					masses = append(masses, h.M200b)
-				}
-			}
-			if len(masses) > 1 {
-				bins := massfunc.Measure(masses, snap.BoxSize, masses[len(masses)-1], masses[0]*1.001, 6)
-				m, ratio, perr := pred.RatioToFit(massfunc.Tinker08, bins)
-				fmt.Println("\nmass function / Tinker08:")
-				for i := range m {
-					fmt.Printf("  M200b=%.3e Msun/h  ratio=%.2f +- %.2f\n", m[i]*1e10, ratio[i], perr[i])
-				}
+	if so := cat.MassFunction.SO; th.Pred != nil && len(so) > 0 {
+		fmt.Println("\nmass function / Tinker08:")
+		for _, b := range so {
+			if b.Count > 0 && b.Pred > 0 {
+				fmt.Printf("  M200b=%.3e Msun/h  ratio=%.2f +- %.2f\n", b.MCenter*1e10, b.NDensity/b.Pred, b.Poisson/b.Pred)
 			}
 		}
 	}

@@ -29,19 +29,17 @@ func main() {
 	analyzeEnd := flag.Bool("analyze-end", false, "emit an in-situ analysis output after the final step")
 	flag.Parse()
 
+	cfg := twohot.DefaultConfig()
 	if *dumpDefault {
-		cfg := twohot.DefaultConfig()
 		if err := cfg.Save("/dev/stdout"); err != nil {
 			fatal(err)
 		}
 		return
 	}
-
-	cfg := twohot.DefaultConfig()
 	if *cfgPath != "" {
+		// The file layers over the defaults: it states only what differs.
 		var err error
-		cfg, err = twohot.LoadConfig(*cfgPath)
-		if err != nil {
+		if cfg, err = twohot.LoadConfig(*cfgPath); err != nil {
 			fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package twohot
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -117,13 +118,14 @@ type Config struct {
 	NSteps int     `json:"n_steps"` // number of equal steps in ln(a)
 
 	// CheckpointEvery, when positive, writes an atomic checkpoint (see
-	// Simulation.CheckpointPath) after every CheckpointEvery-th step, so a
-	// crashed run can resume from the last completed multiple instead of
-	// the beginning.  With BlockSteps > 0 checkpoints land only at
-	// synchronized block boundaries: mid-block, block-stepped momenta sit
-	// at per-particle epochs a single-epoch snapshot cannot represent, so
-	// a due checkpoint first closes the leapfrog (Synchronize) at the
-	// block boundary, then writes.  A resumed run re-primes its rungs and
+	// Simulation.CheckpointPath) after every CheckpointEvery-th completed
+	// step except the run's last (step.CheckpointDue: the final snapshot is
+	// that state) — on every fabric — so a crashed run can resume from the
+	// last completed multiple instead of the beginning.  With BlockSteps > 0
+	// checkpoints land only at synchronized block boundaries: mid-block,
+	// block-stepped momenta sit at per-particle epochs a single-epoch
+	// snapshot cannot represent, so a due checkpoint first closes the
+	// leapfrog (Synchronize) at the block boundary, then writes.  A resumed run re-primes its rungs and
 	// epochs from the synchronized snapshot, bit-identically.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 
@@ -313,8 +315,7 @@ func (c *Config) Validate() error {
 	if c.Solver == SolverTreePM {
 		// The short-range walk covers replica images with a single shell, so
 		// the truncation radius must stay inside the half box.
-		opt := c.pmOptions()
-		if rcut := opt.RCut * opt.Asmth * c.BoxSize / float64(opt.Mesh); rcut >= c.BoxSize/2 {
+		if rcut := c.treeConfig().SplitRCut; rcut >= c.BoxSize/2 {
 			return fmt.Errorf("config: treepm short-range cutoff %g reaches half the box %g; raise pm_grid or lower asmth/rcut",
 				rcut, c.BoxSize/2)
 		}
@@ -376,10 +377,14 @@ func (c *Config) analysisOptions() analysis.Options {
 	}
 }
 
-// treeConfig derives the tree-solver configuration NewForceSolver hands to
-// core.NewTreeSolver.
+// treeConfig derives the tree configuration of the configured solver — the
+// one Config -> core.TreeConfig translation.  Under SolverTreePM it is the
+// short-range tree of the composite: the force-split scale comes from the
+// mesh options, background subtraction and the far lattice are off (the mesh
+// owns the mean density and the infinite replica sum), and a single replica
+// shell covers the cutoff (Validate pins it inside the half box).
 func (c *Config) treeConfig() core.TreeConfig {
-	return core.TreeConfig{
+	tc := core.TreeConfig{
 		Order:                 c.Order,
 		ErrTol:                c.ErrTol,
 		MAC:                   c.macType(),
@@ -395,6 +400,16 @@ func (c *Config) treeConfig() core.TreeConfig {
 		Workers:               c.Workers,
 		Incremental:           c.Incremental,
 	}
+	if c.Solver == SolverTreePM {
+		opt := c.pmOptions()
+		rs := opt.Asmth * c.BoxSize / float64(opt.Mesh)
+		tc.BackgroundSubtraction = false
+		tc.LatticeOrder = 0
+		tc.WS = 1
+		tc.SplitRS = rs
+		tc.SplitRCut = opt.RCut * rs
+	}
+	return tc
 }
 
 // pmOptions derives the mesh-solver options NewForceSolver hands to
@@ -426,23 +441,6 @@ func (c *Config) pmOptions() pm.Options {
 	}
 }
 
-// treePMTreeConfig derives the short-range tree configuration of the TreePM
-// composite: the force-split scale comes from the mesh options, background
-// subtraction and the far lattice are disabled (the mesh owns the mean
-// density and the infinite replica sum), and a single replica shell covers
-// the cutoff (Validate pins it inside the half box).
-func (c *Config) treePMTreeConfig() core.TreeConfig {
-	tc := c.treeConfig()
-	opt := c.pmOptions()
-	rs := opt.Asmth * c.BoxSize / float64(opt.Mesh)
-	tc.BackgroundSubtraction = false
-	tc.LatticeOrder = 0
-	tc.WS = 1
-	tc.SplitRS = rs
-	tc.SplitRCut = opt.RCut * rs
-	return tc
-}
-
 // macType converts the MAC string.
 func (c *Config) macType() traverse.MACType {
 	if c.MAC == "bh" {
@@ -470,20 +468,30 @@ func (c *Config) SofteningLength() float64 {
 	return frac * sep
 }
 
-// LoadConfig reads a JSON configuration file.
+// dlnA is the run's step size: NSteps equal steps in ln(a) from the step
+// grid's anchor aInit to ZFinal.  Every stepping loop and every resume takes
+// it from here, so all of them walk the same grid bit for bit.
+func (c *Config) dlnA(aInit float64) float64 {
+	aFinal := 1 / (1 + c.ZFinal)
+	return math.Log(aFinal/aInit) / float64(c.NSteps)
+}
+
+// LoadConfig reads a JSON configuration file layered over DefaultConfig —
+// a file states only what differs — and rejects keys Config does not have,
+// exactly like a POST /api/sims body (internal/serve).
 func LoadConfig(path string) (Config, error) {
-	var c Config
-	data, err := os.ReadFile(path)
+	c := DefaultConfig()
+	f, err := os.Open(path)
 	if err != nil {
 		return c, err
 	}
-	if err := json.Unmarshal(data, &c); err != nil {
-		return c, fmt.Errorf("config: %w", err)
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&c); err != nil {
+		return c, fmt.Errorf("config: %s: %w", path, err)
 	}
-	if err := c.Validate(); err != nil {
-		return c, err
-	}
-	return c, nil
+	return c, c.Validate()
 }
 
 // Save writes the configuration as JSON.

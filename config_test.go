@@ -1,9 +1,69 @@
 package twohot
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
+
+// partialConfigDoc is a config file that states only what differs from the
+// defaults (the serve submit handler's test decodes the same bytes).
+const partialConfigDoc = `{"name":"x","cosmology":"planck2013","box_size":32,"n_grid":8,"z_init":24,"n_steps":2,"solver":"tree","kernel":"dehnen-k1"}`
+
+// TestLoadConfigLayersOverDefaults pins the one way a JSON document becomes a
+// Config: layered over DefaultConfig (an omitted knob keeps its default —
+// background subtraction, 2LPT, DEC, the far lattice and incremental rebuilds
+// stay on), unknown keys rejected, and Save -> LoadConfig an identity.
+func TestLoadConfigLayersOverDefaults(t *testing.T) {
+	dir := t.TempDir()
+	load := func(doc string) (Config, error) {
+		path := filepath.Join(dir, "cfg.json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return LoadConfig(path)
+	}
+
+	want := DefaultConfig()
+	want.Name, want.BoxSize, want.NGrid, want.NSteps = "x", 32, 8, 2
+	got, err := load(partialConfigDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("partial document did not layer over the defaults:\n got %+v\nwant %+v", got, want)
+	}
+
+	bogus := strings.Replace(partialConfigDoc, "}", `,"bogus_key":1}`, 1)
+	if _, err := load(bogus); err == nil || !strings.Contains(err.Error(), "bogus_key") {
+		t.Errorf("unknown key: got error %v, want one naming bogus_key", err)
+	}
+
+	// Round trip with every defaulted knob moved off its default: a field
+	// whose zero value Save omitted would come back as the default.
+	off := DefaultConfig()
+	off.Use2LPT, off.UseDEC, off.BackgroundSubtraction, off.Incremental = false, false, false, false
+	off.LatticeOrder, off.Seed, off.PMGrid, off.Asmth, off.SofteningFrac = 0, 0, 0, 0, 0
+	off.Softening, off.Ranks, off.CheckpointEvery = 0.1, 2, 3
+	off.Analysis = AnalysisConfig{AtEnd: true, Redshifts: []float64{3, 1}, MassBins: 8}
+	path := filepath.Join(dir, "off.json")
+	if err := off.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if back, err := LoadConfig(path); err != nil || !reflect.DeepEqual(back, off) {
+		t.Errorf("Save -> LoadConfig is not an identity (err %v):\n got %+v\nwant %+v", err, back, off)
+	}
+	// ... and stays one: a field with a non-zero default must not be omitempty.
+	def := reflect.ValueOf(DefaultConfig())
+	for i := 0; i < def.NumField(); i++ {
+		f := def.Type().Field(i)
+		if !def.Field(i).IsZero() && strings.Contains(f.Tag.Get("json"), "omitempty") {
+			t.Errorf("Config.%s has a non-zero default and is omitempty: saving its zero value would load as the default", f.Name)
+		}
+	}
+}
 
 // TestConfigValidate is the table of accept/reject branches for the stepping
 // and deployment combinations, with the distributed block-timestep rows

@@ -12,10 +12,11 @@
 //
 //   - ForceSolver — the gravity backend (tree, distributed tree, TreePM,
 //     PM, direct summation), one contract with an honest Capabilities
-//     report; NewForceSolver is the only place the SolverKind dispatch
-//     lives.
+//     report and one implementation: a constructor per backend supplies its
+//     name, capabilities and solve.  NewForceSolver is the only SolverKind
+//     dispatch.
 //   - Stepper — the time integrator (global leapfrog or hierarchical block
-//     timesteps, internal/step engines), driving any capable solver.
+//     timesteps; step.NewEngine picks, for a run and a cluster rank alike).
 //   - Observer — registered diagnostics hooks (OnStep, OnForce,
 //     OnSynchronize) receiving step statistics, rung histograms and energy
 //     tallies.

@@ -63,12 +63,8 @@ func main() {
 	// Decompose: each rank starts with a slice of the particles.
 	world := comm.NewWorld(*nRanks)
 	perRank := make([]*particle.Set, *nRanks)
-	chunk := (*n + *nRanks - 1) / *nRanks
-	for r := 0; r < *nRanks; r++ {
-		perRank[r] = particle.New(chunk)
-		for i := r * chunk; i < (r+1)*chunk && i < *n; i++ {
-			perRank[r].AppendFrom(set, i)
-		}
+	for r := range perRank {
+		perRank[r] = set.Chunk(r, *nRanks)
 	}
 	var decomp *domain.Decomposition
 	counts := make([]int, *nRanks)

@@ -17,7 +17,6 @@ package main
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"time"
 
@@ -52,15 +51,8 @@ func run(cfg twohot.Config, report bool) (*twohot.Simulation, time.Duration, err
 	if err := sim.GenerateICs(); err != nil {
 		return nil, 0, err
 	}
-	aFinal := 1 / (1 + cfg.ZFinal)
-	dlnA := math.Log(aFinal/sim.A) / float64(cfg.NSteps)
 	start := time.Now()
-	for s := 0; s < cfg.NSteps; s++ {
-		if err := sim.StepOnce(dlnA); err != nil {
-			return nil, 0, err
-		}
-	}
-	if err := sim.Synchronize(); err != nil {
+	if err := sim.Run(); err != nil {
 		return nil, 0, err
 	}
 	return sim, time.Since(start), nil

@@ -274,14 +274,10 @@ func measureMassFunction(halos []halo.Halo, opt Options, th Theory) *MassFunctio
 			so = append(so, h.M200b)
 		}
 	}
-	res := &MassFunctionResult{
+	return &MassFunctionResult{
 		FOF: binMasses(fof, opt, th, massfunc.Warren06),
 		SO:  binMasses(so, opt, th, massfunc.Tinker08),
 	}
-	if res.FOF == nil && res.SO == nil {
-		return res
-	}
-	return res
 }
 
 // binMasses measures one mass function over [min, max*(1+eps)) with the

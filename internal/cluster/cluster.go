@@ -5,12 +5,12 @@
 // whole world from the last good checkpoint.
 //
 // There is one rank body (RankRun) and it owns no integrator arithmetic: it
-// drives the engines of internal/step — step.Global, or step.Block when
-// Spec.BlockSteps > 0, chosen exactly as a single-process Simulation chooses
-// — against the rank's core.RankSolver, the same force body
-// core.DistributedStep runs on in-process ranks.  What the body adds is the
-// distributed bookkeeping around each engine call: the rechunk to the
-// canonical layout, the collective checkpoint gate, and the gather to rank 0.
+// drives the engine step.NewEngine picks for Spec.BlockSteps — the choice a
+// single-process Simulation makes through the same call — against the rank's
+// core.RankSolver, the same force body core.DistributedStep runs on
+// in-process ranks.  What the body adds is the distributed bookkeeping around
+// each engine call: the rechunk to the canonical layout, the collective
+// checkpoint gate, and the gather to rank 0.
 // Checkpoints carry the same step-grid metadata and per-particle work weights
 // as Simulation checkpoints (sdf.Snapshot), so the two kinds restore
 // interchangeably.
@@ -27,9 +27,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
-	"time"
 
 	"twohot/internal/comm"
 	"twohot/internal/core"
@@ -43,10 +41,15 @@ import (
 // hand it to worker processes through a file; every field that influences the
 // physics round-trips exactly (Go's JSON encoding of float64 is lossless).
 type Spec struct {
-	// N is the number of ranks; Addrs their TCP listen addresses (filled by
-	// the supervisor per attempt, one per rank).
-	N     int      `json:"n"`
-	Addrs []string `json:"addrs,omitempty"`
+	// The world, in the transport's own terms: N is the number of ranks,
+	// Addrs their TCP listen addresses (filled by the supervisor per attempt,
+	// one per rank), the timeouts default when zero (tests shrink them to
+	// fail fast) and Rank is completed by each worker.  A set Chaos enables
+	// fault injection on every rank's transport; a positive Chaos.KillAfter
+	// applies only to rank ChaosKillRank, so a test can kill one specific
+	// rank, and the supervisor disarms the kill on restart.
+	comm.TCPOptions
+	ChaosKillRank int `json:"chaos_kill_rank,omitempty"`
 
 	// Physics and stepping.
 	Cosmology string          `json:"cosmology"`
@@ -68,25 +71,13 @@ type Spec struct {
 	// metadata, when present, is how a checkpoint resumes mid-grid — see
 	// sdf.Snapshot.StepGrid).  ResultPath receives the final gathered
 	// snapshot.  CheckpointPath, with CheckpointEvery > 0, receives an atomic
-	// checkpoint after every CheckpointEvery-th step.  All paths must be on a
+	// checkpoint on the cadence of step.CheckpointDue (every
+	// CheckpointEvery-th step but the last).  All paths must be on a
 	// filesystem every rank process can reach.
 	SnapshotIn      string `json:"snapshot_in"`
 	ResultPath      string `json:"result_path"`
 	CheckpointPath  string `json:"checkpoint_path,omitempty"`
 	CheckpointEvery int    `json:"checkpoint_every,omitempty"`
-
-	// Transport tuning (zero = comm.TCPOptions defaults); tests shrink these
-	// to fail fast.
-	RecvTimeout       time.Duration `json:"recv_timeout,omitempty"`
-	HeartbeatInterval time.Duration `json:"heartbeat_interval,omitempty"`
-	LivenessTimeout   time.Duration `json:"liveness_timeout,omitempty"`
-	RetryBase         time.Duration `json:"retry_base,omitempty"`
-
-	// Chaos, when set, enables fault injection on every rank's transport.  A
-	// positive Chaos.KillAfter applies only to rank ChaosKillRank, so a test
-	// can kill one specific rank; the supervisor disarms the kill on restart.
-	Chaos         *comm.ChaosOptions `json:"chaos,omitempty"`
-	ChaosKillRank int                `json:"chaos_kill_rank,omitempty"`
 }
 
 // LoadSpec reads a spec written by Spec.Save.
@@ -114,20 +105,11 @@ func (s Spec) Save(path string) error {
 // Worker joins the TCP world as one rank and runs the stepping loop to
 // completion.  It is the body of a worker process (see WorkerMain).
 func Worker(spec Spec, rank int) error {
-	opt := comm.TCPOptions{
-		Rank:              rank,
-		N:                 spec.N,
-		Addrs:             spec.Addrs,
-		RecvTimeout:       spec.RecvTimeout,
-		HeartbeatInterval: spec.HeartbeatInterval,
-		LivenessTimeout:   spec.LivenessTimeout,
-		RetryBase:         spec.RetryBase,
-	}
-	if spec.Chaos != nil {
-		c := *spec.Chaos
-		if c.KillAfter > 0 && rank != spec.ChaosKillRank {
-			c.KillAfter = 0
-		}
+	opt := spec.TCPOptions
+	opt.Rank = rank
+	if opt.Chaos != nil && rank != spec.ChaosKillRank {
+		c := *opt.Chaos
+		c.KillAfter = 0
 		opt.Chaos = &c
 	}
 	r, err := comm.JoinTCP(opt)
@@ -153,19 +135,6 @@ type RunHooks struct {
 	// block-stepped run (Spec.BlockSteps > 0) with the completed-step count
 	// and the agreed global rung histogram of that block.
 	OnBlock func(stepsDone int, hist []int)
-}
-
-// branchExchange is the upper-tree branch distribution every cluster run
-// uses: the 2HOT hierarchical pairwise aggregation (see
-// core.DistributedConfig.BranchExchange).
-const branchExchange = "ring"
-
-// engine is what the rank body asks of a stepping engine; *step.Global and
-// *step.Block both provide it.
-type engine interface {
-	Advance(f step.Forcer, p *particle.Set, clk *step.Clock, dlnA float64) (*core.Result, error)
-	Synchronize(f step.Forcer, p *particle.Set, clk *step.Clock) (*core.Result, error)
-	CheckpointReady(aMom float64) error
 }
 
 // RankRun is the per-rank body of a cluster run, independent of the
@@ -209,15 +178,14 @@ func RankRunHooked(r *comm.Rank, spec Spec, hooks RunHooks) error {
 
 	fz := core.NewRankSolver(r, core.DistributedConfig{
 		Tree:           spec.Tree,
-		BranchExchange: branchExchange,
+		BranchExchange: "ring", // the 2HOT hierarchical pairwise aggregation
 		UseWorkWeights: true,
 	})
 
-	var eng engine = step.NewGlobal(par, spec.Tree.BoxSize)
-	var blk *step.Block
-	if spec.BlockSteps > 0 {
-		blk = newBlockEngine(r, par, spec, snap.Particles.Len())
-		eng = blk
+	eng := step.NewEngine(par, spec.Tree.BoxSize, snap.Particles.Len(), spec.BlockSteps, spec.RungDisplacementFrac)
+	blk, _ := eng.(*step.Block)
+	if blk != nil {
+		blk.AgreeRungs = func(local []int) ([]int, error) { return sumRungs(r, local) }
 	}
 
 	for s := startStep; s < spec.NSteps; s++ {
@@ -233,7 +201,7 @@ func RankRunHooked(r *comm.Rank, spec Spec, hooks RunHooks) error {
 		if blk != nil && hooks.OnBlock != nil {
 			hooks.OnBlock(s+1, blk.RungHistogram())
 		}
-		if spec.CheckpointPath != "" && spec.CheckpointEvery > 0 && (s+1)%spec.CheckpointEvery == 0 {
+		if spec.CheckpointPath != "" && step.CheckpointDue(s+1, spec.CheckpointEvery, spec.NSteps) {
 			if err := syncIfUnrepresentable(r, my, &clk, eng, fz); err != nil {
 				return fmt.Errorf("cluster: rank %d checkpoint sync after step %d: %w", r.ID, s, err)
 			}
@@ -258,33 +226,23 @@ func RankRunHooked(r *comm.Rank, spec Spec, hooks RunHooks) error {
 	return writeGathered(r, my, spec.ResultPath, clk, spec, spec.NSteps, aInit)
 }
 
-// newBlockEngine returns the block-timestep engine of one rank.  The rung
-// criterion is measured against the mean interparticle separation of the
-// whole load, box/cbrt(N) — for the N = NGrid^3 lattice loads the root
-// package stages this is bit for bit the box/NGrid a single-process run uses
-// (math.Cbrt is exact on perfect cubes), so block/ranks composes without
-// changing a rung.
-func newBlockEngine(r *comm.Rank, par cosmo.Params, spec Spec, nTotal int) *step.Block {
-	sep := spec.Tree.BoxSize / math.Cbrt(float64(nTotal))
-	eng := step.NewBlock(par, spec.Tree.BoxSize, sep, spec.BlockSteps, spec.RungDisplacementFrac)
-	// Rung agreement: sum the per-rank histograms so every rank derives the
-	// same substep schedule — and sees the same global rung occupancy.
-	eng.AgreeRungs = func(local []int) ([]int, error) {
-		enc := make([]uint64, len(local))
-		for i, c := range local {
-			enc[i] = uint64(c)
-		}
-		parts, err := r.AllgatherUint64(enc)
-		if err != nil {
-			return nil, fmt.Errorf("rung agreement: %w", err)
-		}
-		sum := make([]int, len(local))
-		for i, v := range parts {
-			sum[i%len(local)] += int(v)
-		}
-		return sum, nil
+// sumRungs is the rung agreement of a block-stepped world (step.Block's
+// AgreeRungs): the per-rank histograms are summed so every rank derives the
+// same substep schedule — and sees the same global rung occupancy.
+func sumRungs(r *comm.Rank, local []int) ([]int, error) {
+	enc := make([]uint64, len(local))
+	for i, c := range local {
+		enc[i] = uint64(c)
 	}
-	return eng
+	parts, err := r.AllgatherUint64(enc)
+	if err != nil {
+		return nil, fmt.Errorf("rung agreement: %w", err)
+	}
+	sum := make([]int, len(local))
+	for i, v := range parts {
+		sum[i%len(local)] += int(v)
+	}
+	return sum, nil
 }
 
 // syncIfUnrepresentable closes the leapfrog before a due checkpoint when the
@@ -295,7 +253,7 @@ func newBlockEngine(r *comm.Rank, par cosmo.Params, spec Spec, nTotal int) *step
 // uniform trailing epoch, which the snapshot's two scale factors represent
 // exactly; they are written unchanged, which keeps an all-rung-0 block run's
 // checkpoints byte-identical to a global run's.
-func syncIfUnrepresentable(r *comm.Rank, my *particle.Set, clk *step.Clock, eng engine, fz *core.RankSolver) error {
+func syncIfUnrepresentable(r *comm.Rank, my *particle.Set, clk *step.Clock, eng step.Engine, fz *core.RankSolver) error {
 	local := 0.0
 	if eng.CheckpointReady(clk.AMom) != nil {
 		local = 1

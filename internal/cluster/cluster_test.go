@@ -55,8 +55,8 @@ func writeIC(t *testing.T, dir string, n int) string {
 func testSpec(t *testing.T, dir string, n int) cluster.Spec {
 	t.Helper()
 	return cluster.Spec{
-		N:         n,
-		Cosmology: "eds",
+		TCPOptions: comm.TCPOptions{N: n, RecvTimeout: 60 * time.Second},
+		Cosmology:  "eds",
 		Tree: core.TreeConfig{
 			Order: 2, ErrTol: 1e-3, Kernel: softening.Plummer, Eps: 0.02,
 			Periodic: true, BoxSize: 1, BackgroundSubtraction: true, WS: 1,
@@ -68,7 +68,6 @@ func testSpec(t *testing.T, dir string, n int) cluster.Spec {
 		ResultPath:      filepath.Join(dir, "result.sdf"),
 		CheckpointPath:  filepath.Join(dir, "ckpt.sdf"),
 		CheckpointEvery: 1,
-		RecvTimeout:     60 * time.Second,
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"twohot/internal/comm"
 	"twohot/internal/domain"
 	"twohot/internal/particle"
-	"twohot/internal/softening"
 	"twohot/internal/traverse"
 	"twohot/internal/tree"
 	"twohot/internal/vec"
@@ -163,11 +162,6 @@ func NewRankSolver(r *comm.Rank, cfg DistributedConfig) *RankSolver {
 
 // Thaw drops the kept decomposition: the next solve chooses fresh splitters.
 func (s *RankSolver) Thaw() { s.decomp = nil }
-
-// Accelerations solves for every particle of p.
-func (s *RankSolver) Accelerations(p *particle.Set) (*Result, error) {
-	return s.solve(p, false)
-}
 
 // ActiveForces restricts the solve's sinks to the active mask (nil = all).
 // The mask is stamped into the particle.FlagActive bits, which travel with
@@ -446,28 +440,3 @@ func exchangeBranches(r *comm.Rank, dt *tree.Distributed, mode string) error {
 		return nil
 	}
 }
-
-// EffectiveGflops converts an interaction-count record and a wall-clock time
-// into the paper's performance metric.
-func EffectiveGflops(c traverse.Counters, elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(c.Flops()) / elapsed.Seconds() / 1e9
-}
-
-// VerifyAgainstShared recomputes forces for the distributed result's
-// particles with the shared-memory solver and returns the error statistics
-// (matching particles by ID).  Used by tests and the Table 2 harness to show
-// the distributed and shared paths agree.
-func VerifyAgainstShared(out *particle.Set, cfg TreeConfig) (AccuracyStats, error) {
-	solver := NewTreeSolver(cfg)
-	res, err := solver.Forces(out.Pos, out.Mass)
-	if err != nil {
-		return AccuracyStats{}, err
-	}
-	return CompareAccelerations(out.Acc, res.Acc), nil
-}
-
-// DefaultKernel is the production smoothing kernel of the paper.
-const DefaultKernel = softening.DehnenK1

@@ -13,6 +13,16 @@ import (
 	"twohot/internal/vec"
 )
 
+// verifyAgainstShared recomputes forces for a distributed result's particles
+// with the shared-memory solver and returns the error statistics.
+func verifyAgainstShared(out *particle.Set, cfg TreeConfig) (AccuracyStats, error) {
+	res, err := NewTreeSolver(cfg).ActiveForces(out, nil, nil)
+	if err != nil {
+		return AccuracyStats{}, err
+	}
+	return CompareAccelerations(out.Acc, res.Acc), nil
+}
+
 func TestDistributedStepMatchesSharedSolver(t *testing.T) {
 	pos, mass := randomCluster(3000, 9)
 	set := particle.New(len(pos))
@@ -41,7 +51,7 @@ func TestDistributedStepMatchesSharedSolver(t *testing.T) {
 		t.Error("timings not recorded")
 	}
 
-	stats, err := VerifyAgainstShared(res.ParticlesOut, cfg.Tree)
+	stats, err := verifyAgainstShared(res.ParticlesOut, cfg.Tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +77,7 @@ func TestDistributedStepAllgatherExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := VerifyAgainstShared(res.ParticlesOut, cfg.Tree)
+	stats, err := verifyAgainstShared(res.ParticlesOut, cfg.Tree)
 	if err != nil {
 		t.Fatal(err)
 	}

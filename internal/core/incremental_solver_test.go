@@ -42,16 +42,16 @@ func TestTreeSolverIncrementalStepsBitIdentical(t *testing.T) {
 		if step > 0 {
 			driftPositions(pos, 3e-6, 1, int64(step))
 		}
-		ref, err := NewTreeSolver(cfg).Forces(pos, mass)
+		ref, err := forces(NewTreeSolver(cfg), pos, mass, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// The persistent solvers: one plain, one incremental + work-fed.
-		plain, err := fresh.Forces(pos, mass)
+		plain, err := forces(fresh, pos, mass, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := inc.ForcesWithWork(pos, mass, work)
+		got, err := forces(inc, pos, mass, work)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,11 +101,11 @@ func TestTreeSolverResetReuse(t *testing.T) {
 	cfg := TreeConfig{Order: 2, ErrTol: 1e-3, Kernel: softening.Plummer, Eps: 0.01, Incremental: true}
 	s := NewTreeSolver(cfg)
 	pos, mass := randomCluster(600, 7)
-	if _, err := s.Forces(pos, mass); err != nil {
+	if _, err := forces(s, pos, mass, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.ResetReuse()
-	res, err := s.Forces(pos, mass)
+	res, err := forces(s, pos, mass, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,14 +116,14 @@ func TestTreeSolverResetReuse(t *testing.T) {
 	// A particle count change must silently disable the reuse, not corrupt
 	// the build.
 	pos2, mass2 := randomCluster(900, 8)
-	res2, err := s.Forces(pos2, mass2)
+	res2, err := forces(s, pos2, mass2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res2.Build.Reused {
 		t.Error("reuse across a particle-count change")
 	}
-	ref, err := NewTreeSolver(cfg).Forces(pos2, mass2)
+	ref, err := forces(NewTreeSolver(cfg), pos2, mass2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,8 @@ import (
 	"sort"
 	"time"
 
-	"twohot/internal/cosmo"
 	"twohot/internal/ewald"
+	"twohot/internal/particle"
 	"twohot/internal/softening"
 	"twohot/internal/traverse"
 	"twohot/internal/tree"
@@ -75,7 +75,7 @@ type TreeConfig struct {
 
 	Workers int // tree-build and traversal worker goroutines (0 = GOMAXPROCS)
 
-	// Incremental makes consecutive Forces calls on the same solver reuse
+	// Incremental makes consecutive solves on the same solver reuse
 	// the previous call's sorted particle order to seed the tree build
 	// (tree.Options.Previous).  On a near-static snapshot the near-sorted
 	// fast path then replaces the radix sort; the built tree — and hence
@@ -120,8 +120,8 @@ func (c *TreeConfig) defaults() {
 	}
 }
 
-// TreeSolver is the shared-memory 2HOT solver.  It is stateful across Forces
-// calls: the previous call's tree seeds the incremental rebuild (when
+// TreeSolver is the shared-memory 2HOT solver.  It is stateful across solves:
+// the previous call's tree seeds the incremental rebuild (when
 // Cfg.Incremental is set), the walker — with its replica offsets, far-lattice
 // sums and pooled traversal buffers — is retained, and the particle staging
 // buffers are reused.  None of that state changes any result bit; it only
@@ -157,9 +157,6 @@ func (s *TreeSolver) ResetReuse() {
 	s.LastTree = nil
 	s.walker = nil
 }
-
-// Name identifies the solver in reports.
-func (s *TreeSolver) Name() string { return "2hot-tree" }
 
 // RootBox returns the cubical root volume used for the given positions.
 func (s *TreeSolver) RootBox(pos []vec.V3) vec.Box {
@@ -200,38 +197,30 @@ func (c TreeConfig) walkConfig(totalMass float64, box vec.Box) traverse.Config {
 	}
 }
 
-// Forces computes accelerations and kernel sums for the particle set.
-func (s *TreeSolver) Forces(pos []vec.V3, mass []float64) (*Result, error) {
-	return s.ForcesWithWork(pos, mass, nil)
-}
-
-// ForcesWithWork is Forces with per-particle work weights from the previous
-// step (caller order, nil for none): the traversal then cuts its sink-subtree
-// tasks into contiguous per-worker shards of near-equal predicted weight —
-// the shared-memory counterpart of the paper's work-weighted domain
-// decomposition.  The weights steer only the schedule, never a result bit.
-// The returned Result.Work carries this step's per-particle interaction
-// counts for the next call.
-func (s *TreeSolver) ForcesWithWork(pos []vec.V3, mass []float64, work []float64) (*Result, error) {
-	return s.ForcesActive(pos, mass, work, nil, nil)
-}
-
-// ForcesActive is the block-timestep entry point: ForcesWithWork restricted
-// to the sink subset marked in active (caller order; nil means every
-// particle).  Sources are always the full particle set, so for every active
-// particle the returned Acc, Pot and Work are bit-identical to a full
-// solve's; slots of inactive particles are unspecified except Work, which
-// carries the input weight through so the feedback loop keeps a cost
+// ActiveForces computes accelerations and kernel sums for the sinks of p
+// marked in active (set order; nil means every particle) — the one entry
+// point, with the step.Forcer signature.  Sources are always the full set, so
+// for every active particle the returned Acc, Pot and Work are bit-identical
+// to a full solve's; slots of inactive particles are unspecified except Work,
+// which carries the input weight through so the feedback loop keeps a cost
 // estimate for particles that have not been sinks recently.
 //
-// moved (caller order, nil for "unknown") marks the particles whose
-// positions changed since this solver's previous call — the dirty set of the
+// p.Work holds the per-particle work weights of the previous solve (nil for
+// none): the traversal cuts its sink-subtree tasks into contiguous per-worker
+// shards of near-equal predicted weight — the shared-memory counterpart of the
+// paper's work-weighted domain decomposition.  The weights steer only the
+// schedule, never a result bit; Result.Work carries this solve's interaction
+// counts for the next call.
+//
+// moved (set order, nil for "unknown") marks the particles whose positions
+// changed since this solver's previous call — the dirty set of the
 // incremental rebuild: with Cfg.Incremental set, subtrees untouched by any
 // moved particle are copied from the previous step's tree, cells and moments
 // alike, instead of being rebuilt (tree.Options.Dirty).  Like every other
 // reuse in this pipeline it changes no result bit; a conservative
 // over-marking only shrinks the reuse.
-func (s *TreeSolver) ForcesActive(pos []vec.V3, mass []float64, work []float64, active, moved []bool) (*Result, error) {
+func (s *TreeSolver) ActiveForces(p *particle.Set, active, moved []bool) (*Result, error) {
+	pos, mass, work := p.Pos, p.Mass, p.Work
 	cfg := s.Cfg
 	if len(pos) != len(mass) {
 		return nil, fmt.Errorf("core: %d positions but %d masses", len(pos), len(mass))
@@ -385,9 +374,6 @@ type DirectSolver struct {
 	Workers  int
 }
 
-// Name identifies the solver in reports.
-func (s *DirectSolver) Name() string { return "direct-n2" }
-
 // Forces computes accelerations and kernel sums for the particle set by
 // direct summation.
 func (s *DirectSolver) Forces(pos []vec.V3, mass []float64) (*Result, error) {
@@ -526,7 +512,3 @@ func median(x []float64) float64 {
 	sort.Float64s(cp)
 	return cp[len(cp)/2]
 }
-
-// CosmoG returns the gravitational constant in internal units, re-exported
-// for convenience of packages that already import core.
-const CosmoG = cosmo.G

@@ -6,10 +6,17 @@ import (
 	"testing"
 
 	"twohot/internal/ewald"
+	"twohot/internal/particle"
 	"twohot/internal/softening"
 	"twohot/internal/traverse"
 	"twohot/internal/vec"
 )
+
+// forces drives the tree solver's one entry point over bare arrays (nil work =
+// no weights), for the tests that predate the particle-set face.
+func forces(s *TreeSolver, pos []vec.V3, mass, work []float64) (*Result, error) {
+	return s.ActiveForces(&particle.Set{Pos: pos, Mass: mass, Work: work}, nil, nil)
+}
 
 // randomCluster builds a clustered particle distribution (a few Gaussian
 // blobs) inside the unit box.
@@ -72,7 +79,7 @@ func TestTreeSolverMatchesDirectOpenBoundary(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			solver := NewTreeSolver(tc.cfg)
-			res, err := solver.Forces(pos, mass)
+			res, err := forces(solver, pos, mass, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +120,7 @@ func TestTreeSolverBackgroundSubtractionAccuracy(t *testing.T) {
 		Periodic: true, BoxSize: l, BackgroundSubtraction: true,
 		WS: 2, LatticeOrder: 4,
 	})
-	res, err := solver.Forces(pos, mass)
+	res, err := forces(solver, pos, mass, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +171,11 @@ func TestBackgroundSubtractionReducesInteractions(t *testing.T) {
 	without := base
 	without.BackgroundSubtraction = false
 
-	rBG, err := NewTreeSolver(withBG).Forces(pos, mass)
+	rBG, err := forces(NewTreeSolver(withBG), pos, mass, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rNo, err := NewTreeSolver(without).Forces(pos, mass)
+	rNo, err := forces(NewTreeSolver(without), pos, mass, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

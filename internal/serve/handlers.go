@@ -80,8 +80,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if tenant == "" {
 		tenant = "default"
 	}
-	// Submissions layer over the defaults, like cmd/2hot's config files do:
-	// a client states only what differs, and omitted knobs stay sane.
+	// Submissions decode exactly like twohot.LoadConfig reads a config file:
+	// layered over the defaults (a client states only what differs, omitted
+	// knobs stay sane), unknown keys rejected.
 	cfg := twohot.DefaultConfig()
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -342,5 +343,40 @@ func TestHandlersRejectBadSubmissions(t *testing.T) {
 		if code := post("alfa", body); code != http.StatusBadRequest {
 			t.Errorf("submission %s returned %d", body, code)
 		}
+	}
+}
+
+// TestHandlersSubmitDecodesLikeLoadConfig pins that one document means one
+// Config wherever it is read: the body POSTed to /api/sims decodes to exactly
+// what twohot.LoadConfig reads from a file with the same bytes (layered over
+// the defaults, unknown keys rejected on both sides).
+func TestHandlersSubmitDecodesLikeLoadConfig(t *testing.T) {
+	const doc = `{"name":"x","cosmology":"planck2013","box_size":32,"n_grid":8,"z_init":24,"n_steps":2,"solver":"tree","kernel":"dehnen-k1"}`
+	path := filepath.Join(t.TempDir(), "cfg.json")
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, err := twohot.LoadConfig(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := newTestServer(t, Options{PoolWorkers: 1})
+	ts := httpServer(t, s)
+	resp, err := http.Post(ts.URL+"/api/sims", "application/json", strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var info Info
+	if resp.StatusCode != http.StatusCreated || json.NewDecoder(resp.Body).Decode(&info) != nil {
+		t.Fatalf("submit returned %d", resp.StatusCode)
+	}
+	s.mu.Lock()
+	got := s.sims[info.ID].cfg
+	s.mu.Unlock()
+	want.OutputDir = got.OutputDir // the server's per-job artifact directory
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("POST body and config file decode differently:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -30,7 +30,7 @@
 // per-particle step limit quantized to the next power-of-two division
 // (RungFor), the hierarchical form of the paper's factor-of-two timestep
 // policy.  Between its own steps a particle is frozen: its
-// position does not move and its momentum epoch (State.AMom) trails by its
+// position does not move and its momentum epoch (Set.MomEpoch) trails by its
 // own rung's half step, which is precisely what lets the tree build reuse
 // the subtrees it occupies bit for bit (tree.Options.Dirty) and the
 // traversal skip its sink groups (traverse.Walker.SinkActive).
@@ -87,6 +87,6 @@
 // # Concurrency model
 //
 // Everything here is plain data owned by one integrator: no goroutines, no
-// shared state.  A State or FactorCache must not be used from multiple
+// shared state.  An engine or FactorCache must not be used from multiple
 // goroutines concurrently.
 package step

@@ -10,20 +10,20 @@ import (
 	"twohot/internal/vec"
 )
 
-// Forcer is the solver contract the integrator engines drive: a full solve
-// and an active-subset solve over a particle set.  It is the internal face of
-// the root package's ForceSolver interface (which satisfies it structurally),
-// so the engines never know which backend — tree, TreePM, mesh or direct
-// summation — produces the accelerations.
+// Forcer is the solver contract the integrator engines drive: one solve over
+// a particle set, optionally restricted to an active subset.  It is the
+// internal face of the root package's ForceSolver interface (which satisfies
+// it structurally) and of core.TreeSolver and core.RankSolver, so the engines
+// never know which backend — tree, TreePM, mesh, direct summation or a rank
+// of the distributed tree — produces the accelerations.
 //
-// Both methods return results in the set's particle order and leave the set's
-// Acc/Pot/Work arrays to the caller: the engine decides which slots of a
-// subset solve are written back (Scatter).
+// The result is in the set's particle order and leaves the set's Acc/Pot/Work
+// arrays to the caller: the engine decides which slots of a subset solve are
+// written back (Scatter).
 type Forcer interface {
-	// Accelerations computes forces for every particle of p.
-	Accelerations(p *particle.Set) (*core.Result, error)
-	// ActiveForces restricts the sinks to the active mask (nil = all) and
-	// passes the moved mask (nil = unknown) to incremental backends.
+	// ActiveForces computes forces for the sinks in the active mask (nil =
+	// every particle) and passes the moved mask (nil = unknown) to
+	// incremental backends.
 	ActiveForces(p *particle.Set, active, moved []bool) (*core.Result, error)
 }
 
@@ -34,6 +34,41 @@ type Forcer interface {
 type Clock struct {
 	A    float64
 	AMom float64
+}
+
+// Engine is what a stepping loop — Simulation.Run, cluster.RankRun — asks of
+// an integrator; *Global and *Block provide it.  Advance and Synchronize
+// mutate the particle set and the clock in place and return the last force
+// result of the call (nil when no solve was needed).
+type Engine interface {
+	Advance(f Forcer, p *particle.Set, clk *Clock, dlnA float64) (*core.Result, error)
+	Synchronize(f Forcer, p *particle.Set, clk *Clock) (*core.Result, error)
+	// CheckpointReady reports whether the integrator state collapses to the
+	// single momentum epoch aMom a snapshot can represent.
+	CheckpointReady(aMom float64) error
+	// Reset drops per-particle integrator history, as after installing a new
+	// particle load.
+	Reset()
+}
+
+// NewEngine returns the engine a run configuration describes: the global
+// leapfrog for levels <= 0, otherwise the block-timestep engine with levels
+// rung levels and displacement criterion frac (0 = the 0.1 default), measured
+// against the mean interparticle separation box/cbrt(nParticles) of the whole
+// load.  math.Cbrt is exact on perfect cubes, so for an NGrid^3 lattice load
+// the separation is bit for bit box/NGrid.
+func NewEngine(par cosmo.Params, boxSize float64, nParticles, levels int, frac float64) Engine {
+	if levels <= 0 {
+		return NewGlobal(par, boxSize)
+	}
+	return NewBlock(par, boxSize, boxSize/math.Cbrt(float64(nParticles)), levels, frac)
+}
+
+// CheckpointDue is the checkpoint cadence of every stepping loop: a
+// checkpoint follows every every-th completed step except the run's last —
+// the result snapshot is that state.
+func CheckpointDue(stepsDone, every, nSteps int) bool {
+	return every > 0 && stepsDone%every == 0 && stepsDone < nSteps
 }
 
 // Scatter writes a solve's results back into the particle set: every slot
@@ -92,7 +127,7 @@ func (g *Global) Advance(f Forcer, p *particle.Set, clk *Clock, dlnA float64) (*
 	}
 	aHalfNext := math.Sqrt(aNow * aNext)
 
-	res, err := f.Accelerations(p)
+	res, err := f.ActiveForces(p, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +158,7 @@ func (g *Global) Synchronize(f Forcer, p *particle.Set, clk *Clock) (*core.Resul
 	if clk.AMom == clk.A {
 		return nil, nil
 	}
-	res, err := f.Accelerations(p)
+	res, err := f.ActiveForces(p, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -207,29 +242,6 @@ func NewBlock(par cosmo.Params, boxSize, sep float64, levels int, frac float64) 
 		Levels: levels, DisplacementFrac: frac, Sep: sep,
 		WorkDecay: DefaultWorkDecay,
 	}
-}
-
-// State exposes the per-particle integrator state of the current block (nil
-// until the first Advance) for diagnostics and tests.  Rung and AMom alias
-// the particle set's own Rung/MomEpoch arrays; the activity masks are decoded
-// copies of the set's flag bits.
-func (b *Block) State() *State {
-	if !b.primed || b.p == nil {
-		return nil
-	}
-	n := b.p.Len()
-	st := &State{
-		Rung:       b.p.Rung,
-		AMom:       b.p.MomEpoch,
-		Active:     make([]bool, n),
-		Moved:      make([]bool, n),
-		MovedValid: b.movedValid,
-	}
-	for i, fl := range b.p.Flags {
-		st.Active[i] = fl&particle.FlagActive != 0
-		st.Moved[i] = fl&particle.FlagMoved != 0
-	}
-	return st
 }
 
 // RungHistogram returns the particle count per timestep rung of the current

@@ -17,10 +17,6 @@ type fakeForcer struct {
 	actives [][]bool
 }
 
-func (f *fakeForcer) Accelerations(p *particle.Set) (*core.Result, error) {
-	return f.ActiveForces(p, nil, nil)
-}
-
 func (f *fakeForcer) ActiveForces(p *particle.Set, active, moved []bool) (*core.Result, error) {
 	f.calls++
 	var cp []bool
@@ -39,6 +35,16 @@ func (f *fakeForcer) ActiveForces(p *particle.Set, active, moved []bool) (*core.
 		res.Work[i] = float64(100 * (i + 1))
 	}
 	return res, nil
+}
+
+// maxRung is the finest rung assigned in the set — the per-particle
+// integrator state lives in the set itself.
+func maxRung(p *particle.Set) int {
+	r := int8(0)
+	for _, v := range p.Rung {
+		r = max(r, v)
+	}
+	return int(r)
 }
 
 func testParams(t *testing.T) cosmo.Params {
@@ -74,7 +80,7 @@ func TestBlockWorkDecay(t *testing.T) {
 	const n = 32
 	const dlnA = 0.05
 
-	run := func(decay float64, frac float64, spread bool) (*particle.Set, *Block, *fakeForcer) {
+	run := func(decay float64, frac float64, spread bool) (*particle.Set, *fakeForcer) {
 		set := testSet(n)
 		b := NewBlock(par, 1e6, 1.0, 4, frac)
 		b.WorkDecay = decay
@@ -92,18 +98,17 @@ func TestBlockWorkDecay(t *testing.T) {
 		if _, err := b.Advance(f, set, clk, dlnA); err != nil {
 			t.Fatal(err)
 		}
-		return set, b, f
+		return set, f
 	}
 
 	// Momenta spread over four rungs; the forcer's work output is 100*(i+1),
 	// so the post-scatter weights are known exactly and the decay's pull is
 	// directly checkable.
-	set, b, f := run(0.5, 1.0, true)
-	st := b.State()
-	if st.MaxRung() == 0 {
+	set, f := run(0.5, 1.0, true)
+	if maxRung(set) == 0 {
 		t.Fatalf("criterion produced a single rung; momenta spread %v", set.Mom[:4])
 	}
-	sched := Schedule{MaxRung: st.MaxRung()}
+	sched := Schedule{MaxRung: maxRung(set)}
 	if f.calls != sched.Substeps() {
 		t.Fatalf("block ran %d solves, want %d", f.calls, sched.Substeps())
 	}
@@ -117,7 +122,7 @@ func TestBlockWorkDecay(t *testing.T) {
 	mean /= n
 	decayedCoarse := false
 	for i := 0; i < n; i++ {
-		span := sched.Span(int(st.Rung[i]))
+		span := sched.Span(int(set.Rung[i]))
 		want := raw[i]
 		if span > 1 {
 			alpha := 0.5 * (1 - 1/float64(span))
@@ -127,7 +132,7 @@ func TestBlockWorkDecay(t *testing.T) {
 			}
 		}
 		if math.Abs(set.Work[i]-want) > 1e-12*math.Abs(want) {
-			t.Fatalf("particle %d (rung %d, span %d): work %g, want %g", i, st.Rung[i], span, set.Work[i], want)
+			t.Fatalf("particle %d (rung %d, span %d): work %g, want %g", i, set.Rung[i], span, set.Work[i], want)
 		}
 	}
 	if !decayedCoarse {
@@ -135,9 +140,8 @@ func TestBlockWorkDecay(t *testing.T) {
 	}
 
 	// WorkDecay 0: weights stay exactly what the last scatter left.
-	set0, b0, _ := run(0, 1.0, true)
-	st0 := b0.State()
-	if st0.MaxRung() == 0 {
+	set0, _ := run(0, 1.0, true)
+	if maxRung(set0) == 0 {
 		t.Fatal("criterion produced a single rung in the no-decay run")
 	}
 	for i := range raw {
@@ -148,8 +152,8 @@ func TestBlockWorkDecay(t *testing.T) {
 
 	// Single-rung block (loose criterion): decay must be a no-op even when
 	// enabled — this is part of the all-rung-0 bit-identity contract.
-	set1, b1, _ := run(0.5, 1e12, false)
-	if b1.State().MaxRung() != 0 {
+	set1, _ := run(0.5, 1e12, false)
+	if maxRung(set1) != 0 {
 		t.Fatal("loose criterion still assigned rungs")
 	}
 	for i := range raw {
@@ -173,7 +177,7 @@ func TestBlockCheckpointGate(t *testing.T) {
 	if _, err := b.Advance(f, set, clk, 0.05); err != nil {
 		t.Fatal(err)
 	}
-	if b.State().MaxRung() == 0 {
+	if maxRung(set) == 0 {
 		t.Skip("criterion produced a single rung; gate not exercisable")
 	}
 	if err := b.CheckpointReady(clk.AMom); err == nil {
@@ -207,8 +211,8 @@ func TestBlockRungHistogram(t *testing.T) {
 	if total != set.Len() {
 		t.Fatalf("histogram sums to %d, want %d", total, set.Len())
 	}
-	if len(hist) != b.State().MaxRung()+1 {
-		t.Fatalf("histogram has %d rungs, want %d", len(hist), b.State().MaxRung()+1)
+	if len(hist) != maxRung(set)+1 {
+		t.Fatalf("histogram has %d rungs, want %d", len(hist), maxRung(set)+1)
 	}
 }
 
@@ -236,5 +240,46 @@ func TestScatterSubset(t *testing.T) {
 		if set.Pot[i] != float64(10+i) || set.Work[i] != float64(i) {
 			t.Fatalf("nil Result arrays clobbered slot %d", i)
 		}
+	}
+}
+
+// TestNewEngine pins the one engine choice every stepping loop makes — the
+// global leapfrog for 0 levels, the block engine otherwise — and that the
+// separation the block engine derives from a particle count is, for lattice
+// loads, bit for bit the box/NGrid a Config spells (math.Cbrt is exact on
+// perfect cubes), so a single-process run and a rank world assign the same
+// rungs.
+func TestNewEngine(t *testing.T) {
+	par := testParams(t)
+	if g, ok := NewEngine(par, 64, 512, 0, 0.05).(*Global); !ok || g.BoxSize != 64 {
+		t.Fatalf("0 levels: got %#v, want the global leapfrog on the 64 box", g)
+	}
+	for _, box := range []float64{1, 64, 100, 128.7} {
+		for nGrid := 2; nGrid <= 64; nGrid++ {
+			b, ok := NewEngine(par, box, nGrid*nGrid*nGrid, 3, 0.05).(*Block)
+			if !ok || b.Levels != 3 || b.DisplacementFrac != 0.05 || b.BoxSize != box {
+				t.Fatalf("3 levels: got %#v", b)
+			}
+			if want := box / float64(nGrid); b.Sep != want {
+				t.Fatalf("box %g n_grid %d: Sep %v, want box/n_grid = %v", box, nGrid, b.Sep, want)
+			}
+		}
+	}
+}
+
+// TestCheckpointDue is the cadence table: every k-th completed step, never
+// the last (the result snapshot is that state), never without a cadence.
+func TestCheckpointDue(t *testing.T) {
+	var got []int
+	for done := 1; done <= 6; done++ {
+		if CheckpointDue(done, 2, 6) {
+			got = append(got, done)
+		}
+	}
+	if len(got) != 2 || got[0] != 2 || got[1] != 4 {
+		t.Errorf("every 2 of 6 steps: checkpoints after %v, want [2 4]", got)
+	}
+	if CheckpointDue(3, 0, 6) || CheckpointDue(6, 1, 6) {
+		t.Error("a checkpoint is due without a cadence or after the last step")
 	}
 }

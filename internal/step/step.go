@@ -51,55 +51,6 @@ func (s Schedule) LowestActive(k int) int {
 	return r
 }
 
-// Active reports whether rung r steps at substep k.
-func (s Schedule) Active(r, k int) bool { return r >= s.LowestActive(k) }
-
-// State is the per-particle integrator state a block-stepped run carries
-// between substeps: the rung assignment of the current block, each
-// particle's momentum epoch (particles on different rungs trail their
-// positions by different half-steps, and a particle that changes rung keeps
-// its old epoch until its next kick bridges the gap — exactly how the global
-// leapfrog primes itself), the active mask of the current substep, and the
-// set of particles drifted since the last force solve (the dirty set of the
-// next incremental tree rebuild).
-type State struct {
-	Rung   []int8
-	AMom   []float64
-	Active []bool
-	// Moved marks the particles whose positions changed since the most
-	// recent force solve; it is only meaningful when MovedValid is set
-	// (false right after construction, when no solve has seen the current
-	// positions yet).
-	Moved      []bool
-	MovedValid bool
-}
-
-// NewState returns a state for n particles, all on rung 0 with their momenta
-// at epoch aMom.
-func NewState(n int, aMom float64) *State {
-	st := &State{
-		Rung:   make([]int8, n),
-		AMom:   make([]float64, n),
-		Active: make([]bool, n),
-		Moved:  make([]bool, n),
-	}
-	for i := range st.AMom {
-		st.AMom[i] = aMom
-	}
-	return st
-}
-
-// MaxRung returns the finest rung currently assigned (0 for an empty state).
-func (st *State) MaxRung() int {
-	r := int8(0)
-	for _, v := range st.Rung {
-		if v > r {
-			r = v
-		}
-	}
-	return int(r)
-}
-
 // FactorCache memoizes a two-point integral factor (a cosmological kick or
 // drift factor) for one fixed target epoch over the distinct "from" epochs
 // appearing in a substep.  Particles sharing a rung history share a momentum

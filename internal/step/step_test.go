@@ -44,12 +44,9 @@ func TestScheduleLadder(t *testing.T) {
 		for k := 0; k < s.Substeps(); k++ {
 			lo := s.LowestActive(k)
 			for r := 0; r <= R; r++ {
-				active := s.Active(r, k)
+				active := r >= lo
 				if active != (k%s.Span(r) == 0) {
-					t.Fatalf("R=%d k=%d r=%d: Active=%v but span=%d", R, k, r, active, s.Span(r))
-				}
-				if active != (r >= lo) {
-					t.Fatalf("R=%d k=%d r=%d: LowestActive=%d inconsistent", R, k, r, lo)
+					t.Fatalf("R=%d k=%d r=%d: LowestActive=%d but span=%d", R, k, r, lo, s.Span(r))
 				}
 				if active {
 					steps[r]++
@@ -67,7 +64,7 @@ func TestScheduleLadder(t *testing.T) {
 	}
 }
 
-func TestMaxRung(t *testing.T) {
+func TestRungForSpread(t *testing.T) {
 	maxStep := []float64{2, 0.5, 0.1, math.Inf(1)}
 	dst := make([]int8, len(maxStep))
 	for i, ms := range maxStep {
@@ -78,10 +75,6 @@ func TestMaxRung(t *testing.T) {
 		if dst[i] != want[i] {
 			t.Errorf("rung[%d] = %d, want %d", i, dst[i], want[i])
 		}
-	}
-	st := &State{Rung: dst}
-	if st.MaxRung() != 3 {
-		t.Errorf("MaxRung = %d, want 3", st.MaxRung())
 	}
 }
 
@@ -105,17 +98,5 @@ func TestFactorCache(t *testing.T) {
 	c.SetTarget(2.0)
 	if v := c.At(0.25); v != 1.75 || calls != 3 {
 		t.Fatalf("after retarget: At(0.25) = %g with %d calls", v, calls)
-	}
-}
-
-func TestNewState(t *testing.T) {
-	st := NewState(3, 0.5)
-	if st.MovedValid {
-		t.Error("fresh state claims a valid moved set")
-	}
-	for i := range st.AMom {
-		if st.AMom[i] != 0.5 || st.Rung[i] != 0 {
-			t.Errorf("particle %d: amom %g rung %d", i, st.AMom[i], st.Rung[i])
-		}
 	}
 }

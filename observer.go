@@ -158,10 +158,6 @@ type observedForcer struct {
 	s *Simulation
 }
 
-func (o observedForcer) Accelerations(p *particle.Set) (*core.Result, error) {
-	return o.ActiveForces(p, nil, nil)
-}
-
 func (o observedForcer) ActiveForces(p *particle.Set, active, moved []bool) (*core.Result, error) {
 	res, err := o.s.Solver().ActiveForces(p, active, moved)
 	if err != nil {

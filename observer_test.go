@@ -152,14 +152,14 @@ func TestWorkDecayNeverChangesTrajectory(t *testing.T) {
 		if err := sim.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if eng.State() == nil {
+		if eng.RungHistogram() == nil {
 			t.Fatal("block engine kept no state")
 		}
 		return sim, snaps
 	}
 	on, onW := run(step.DefaultWorkDecay)
 	off, offW := run(0)
-	if bs := blockState(on); bs.MaxRung() == 0 {
+	if maxRung(on) == 0 {
 		t.Skip("criterion produced a single rung; decay unexercised")
 	}
 	for i := range on.P.Pos {

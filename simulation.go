@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"path/filepath"
 
 	"twohot/internal/core"
@@ -90,20 +89,11 @@ func New(cfg Config, opts ...Option) (*Simulation, error) {
 	if _, ok := s.stepper.(*step.Block); ok {
 		needsActive = true
 	}
-	if needsActive {
-		probe := s.solver
-		if probe == nil {
-			// Constructing an adapter only applies defaults (no trees, no
-			// meshes), so probing the configured backend's capabilities is
-			// cheap (cfg already validated).
-			probe, err = NewForceSolver(cfg)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if !probe.Capabilities().ActiveSubsets {
-			return nil, fmt.Errorf("twohot: block stepping requires a solver with active-subset support; %q lacks it", probe.Name())
-		}
+	// Solver() builds the configured backend when none was injected:
+	// construction only applies defaults (no trees, no meshes) and the
+	// simulation keeps it.
+	if needsActive && !s.Solver().Capabilities().ActiveSubsets {
+		return nil, fmt.Errorf("twohot: block stepping requires a solver with active-subset support; %q lacks it", s.Solver().Name())
 	}
 	return s, nil
 }
@@ -129,7 +119,8 @@ func (s *Simulation) Solver() ForceSolver {
 // Config.BlockSteps > 0, the global leapfrog otherwise).
 func (s *Simulation) Stepper() Stepper {
 	if s.stepper == nil {
-		s.stepper = newStepper(s)
+		c := s.Cfg
+		s.stepper = step.NewEngine(s.Par, c.BoxSize, c.NGrid*c.NGrid*c.NGrid, c.BlockSteps, c.RungDisplacementFrac)
 	}
 	return s.stepper
 }
@@ -218,7 +209,7 @@ func (s *Simulation) Accelerations() ([]vec.V3, error) {
 	if s.P == nil {
 		return nil, fmt.Errorf("twohot: no particles loaded")
 	}
-	res, err := s.forcer().Accelerations(s.P)
+	res, err := s.forcer().ActiveForces(s.P, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -312,9 +303,9 @@ func (s *Simulation) RunContext(ctx context.Context) error {
 		aStart = s.A
 		s.AInit = aStart
 	}
-	dlnA := math.Log(aFinal/aStart) / float64(s.Cfg.NSteps)
+	dlnA := s.Cfg.dlnA(aStart)
 	sched := s.Cfg.Analysis.schedule()
-	for stp := s.StepCount; stp < s.Cfg.NSteps && s.A < aFinal-1e-12; stp++ {
+	for s.StepCount < s.Cfg.NSteps && s.A < aFinal-1e-12 {
 		if err := ctx.Err(); err != nil {
 			return runCanceled(ctx, s.StepCount)
 		}
@@ -348,7 +339,7 @@ func (s *Simulation) RunContext(ctx context.Context) error {
 		// represent, so a due checkpoint first closes the leapfrog at the
 		// boundary (all-rung-0 and global states are already representable
 		// and are written unchanged, preserving their bit-identity).
-		if k := s.Cfg.CheckpointEvery; k > 0 && s.StepCount%k == 0 && stp+1 < s.Cfg.NSteps {
+		if step.CheckpointDue(s.StepCount, s.Cfg.CheckpointEvery, s.Cfg.NSteps) {
 			if s.Stepper().CheckpointReady(s.AMom) != nil {
 				if err := s.Synchronize(); err != nil {
 					return err

@@ -16,19 +16,11 @@ package twohot
 import (
 	"math"
 	"testing"
-
-	"twohot/internal/step"
 )
 
-// blockState reaches into the block-timestep engine of a simulation for the
-// per-particle integrator state (nil when the stepper is not a block engine
-// or no block has run).
-func blockState(s *Simulation) *step.State {
-	if b, ok := s.Stepper().(*step.Block); ok {
-		return b.State()
-	}
-	return nil
-}
+// maxRung is the finest rung the simulation's last block occupied (-1 when the
+// stepper is not a block engine or no block has run).
+func maxRung(s *Simulation) int { return len(s.RungHistogram()) - 1 }
 
 // blockConfig is smallConfig tuned so a handful of steps finishes quickly
 // under -race while still exercising the periodic tree path.
@@ -82,11 +74,8 @@ func TestBlockStepAllRungZeroMatchesGlobal(t *testing.T) {
 	loose.BlockSteps = 4
 	loose.RungDisplacementFrac = 1e12
 	got := runSim(t, loose)
-	if blockState(got) == nil {
-		t.Fatal("block-step run kept no block state")
-	}
-	if blockState(got).MaxRung() != 0 {
-		t.Fatalf("loose criterion still assigned rungs up to %d", blockState(got).MaxRung())
+	if maxRung(got) != 0 {
+		t.Fatalf("loose criterion left the finest occupied rung at %d, want 0", maxRung(got))
 	}
 	assertBitIdentical(t, "blocksteps=4/loose", ref, got)
 }
@@ -131,7 +120,7 @@ func TestBlockStepMultiRung(t *testing.T) {
 	}
 
 	occupied := map[int8]bool{}
-	for _, r := range blockState(sim).Rung {
+	for _, r := range sim.P.Rung {
 		occupied[r] = true
 	}
 	if len(occupied) < 2 {
@@ -198,7 +187,7 @@ func TestBlockStepCheckpointGate(t *testing.T) {
 	if err := sim.StepOnce(dlnA); err != nil {
 		t.Fatal(err)
 	}
-	if blockState(sim).MaxRung() == 0 {
+	if maxRung(sim) == 0 {
 		t.Skip("criterion produced a single rung; gate not exercisable")
 	}
 	path := t.TempDir() + "/mid.sdf"

@@ -172,10 +172,8 @@ func TestDistributedBlockAllRungZeroBitIdenticalToGlobal(t *testing.T) {
 		if err := got.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if bs := blockState(got); bs == nil {
-			t.Fatal("block-step run kept no block state")
-		} else if bs.MaxRung() != 0 {
-			t.Fatalf("ranks=%d: loose criterion still assigned rungs up to %d", ranks, bs.MaxRung())
+		if maxRung(got) != 0 {
+			t.Fatalf("ranks=%d: loose criterion left the finest occupied rung at %d, want 0", ranks, maxRung(got))
 		}
 		assertBitIdenticalByID(t, fmt.Sprintf("ranks=%d", ranks), ref, got)
 	}
@@ -208,7 +206,7 @@ func TestDistributedBlockMultiRungMatchesSerialBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	occupied := map[int8]bool{}
-	for _, r := range blockState(serial).Rung {
+	for _, r := range serial.P.Rung {
 		occupied[r] = true
 	}
 	if len(occupied) < 2 {

@@ -25,24 +25,7 @@ func smallConfig() Config {
 }
 
 // Validation accept/reject branches live in the TestConfigValidate table in
-// config_test.go.
-
-func TestConfigRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	cfg := DefaultConfig()
-	cfg.Name = "roundtrip"
-	path := filepath.Join(dir, "cfg.json")
-	if err := cfg.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadConfig(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != cfg.Name || got.NGrid != cfg.NGrid || got.ErrTol != cfg.ErrTol {
-		t.Errorf("config round trip mismatch: %+v vs %+v", got, cfg)
-	}
-}
+// config_test.go, the file round trip in TestLoadConfigLayersOverDefaults.
 
 func TestGenerateICsBasicProperties(t *testing.T) {
 	cfg := smallConfig()

@@ -78,7 +78,7 @@ func NewForceSolver(cfg Config) (ForceSolver, error) {
 		}
 		return NewTreeForceSolver(cfg.treeConfig()), nil
 	case SolverTreePM:
-		return NewTreePMForceSolver(cfg.treePMTreeConfig(), cfg.pmOptions()), nil
+		return NewTreePMForceSolver(cfg.treeConfig(), cfg.pmOptions()), nil
 	case SolverPM:
 		return NewPMForceSolver(cfg.pmOptions()), nil
 	case SolverDirect:
@@ -91,43 +91,49 @@ func NewForceSolver(cfg Config) (ForceSolver, error) {
 	}
 }
 
-// treeForceSolver adapts the shared-memory core.TreeSolver.
-type treeForceSolver struct {
-	ts *core.TreeSolver
+// backendForceSolver is the one ForceSolver implementation: a name, what the
+// backend supports, its solve and its reset.  The constructors below only say
+// what differs between backends; the contract's shared half — Accelerations
+// is an unmasked ActiveForces, a mask without ActiveSubsets is an error —
+// lives here once.
+type backendForceSolver struct {
+	name  string
+	caps  Capabilities
+	solve func(p *particle.Set, active, moved []bool) (*core.Result, error)
+	reset func() // nil: the backend keeps no cross-call state
+}
+
+func (b *backendForceSolver) Name() string { return b.name }
+
+func (b *backendForceSolver) Capabilities() Capabilities { return b.caps }
+
+func (b *backendForceSolver) Accelerations(p *particle.Set) (*core.Result, error) {
+	return b.ActiveForces(p, nil, nil)
+}
+
+func (b *backendForceSolver) ActiveForces(p *particle.Set, active, moved []bool) (*core.Result, error) {
+	if active != nil && !b.caps.ActiveSubsets {
+		return nil, fmt.Errorf("twohot: the %s solver does not support active-subset solves", b.name)
+	}
+	return b.solve(p, active, moved)
+}
+
+func (b *backendForceSolver) Reset() {
+	if b.reset != nil {
+		b.reset()
+	}
 }
 
 // NewTreeForceSolver wraps the shared-memory 2HOT tree solver as a
 // ForceSolver.
 func NewTreeForceSolver(cfg core.TreeConfig) ForceSolver {
-	return &treeForceSolver{ts: core.NewTreeSolver(cfg)}
-}
-
-func (t *treeForceSolver) Name() string { return string(SolverTree) }
-
-func (t *treeForceSolver) Capabilities() Capabilities {
-	return Capabilities{
-		ActiveSubsets: true,
-		Incremental:   t.ts.Cfg.Incremental,
-		WorkFeedback:  true,
-		Potential:     true,
+	ts := core.NewTreeSolver(cfg)
+	return &backendForceSolver{
+		name:  string(SolverTree),
+		caps:  Capabilities{ActiveSubsets: true, Incremental: ts.Cfg.Incremental, WorkFeedback: true, Potential: true},
+		solve: ts.ActiveForces,
+		reset: ts.ResetReuse,
 	}
-}
-
-func (t *treeForceSolver) Accelerations(p *particle.Set) (*core.Result, error) {
-	return t.ActiveForces(p, nil, nil)
-}
-
-func (t *treeForceSolver) ActiveForces(p *particle.Set, active, moved []bool) (*core.Result, error) {
-	return t.ts.ForcesActive(p.Pos, p.Mass, p.Work, active, moved)
-}
-
-func (t *treeForceSolver) Reset() { t.ts.ResetReuse() }
-
-// distTreeForceSolver runs every solve through the message-passing
-// DistributedStep pipeline on in-process ranks.
-type distTreeForceSolver struct {
-	cfg   core.TreeConfig
-	ranks int
 }
 
 // NewDistributedTreeForceSolver wraps the distributed tree pipeline
@@ -138,124 +144,82 @@ type distTreeForceSolver struct {
 // domain decomposition balances the per-particle work recorded by the
 // previous solve (carried in Set.Work across the exchange) — the paper's
 // cross-step amortization.
+//
+// Active subsets cross the rank boundary: the mask is stamped into the set's
+// flags, travels with each particle through the domain exchange, and prunes
+// every rank's traversal (DistributedConfig.ActiveMask); a nil mask leaves
+// the flags alone and takes the plain full-solve path.  Incremental rebuilds
+// stop at the boundary — each solve chooses fresh splitters and rebuilds the
+// local trees.
 func NewDistributedTreeForceSolver(cfg core.TreeConfig, ranks int) ForceSolver {
-	return &distTreeForceSolver{cfg: cfg, ranks: ranks}
-}
-
-func (t *distTreeForceSolver) Name() string { return string(SolverTree) }
-
-func (t *distTreeForceSolver) Capabilities() Capabilities {
-	// Active subsets cross the rank boundary: the mask is stamped into the
-	// set's flags, travels with each particle through the domain exchange,
-	// and prunes every rank's traversal (DistributedConfig.ActiveMask).
-	// Incremental rebuilds still stop at the boundary — each solve chooses
-	// fresh splitters and rebuilds the local trees.
-	return Capabilities{ActiveSubsets: true, WorkFeedback: true, Potential: true}
-}
-
-func (t *distTreeForceSolver) Accelerations(p *particle.Set) (*core.Result, error) {
-	return t.ActiveForces(p, nil, nil)
-}
-
-func (t *distTreeForceSolver) ActiveForces(p *particle.Set, active, moved []bool) (*core.Result, error) {
-	// Stamp the caller's mask into the per-particle flags so it survives the
-	// rank exchange; a nil mask leaves the flags alone and takes the plain
-	// full-solve path, bit-identical to Accelerations.
-	if active != nil {
-		p.SetActive(active)
+	solve := func(p *particle.Set, active, moved []bool) (*core.Result, error) {
+		if active != nil {
+			p.SetActive(active)
+		}
+		res, err := core.DistributedStep(p, core.DistributedConfig{
+			Tree:           cfg,
+			NRanks:         ranks,
+			BranchExchange: "ring",
+			UseWorkWeights: true,
+			ActiveMask:     active != nil,
+		})
+		if err != nil {
+			return nil, err
+		}
+		// Regroup in place so the caller's Set pointer stays valid.
+		*p = *res.ParticlesOut
+		return &core.Result{Acc: p.Acc, Pot: p.Pot, Work: p.Work, Counters: res.Counters, Timings: res.Timings}, nil
 	}
-	res, err := core.DistributedStep(p, core.DistributedConfig{
-		Tree:           t.cfg,
-		NRanks:         t.ranks,
-		BranchExchange: "ring",
-		UseWorkWeights: true,
-		ActiveMask:     active != nil,
-	})
-	if err != nil {
-		return nil, err
+	return &backendForceSolver{
+		name:  string(SolverTree),
+		caps:  Capabilities{ActiveSubsets: true, WorkFeedback: true, Potential: true},
+		solve: solve,
 	}
-	// Regroup in place so the caller's Set pointer stays valid.
-	*p = *res.ParticlesOut
-	return &core.Result{
-		Acc:      p.Acc,
-		Pot:      p.Pot,
-		Work:     p.Work,
-		Counters: res.Counters,
-		Timings:  res.Timings,
-	}, nil
 }
 
-func (t *distTreeForceSolver) Reset() {}
-
-// treePMForceSolver is the production TreePM composite: the Gaussian-split
-// mesh long range (pm.Solver.LongRange) plus the tree-evaluated
+// NewTreePMForceSolver composes the production TreePM as one ForceSolver: the
+// Gaussian-split mesh long range (pm.Solver.LongRange) plus the tree-evaluated
 // erfc-complement short range (core.TreeSolver in split mode).  Because the
 // short range runs through the tree, the composite inherits the tree's
 // active-subset, incremental-rebuild and work-feedback machinery — the mesh
 // half depends on every position but is deterministic, so active slots of a
-// subset solve stay bit-identical to a full solve.
-type treePMForceSolver struct {
-	ts      *core.TreeSolver
-	ps      *pm.Solver
-	longAcc []vec.V3
-}
-
-// NewTreePMForceSolver composes a split-mode tree short range with a mesh
-// long range as one ForceSolver.  treeCfg must carry the split (SplitRS > 0,
-// matching the mesh options' Asmth split scale) and must leave background
-// subtraction and the far lattice off; NewForceSolver derives such a pair
-// from a Config via treePMTreeConfig/pmOptions.
+// subset solve stay bit-identical to a full solve.  The short-range kernel
+// sums alone are not the system potential (the mesh half supplies none), so
+// the composite does not advertise one.
+//
+// treeCfg must carry the split (SplitRS > 0, matching the mesh options' Asmth
+// split scale) and must leave background subtraction and the far lattice off;
+// NewForceSolver derives such a pair from a Config via treeConfig/pmOptions.
 func NewTreePMForceSolver(treeCfg core.TreeConfig, pmOpt pm.Options) ForceSolver {
-	return &treePMForceSolver{ts: core.NewTreeSolver(treeCfg), ps: pm.NewSolver(pmOpt)}
-}
-
-func (s *treePMForceSolver) Name() string { return string(SolverTreePM) }
-
-func (s *treePMForceSolver) Capabilities() Capabilities {
-	// The short-range kernel sums alone are not the system potential (the
-	// mesh half supplies none), so the composite does not advertise one.
-	return Capabilities{
-		ActiveSubsets: true,
-		Incremental:   s.ts.Cfg.Incremental,
-		WorkFeedback:  true,
-		Potential:     false,
-	}
-}
-
-func (s *treePMForceSolver) Accelerations(p *particle.Set) (*core.Result, error) {
-	return s.ActiveForces(p, nil, nil)
-}
-
-func (s *treePMForceSolver) ActiveForces(p *particle.Set, active, moved []bool) (*core.Result, error) {
-	if p.Len() == 0 {
-		return &core.Result{}, nil
-	}
-	res, err := s.ts.ForcesActive(p.Pos, p.Mass, p.Work, active, moved)
-	if err != nil {
-		return nil, err
-	}
-	// The mesh force depends on every position through the deposit, so it is
-	// recomputed per solve; only active slots receive it (inactive slots of a
-	// subset solve are unspecified, like the tree's).
-	if cap(s.longAcc) < p.Len() {
-		s.longAcc = make([]vec.V3, p.Len())
-	}
-	long := s.longAcc[:p.Len()]
-	s.ps.LongRange(p.Pos, p.Mass[0], long)
-	for i := range res.Acc {
-		if active == nil || active[i] {
-			res.Acc[i] = res.Acc[i].Add(long[i])
+	ts, ps := core.NewTreeSolver(treeCfg), pm.NewSolver(pmOpt)
+	var long []vec.V3
+	solve := func(p *particle.Set, active, moved []bool) (*core.Result, error) {
+		res, err := ts.ActiveForces(p, active, moved)
+		if err != nil || p.Len() == 0 {
+			return res, err
 		}
+		// The mesh force depends on every position through the deposit, so it is
+		// recomputed per solve; only active slots receive it (inactive slots of a
+		// subset solve are unspecified, like the tree's).
+		if cap(long) < p.Len() {
+			long = make([]vec.V3, p.Len())
+		}
+		long = long[:p.Len()]
+		ps.LongRange(p.Pos, p.Mass[0], long)
+		for i := range res.Acc {
+			if active == nil || active[i] {
+				res.Acc[i] = res.Acc[i].Add(long[i])
+			}
+		}
+		res.Pot = nil
+		return res, nil
 	}
-	res.Pot = nil
-	return res, nil
-}
-
-func (s *treePMForceSolver) Reset() { s.ts.ResetReuse() }
-
-// pmForceSolver adapts the particle-mesh / TreePM solver.
-type pmForceSolver struct {
-	ps *pm.Solver
+	return &backendForceSolver{
+		name:  string(SolverTreePM),
+		caps:  Capabilities{ActiveSubsets: true, Incremental: ts.Cfg.Incremental, WorkFeedback: true},
+		solve: solve,
+		reset: ts.ResetReuse,
+	}
 }
 
 // NewPMForceSolver wraps the mesh solver as a ForceSolver: pure PM when
@@ -266,62 +230,27 @@ type pmForceSolver struct {
 // bench tool compare the tree walk against.  Mesh state is allocated per
 // solve, so construction is free.
 func NewPMForceSolver(opt pm.Options) ForceSolver {
-	return &pmForceSolver{ps: pm.NewSolver(opt)}
-}
-
-func (s *pmForceSolver) Name() string {
-	if s.ps.Opt.Asmth > 0 {
-		return string(SolverTreePM)
+	ps := pm.NewSolver(opt)
+	name := SolverPM
+	if opt.Asmth > 0 {
+		name = SolverTreePM
 	}
-	return string(SolverPM)
-}
-
-func (s *pmForceSolver) Capabilities() Capabilities { return Capabilities{} }
-
-func (s *pmForceSolver) Accelerations(p *particle.Set) (*core.Result, error) {
-	return s.ActiveForces(p, nil, nil)
-}
-
-func (s *pmForceSolver) ActiveForces(p *particle.Set, active, moved []bool) (*core.Result, error) {
-	if active != nil {
-		return nil, fmt.Errorf("twohot: the %s solver does not support active-subset solves", s.Name())
-	}
-	if p.Len() == 0 {
-		return &core.Result{}, nil
-	}
-	acc := make([]vec.V3, p.Len())
-	s.ps.Accelerations(p.Pos, p.Mass[0], acc)
-	return &core.Result{Acc: acc}, nil
-}
-
-func (s *pmForceSolver) Reset() {}
-
-// directForceSolver adapts the O(N^2) reference.
-type directForceSolver struct {
-	d core.DirectSolver
+	return &backendForceSolver{name: string(name), solve: func(p *particle.Set, _, _ []bool) (*core.Result, error) {
+		if p.Len() == 0 {
+			return &core.Result{}, nil
+		}
+		acc := make([]vec.V3, p.Len())
+		ps.Accelerations(p.Pos, p.Mass[0], acc)
+		return &core.Result{Acc: acc}, nil
+	}}
 }
 
 // NewDirectForceSolver wraps the direct-summation reference (brute-force
 // Ewald for periodic configurations) as a ForceSolver.
 func NewDirectForceSolver(d core.DirectSolver) ForceSolver {
-	return &directForceSolver{d: d}
-}
-
-func (s *directForceSolver) Name() string { return string(SolverDirect) }
-
-func (s *directForceSolver) Capabilities() Capabilities {
-	return Capabilities{Potential: true}
-}
-
-func (s *directForceSolver) Accelerations(p *particle.Set) (*core.Result, error) {
-	return s.ActiveForces(p, nil, nil)
-}
-
-func (s *directForceSolver) ActiveForces(p *particle.Set, active, moved []bool) (*core.Result, error) {
-	if active != nil {
-		return nil, fmt.Errorf("twohot: the direct solver does not support active-subset solves")
+	return &backendForceSolver{
+		name:  string(SolverDirect),
+		caps:  Capabilities{Potential: true},
+		solve: func(p *particle.Set, _, _ []bool) (*core.Result, error) { return d.Forces(p.Pos, p.Mass) },
 	}
-	return s.d.Forces(p.Pos, p.Mass)
 }
-
-func (s *directForceSolver) Reset() {}

@@ -9,10 +9,14 @@ package twohot
 
 import (
 	"math"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"twohot/internal/core"
 	"twohot/internal/cosmo"
+	"twohot/internal/particle"
 	"twohot/internal/pm"
 	"twohot/internal/step"
 	"twohot/internal/vec"
@@ -93,21 +97,6 @@ func TestSolverConformance(t *testing.T) {
 				t.Errorf("Result.Work presence %v contradicts Capabilities.WorkFeedback %v", got, caps.WorkFeedback)
 			}
 
-			// ActiveForces honesty: a non-nil mask must be accepted exactly
-			// when ActiveSubsets is claimed; a nil mask always works.
-			mask := make([]bool, sim.P.Len())
-			mask[0] = true
-			_, err = sim.Solver().ActiveForces(sim.P, mask, nil)
-			if caps.ActiveSubsets && err != nil {
-				t.Errorf("ActiveForces rejected a mask despite ActiveSubsets: %v", err)
-			}
-			if !caps.ActiveSubsets && err == nil {
-				t.Error("ActiveForces accepted a mask despite !ActiveSubsets")
-			}
-			if _, err := sim.Solver().ActiveForces(sim.P, nil, nil); err != nil {
-				t.Errorf("ActiveForces with a nil mask failed: %v", err)
-			}
-
 			// Momentum conservation: gravity is internal, so the
 			// mass-weighted accelerations must sum to ~zero.
 			var fSum vec.V3
@@ -139,6 +128,74 @@ func TestSolverConformance(t *testing.T) {
 	}
 }
 
+// TestSolverConstructorsShareOneContract is the half of the contract the one
+// adapter owns, checked on every exported constructor: a mask is accepted
+// exactly when ActiveSubsets is claimed and otherwise draws the one error,
+// Accelerations is the unmasked ActiveForces bit for bit, and a Reset solver
+// solves like a fresh one.
+func TestSolverConstructorsShareOneContract(t *testing.T) {
+	cfg := conformanceConfig(SolverTree)
+	cfg.Workers = 2
+	tpm := cfg
+	tpm.Solver = SolverTreePM
+	pmOnly := cfg
+	pmOnly.Solver = SolverPM
+	load := conformanceSim(t, cfg).P
+	for _, tc := range []struct {
+		name string
+		n    int // particles of the load to solve for
+		mk   func() ForceSolver
+	}{
+		{"tree", load.Len(), func() ForceSolver { return NewTreeForceSolver(cfg.treeConfig()) }},
+		{"distributed tree", load.Len(), func() ForceSolver { return NewDistributedTreeForceSolver(cfg.treeConfig(), 2) }},
+		{"treepm", load.Len(), func() ForceSolver { return NewTreePMForceSolver(tpm.treeConfig(), tpm.pmOptions()) }},
+		{"pm", load.Len(), func() ForceSolver { return NewPMForceSolver(pmOnly.pmOptions()) }},
+		// Every pair pays a full Ewald lattice sum (~1 ms): 16 particles.
+		{"direct", 16, func() ForceSolver {
+			return NewDirectForceSolver(core.DirectSolver{Kernel: cfg.kernel(), Eps: cfg.SofteningLength(), G: cosmo.G, Periodic: true, BoxSize: cfg.BoxSize})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// A fresh copy of the first tc.n particles per solve (the distributed
+			// backend regroups its set in place).
+			set := func() *particle.Set { return load.Chunk(0, load.Len()/tc.n) }
+			same := func(what string, a, b *core.Result) {
+				t.Helper()
+				if !reflect.DeepEqual(a.Acc, b.Acc) || !reflect.DeepEqual(a.Pot, b.Pot) || !reflect.DeepEqual(a.Work, b.Work) {
+					t.Errorf("%s: results differ", what)
+				}
+			}
+			fs := tc.mk()
+			mask := make([]bool, tc.n)
+			mask[0] = true
+			_, err := fs.ActiveForces(set(), mask, nil)
+			if fs.Capabilities().ActiveSubsets {
+				if err != nil {
+					t.Errorf("ActiveForces rejected a mask despite ActiveSubsets: %v", err)
+				}
+			} else if want := "the " + fs.Name() + " solver does not support active-subset solves"; err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("mask without ActiveSubsets: got error %v, want %q", err, want)
+			}
+
+			full, err := fs.Accelerations(set())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := tc.mk().ActiveForces(set(), nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same("Accelerations vs ActiveForces(p, nil, nil)", full, fresh)
+			fs.Reset()
+			again, err := fs.ActiveForces(set(), nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same("Reset-then-solve vs a fresh solver", again, fresh)
+		})
+	}
+}
+
 // TestSolverLazyConstruction pins that New builds no solver or stepper (a
 // pure tree run owns no PM solver, a pure PM run no tree solver), that the
 // first use builds exactly the configured backend, and that building one
@@ -157,16 +214,20 @@ func TestSolverLazyConstruction(t *testing.T) {
 			t.Fatalf("lazily built solver %q, want %q", name, kind)
 		}
 	}
-	// Constructing an adapter applies defaults and nothing else: no tree is
-	// built before the first solve (the mesh solver holds only its options).
-	fs := NewTreeForceSolver(core.TreeConfig{})
-	if fs.(*treeForceSolver).ts.LastTree != nil {
-		t.Error("tree adapter built a tree before the first solve")
-	}
-	tpCfg := conformanceConfig(SolverTreePM)
-	tp := NewTreePMForceSolver(tpCfg.treePMTreeConfig(), tpCfg.pmOptions())
-	if c := tp.(*treePMForceSolver); c.ts.LastTree != nil || c.longAcc != nil {
-		t.Error("treepm composite allocated solve state before the first solve")
+	// Constructing a solver applies defaults and nothing else: no tree, no
+	// mesh grid (a 256^3 grid alone is 128 MiB) and no staging buffer exists
+	// before the first solve.
+	big := conformanceConfig(SolverTreePM)
+	big.PMGrid = 256
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	NewTreeForceSolver(core.TreeConfig{})
+	NewDistributedTreeForceSolver(core.TreeConfig{}, 2)
+	NewTreePMForceSolver(big.treeConfig(), big.pmOptions())
+	NewPMForceSolver(big.pmOptions())
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("constructing the solvers allocated %d bytes of solve state", grew)
 	}
 }
 
@@ -281,7 +342,7 @@ func TestTreeAdapterBitIdenticalToLegacyPath(t *testing.T) {
 	la, laMom := sim.A, sim.AMom
 
 	legacySolve := func() []vec.V3 {
-		res, err := legacy.ForcesWithWork(lp.Pos, lp.Mass, lp.Work)
+		res, err := legacy.ActiveForces(lp, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,8 +11,9 @@ import (
 // whatever ForceSolver the simulation carries, and closes the leapfrog when
 // asked to synchronize.  The built-in engines live in internal/step — the
 // global single-rung leapfrog (step.Global) and the hierarchical
-// block-timestep integrator (step.Block) — and a Simulation selects between
-// them from Config.BlockSteps, or accepts a custom engine via WithStepper.
+// block-timestep integrator (step.Block) — and a Simulation takes the one
+// step.NewEngine picks for Config.BlockSteps (the choice every stepping loop
+// shares), or accepts a custom engine via WithStepper.
 //
 // Both Advance and Synchronize mutate the particle set and the clock in
 // place and return the last force result of the call (nil when no solve was
@@ -33,14 +34,4 @@ type Stepper interface {
 	// Reset drops per-particle integrator history, as after installing a
 	// new particle load.
 	Reset()
-}
-
-// newStepper constructs the stepping engine a configuration describes.
-func newStepper(s *Simulation) Stepper {
-	cfg := s.Cfg
-	if cfg.BlockSteps > 0 {
-		sep := cfg.BoxSize / float64(cfg.NGrid)
-		return step.NewBlock(s.Par, cfg.BoxSize, sep, cfg.BlockSteps, cfg.RungDisplacementFrac)
-	}
-	return step.NewGlobal(s.Par, cfg.BoxSize)
 }
