@@ -6,7 +6,6 @@ import (
 
 	"twohot/internal/analysis"
 	"twohot/internal/massfunc"
-	"twohot/internal/sdf"
 )
 
 // AnalysisInfo is the payload delivered to analysis observers: why the output
@@ -101,27 +100,23 @@ func (s *Simulation) runScheduledAnalysis(due []analysis.Trigger) error {
 
 // AnalyzeSnapshot measures the configuration's analyzers over a snapshot file
 // — the post-hoc counterpart of in-situ analysis, used to analyze cluster
-// results and archived states.  The trigger is recorded verbatim in the
-// catalog; passing the trigger an in-situ run would have used makes the
-// output byte-comparable with the in-situ catalog of the same state (analysis
-// canonicalizes particle order by ID, so the snapshot's on-disk order does
-// not matter).  The snapshot's completed-step count ("step" in its header)
-// overrides the trigger's Step when present and the trigger leaves it zero.
+// results and archived states.  The snapshot is installed exactly as
+// RestoreCheckpoint installs it (its box size and completed-step count win
+// over the configuration's), and the trigger is recorded verbatim in the
+// catalog, its Step filled from the snapshot when zero.  Passing the trigger
+// an in-situ run would have used makes the output byte-comparable with the
+// in-situ catalog of the same state (analysis canonicalizes particle order by
+// ID, so the snapshot's on-disk order does not matter).
 func AnalyzeSnapshot(cfg Config, path string, trig analysis.Trigger) (*analysis.Catalog, error) {
 	s, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	snap, err := sdf.Read(path)
-	if err != nil {
+	if err := s.RestoreCheckpoint(path); err != nil {
 		return nil, err
 	}
 	if trig.Step == 0 {
-		trig.Step, _ = snap.StepGrid()
+		trig.Step = s.StepCount
 	}
-	s.P = snap.Particles
-	s.A = snap.ScaleFac
-	s.AMom = snap.MomentumScaleFac
-	s.StepCount = trig.Step
 	return s.analysisCatalog(trig)
 }

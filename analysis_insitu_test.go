@@ -405,7 +405,7 @@ func tier2Run(t *testing.T) tier2Result {
 		}
 		aInit := sim.A
 		mesh := 2 * cfg.NGrid
-		tier2.icPk = sim.PowerSpectrum(mesh)
+		tier2.icPk = grid.MeasureParticlePower(sim.P.Pos, cfg.BoxSize, mesh, grid.PowerSpectrumOptions{NumParticles: sim.P.Len()})
 		if err := sim.Run(); err != nil {
 			tier2.err = err
 			return
@@ -415,7 +415,7 @@ func tier2Run(t *testing.T) tier2Result {
 		if catZ2 != nil {
 			// The crossing fires at the first step grid point past z=2, so
 			// the catalog's own epoch — not z=2 exactly — sets the growth.
-			tier2.growth2 = sim.LinearGrowthBetween(aInit, catZ2.A)
+			tier2.growth2 = sim.Par.GrowthFactor(catZ2.A) / sim.Par.GrowthFactor(aInit)
 		}
 		tier2.mp = sim.Par.ParticleMass(cfg.BoxSize, cfg.NGrid*cfg.NGrid*cfg.NGrid)
 		tier2.pred = massfunc.NewPredictor(sim.Par, sim.Spec, 0)

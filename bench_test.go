@@ -434,6 +434,7 @@ func BenchmarkFigure7PowerSpectra(b *testing.B) {
 		cfg.WS = 1
 		cfg.LatticeOrder = 0
 		cfg.PMGrid = 2 * nGrid
+		cfg.Analysis.PowerSpectrum = true // the catalog's P(k) alone, on a 2*nGrid mesh
 		if mutate != nil {
 			mutate(&cfg)
 		}
@@ -444,9 +445,12 @@ func BenchmarkFigure7PowerSpectra(b *testing.B) {
 		if err := sim.Run(); err != nil {
 			b.Fatal(err)
 		}
-		ps := sim.PowerSpectrum(2 * nGrid)
-		out := make([]float64, len(ps))
-		for i, p := range ps {
+		cat, err := sim.Analyze()
+		if err != nil {
+			b.Fatal(err)
+		}
+		out := make([]float64, len(cat.Power))
+		for i, p := range cat.Power {
 			out[i] = p.P
 		}
 		return out
@@ -469,14 +473,7 @@ func BenchmarkFigure7PowerSpectra(b *testing.B) {
 			{"TreePM (GADGET2-like)", func(c *Config) { c.Solver = SolverTreePM }},
 			{"TreePM PMGRID=2x", func(c *Config) { c.Solver = SolverTreePM; c.PMGrid = 4 * nGrid }},
 		}
-		sim, _ := New(DefaultConfig())
-		_ = sim
 		fmt.Printf("\nFigure 7: P(k)/P_ref(k) at z=1 (N=%d^3, L=150 Mpc/h)\n", nGrid)
-		// k values from the reference run binning
-		cfg := DefaultConfig()
-		cfg.NGrid = nGrid
-		cfg.BoxSize = 150
-		_ = cfg
 		for _, v := range variants {
 			p := runOne(v.mut)
 			row := fmt.Sprintf("  %-24s", v.name)
@@ -513,6 +510,7 @@ func BenchmarkFigure8MassFunction(b *testing.B) {
 			cfg.ErrTol = 1e-4
 			cfg.WS = 1
 			cfg.LatticeOrder = 0
+			cfg.Analysis = AnalysisConfig{MassFunction: true, MinMembers: 20, MassBins: 6}
 			sim, err := New(cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -520,10 +518,16 @@ func BenchmarkFigure8MassFunction(b *testing.B) {
 			if err := sim.Run(); err != nil {
 				b.Fatal(err)
 			}
-			_, m, ratio := sim.MassFunction(20, 6)
-			fmt.Printf("  L=%g Mpc/h: %d halo mass bins\n", box, len(m))
-			for i := range m {
-				fmt.Printf("    M200b=%.3e Msun/h  N/Tinker08=%.2f\n", m[i]*1e10, ratio[i])
+			cat, err := sim.Analyze()
+			if err != nil {
+				b.Fatal(err)
+			}
+			so := cat.MassFunction.SO
+			fmt.Printf("  L=%g Mpc/h: %d halo mass bins\n", box, len(so))
+			for _, bin := range so {
+				if bin.Pred > 0 {
+					fmt.Printf("    M200b=%.3e Msun/h  N/Tinker08=%.2f\n", bin.MCenter*1e10, bin.NDensity/bin.Pred)
+				}
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package twohot
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -108,8 +109,7 @@ type Config struct {
 	BlockSteps int `json:"block_steps,omitempty"`
 	// RungDisplacementFrac is the per-particle rung criterion: a particle
 	// may stay on a rung only if one step on it moves the particle less
-	// than this fraction of the mean interparticle separation (the
-	// per-particle analogue of SuggestTimestep's limit).  0 means the
+	// than this fraction of the mean interparticle separation.  0 means the
 	// default of 0.1.
 	RungDisplacementFrac float64 `json:"rung_displacement_frac,omitempty"`
 
@@ -347,8 +347,8 @@ func (c *Config) Validate() error {
 
 // analysisOptions derives the analyzer options the scheduled analysis runs
 // with: box, worker count and halo-finder parameters inherited from the
-// run's own, the P(k) mesh defaulting to 2*NGrid like PowerSpectrum(0), and
-// an empty analyzer selection reading as all three.
+// run's own, the P(k) mesh defaulting to 2*NGrid, and an empty analyzer
+// selection reading as all three.
 func (c *Config) analysisOptions() analysis.Options {
 	a := c.Analysis
 	halos, mf, pk := a.Halos, a.MassFunction, a.PowerSpectrum
@@ -476,22 +476,36 @@ func (c *Config) dlnA(aInit float64) float64 {
 	return math.Log(aFinal/aInit) / float64(c.NSteps)
 }
 
-// LoadConfig reads a JSON configuration file layered over DefaultConfig —
-// a file states only what differs — and rejects keys Config does not have,
-// exactly like a POST /api/sims body (internal/serve).
-func LoadConfig(path string) (Config, error) {
+// DecodeConfig reads one JSON configuration document layered over
+// DefaultConfig — a document states only what differs — and validates it.
+// Keys Config does not have are rejected, and so is anything after the
+// document but whitespace.  It is the one decoder: LoadConfig reads files
+// through it and a POST /api/sims body (internal/serve) is decoded by it.
+func DecodeConfig(r io.Reader) (Config, error) {
 	c := DefaultConfig()
-	f, err := os.Open(path)
-	if err != nil {
-		return c, err
-	}
-	defer f.Close()
-	dec := json.NewDecoder(f)
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&c); err != nil {
-		return c, fmt.Errorf("config: %s: %w", path, err)
+		return c, fmt.Errorf("config: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return c, fmt.Errorf("config: unexpected content after the configuration object")
 	}
 	return c, c.Validate()
+}
+
+// LoadConfig reads a JSON configuration file through DecodeConfig.
+func LoadConfig(path string) (Config, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return DefaultConfig(), err
+	}
+	defer f.Close()
+	c, err := DecodeConfig(f)
+	if err != nil {
+		return c, fmt.Errorf("%s: %w", path, err)
+	}
+	return c, nil
 }
 
 // Save writes the configuration as JSON.

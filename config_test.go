@@ -13,9 +13,10 @@ import (
 const partialConfigDoc = `{"name":"x","cosmology":"planck2013","box_size":32,"n_grid":8,"z_init":24,"n_steps":2,"solver":"tree","kernel":"dehnen-k1"}`
 
 // TestLoadConfigLayersOverDefaults pins the one way a JSON document becomes a
-// Config: layered over DefaultConfig (an omitted knob keeps its default —
-// background subtraction, 2LPT, DEC, the far lattice and incremental rebuilds
-// stay on), unknown keys rejected, and Save -> LoadConfig an identity.
+// Config (DecodeConfig, which LoadConfig reads files through): layered over
+// DefaultConfig (an omitted knob keeps its default — background subtraction,
+// 2LPT, DEC, the far lattice and incremental rebuilds stay on), unknown keys
+// and trailing content rejected, and Save -> LoadConfig an identity.
 func TestLoadConfigLayersOverDefaults(t *testing.T) {
 	dir := t.TempDir()
 	load := func(doc string) (Config, error) {
@@ -39,6 +40,22 @@ func TestLoadConfigLayersOverDefaults(t *testing.T) {
 	bogus := strings.Replace(partialConfigDoc, "}", `,"bogus_key":1}`, 1)
 	if _, err := load(bogus); err == nil || !strings.Contains(err.Error(), "bogus_key") {
 		t.Errorf("unknown key: got error %v, want one naming bogus_key", err)
+	}
+
+	// One document per file: whitespace may follow it, nothing else may —
+	// neither a second object (whose keys would otherwise go unchecked) nor
+	// stray text.
+	if got, err := load(partialConfigDoc + "\n\t \n"); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("trailing whitespace: got %+v, %v", got, err)
+	}
+	for _, doc := range []string{
+		`{"n_grid": 8} {"n_grid": 64, "bogus": 1} trailing garbage`,
+		partialConfigDoc + ` {}`,
+		partialConfigDoc + ` x`,
+	} {
+		if _, err := load(doc); err == nil || !strings.Contains(err.Error(), "after the configuration object") {
+			t.Errorf("trailing content in %q: got error %v", doc, err)
+		}
 	}
 
 	// Round trip with every defaulted knob moved off its default: a field

@@ -2,8 +2,9 @@
 // open (vacuum) boundary conditions: a uniform cold sphere collapses under
 // self gravity, and the force-smoothing kernel controls how violently the
 // center is resolved.  It demonstrates the non-periodic code path and the
-// kernel options of Section 2.5, driving the tree backend through the public
-// ForceSolver interface.
+// kernel options of Section 2.5.  Vacuum boundaries with G = 1 are outside
+// what a cosmological twohot.Config describes, so it drives the tree solver
+// of internal/core directly.
 package main
 
 import (
@@ -11,7 +12,6 @@ import (
 	"math"
 	"math/rand"
 
-	twohot "twohot"
 	"twohot/internal/core"
 	"twohot/internal/particle"
 	"twohot/internal/softening"
@@ -35,7 +35,7 @@ func main() {
 	const n = 8000
 	for _, kernel := range []softening.Kernel{softening.Plummer, softening.DehnenK1} {
 		set := coldSphere(n, 1.0, 7)
-		solver := twohot.NewTreeForceSolver(core.TreeConfig{
+		solver := core.NewTreeSolver(core.TreeConfig{
 			Order: 4, ErrTol: 1e-4,
 			Kernel: kernel, Eps: 0.05,
 			Incremental: true,
@@ -45,7 +45,7 @@ func main() {
 		dt := 0.01
 		var minRadius float64 = math.Inf(1)
 		for step := 0; step <= 150; step++ {
-			res, err := solver.Accelerations(set)
+			res, err := solver.ActiveForces(set, nil, nil)
 			if err != nil {
 				panic(err)
 			}

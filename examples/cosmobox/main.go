@@ -29,6 +29,11 @@ func main() {
 	cfg.NSteps = *steps
 	cfg.ErrTol = 1e-5
 	cfg.WS = 1
+	// Measurement settings of the final catalog (sim.Analyze): five mass
+	// bins and the five largest halos listed; the FOF cut keeps its default
+	// of 20 members.
+	cfg.Analysis.MassBins = 5
+	cfg.Analysis.MaxHalos = 5
 
 	sim, err := twohot.New(cfg)
 	if err != nil {
@@ -59,28 +64,32 @@ func main() {
 		panic(err)
 	}
 
+	// The standard measurements come from one analysis catalog of the final
+	// state — the same pipeline scheduled in-situ outputs and cmd/2hot-analyze
+	// use.
+	cat, err := sim.Analyze()
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println("\nmatter power spectrum at z=0:")
-	for i, p := range sim.PowerSpectrum(0) {
+	for i, p := range cat.Power {
 		if i%4 == 0 {
 			fmt.Printf("  k=%.3f h/Mpc  P=%.4g (Mpc/h)^3\n", p.K, p.P)
 		}
 	}
 
-	halos := sim.Halos(20)
-	fmt.Printf("\n%d FOF halos with at least 20 particles\n", len(halos))
-	for i, h := range halos {
-		if i >= 5 {
-			break
-		}
+	fmt.Printf("\n%d FOF halos with at least 20 particles\n", cat.NumHalos)
+	for i, h := range cat.Halos {
 		fmt.Printf("  halo %d: N=%d  M_FOF=%.3e  M200b=%.3e Msun/h\n",
 			i, h.N, h.Mass*1e10, h.M200b*1e10)
 	}
 
-	_, m, ratio := sim.MassFunction(20, 5)
-	if len(m) > 0 {
+	if so := cat.MassFunction.SO; len(so) > 0 {
 		fmt.Println("\nmass function / Tinker08:")
-		for i := range m {
-			fmt.Printf("  M200b=%.3e Msun/h  ratio=%.2f\n", m[i]*1e10, ratio[i])
+		for _, b := range so {
+			if b.Count > 0 && b.Pred > 0 {
+				fmt.Printf("  M200b=%.3e Msun/h  ratio=%.2f\n", b.MCenter*1e10, b.NDensity/b.Pred)
+			}
 		}
 	}
 

@@ -16,11 +16,9 @@ import (
 
 	twohot "twohot"
 	"twohot/internal/comm"
-	"twohot/internal/core"
 	"twohot/internal/domain"
 	"twohot/internal/keys"
 	"twohot/internal/particle"
-	"twohot/internal/softening"
 	"twohot/internal/vec"
 )
 
@@ -138,17 +136,23 @@ func main() {
 	f.Write(buf)
 	fmt.Printf("wrote %s (one face of the volume, colored by processor domain)\n", *out)
 
-	// The same decomposition machinery, driven end to end: one ForceSolver
-	// call runs the full distributed pipeline (work-weighted domain cut,
-	// branch exchange, remote cell fetching) and regroups the set by owning
-	// rank in place.
-	solver := twohot.NewDistributedTreeForceSolver(core.TreeConfig{
-		Order: 4, ErrTol: 1e-4,
-		Kernel: softening.Plummer, Eps: 0.002,
-		Periodic: true, BoxSize: 1, BackgroundSubtraction: true, WS: 1,
-	}, *nRanks)
+	// The same decomposition machinery, driven end to end: the force solver a
+	// Ranks > 1 Config describes runs the full distributed pipeline
+	// (work-weighted domain cut, branch exchange, remote cell fetching) in
+	// one call and regroups the set by owning rank in place.
+	cfg := twohot.DefaultConfig()
+	cfg.Ranks = *nRanks
+	cfg.BoxSize = 1
+	cfg.ErrTol = 1e-4
+	cfg.Kernel = "plummer"
+	cfg.Softening = 0.002
+	cfg.LatticeOrder = 0
+	solver, err := twohot.NewForceSolver(cfg)
+	if err != nil {
+		panic(err)
+	}
 	start := time.Now()
-	res, err := solver.Accelerations(set)
+	res, err := solver.ActiveForces(set, nil, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -1,9 +1,10 @@
-// Command quickstart is the smallest complete use of the 2HOT force engine
-// through the public ForceSolver interface: it builds a Plummer-sphere
-// particle set, computes gravitational accelerations with the hashed
-// oct-tree backend at two accuracy settings, verifies them against the
-// direct-summation backend behind the same interface, and integrates a few
-// dynamical times.
+// Command quickstart is the smallest complete use of the 2HOT force engine:
+// it builds an isolated Plummer-sphere particle set, computes gravitational
+// accelerations with the hashed oct-tree solver at two accuracy settings,
+// verifies them against direct summation, and integrates a few dynamical
+// times.  An open-boundary G = 1 system is outside what a cosmological
+// twohot.Config describes, so it drives the solvers of internal/core
+// directly — the same solvers twohot.NewForceSolver wraps.
 package main
 
 import (
@@ -11,7 +12,6 @@ import (
 	"math"
 	"math/rand"
 
-	twohot "twohot"
 	"twohot/internal/core"
 	"twohot/internal/particle"
 	"twohot/internal/softening"
@@ -42,22 +42,21 @@ func main() {
 
 	fmt.Printf("2HOT quickstart: %d-particle Plummer sphere\n\n", n)
 
-	// Reference forces through the direct-summation backend of the same
-	// ForceSolver interface the tree implements.
-	direct := twohot.NewDirectForceSolver(core.DirectSolver{Kernel: softening.Plummer, Eps: eps})
-	ref, err := direct.Accelerations(set)
+	// Reference forces by direct summation.
+	direct := core.DirectSolver{Kernel: softening.Plummer, Eps: eps}
+	ref, err := direct.Forces(set.Pos, set.Mass)
 	if err != nil {
 		panic(err)
 	}
 
 	for _, errTol := range []float64{1e-3, 1e-5} {
-		solver := twohot.NewTreeForceSolver(core.TreeConfig{
+		solver := core.NewTreeSolver(core.TreeConfig{
 			Order:  4,
 			ErrTol: errTol,
 			Kernel: softening.Plummer,
 			Eps:    eps,
 		})
-		res, err := solver.Accelerations(set)
+		res, err := solver.ActiveForces(set, nil, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -68,15 +67,15 @@ func main() {
 	}
 
 	// Integrate a few steps with a simple leapfrog (non-cosmological): the
-	// sphere starts cold, collapses slightly and oscillates.  The solver's
-	// Incremental capability makes consecutive solves reuse the previous
-	// step's sorted order, bit-identically to from-scratch solves.
-	solver := twohot.NewTreeForceSolver(core.TreeConfig{
+	// sphere starts cold, collapses slightly and oscillates.  Incremental
+	// solves reuse the previous step's sorted order, bit-identically to
+	// from-scratch solves.
+	solver := core.NewTreeSolver(core.TreeConfig{
 		Order: 4, ErrTol: 1e-4, Kernel: softening.Plummer, Eps: eps, Incremental: true,
 	})
 	dt := 0.01
 	for step := 0; step < 20; step++ {
-		res, err := solver.Accelerations(set)
+		res, err := solver.ActiveForces(set, nil, nil)
 		if err != nil {
 			panic(err)
 		}

@@ -80,13 +80,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if tenant == "" {
 		tenant = "default"
 	}
-	// Submissions decode exactly like twohot.LoadConfig reads a config file:
-	// layered over the defaults (a client states only what differs, omitted
-	// knobs stay sane), unknown keys rejected.
-	cfg := twohot.DefaultConfig()
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
+	// Submissions decode exactly like a config file: layered over the
+	// defaults (a client states only what differs), unknown keys and trailing
+	// content rejected.
+	cfg, err := twohot.DecodeConfig(r.Body)
+	if err != nil {
 		fail(w, fmt.Errorf("serve: bad config: %w", err))
 		return
 	}

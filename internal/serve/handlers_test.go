@@ -333,6 +333,9 @@ func TestHandlersRejectBadSubmissions(t *testing.T) {
 	if code := post("alfa", `{"unknown_field": 1}`); code != http.StatusBadRequest {
 		t.Fatalf("unknown config field returned %d", code)
 	}
+	if code := post("alfa", `{"n_grid": 8} {"n_grid": 64, "bogus": 1} trailing garbage`); code != http.StatusBadRequest {
+		t.Fatalf("content after the config object returned %d", code)
+	}
 	// Configurations that used to be admitted and then panic in the runner.
 	for _, body := range []string{
 		`{"lattice_order": 7}`,
@@ -346,24 +349,19 @@ func TestHandlersRejectBadSubmissions(t *testing.T) {
 	}
 }
 
-// TestHandlersSubmitDecodesLikeLoadConfig pins that one document means one
-// Config wherever it is read: the body POSTed to /api/sims decodes to exactly
-// what twohot.LoadConfig reads from a file with the same bytes (layered over
-// the defaults, unknown keys rejected on both sides).
+// TestHandlersSubmitDecodesLikeLoadConfig pins that the submit handler
+// decodes with twohot.DecodeConfig, the decoder LoadConfig reads files
+// through: the stored Config is what DecodeConfig makes of the same bytes.
+// The decoder's own rules live in the root package's
+// TestLoadConfigLayersOverDefaults.
 func TestHandlersSubmitDecodesLikeLoadConfig(t *testing.T) {
-	const doc = `{"name":"x","cosmology":"planck2013","box_size":32,"n_grid":8,"z_init":24,"n_steps":2,"solver":"tree","kernel":"dehnen-k1"}`
-	path := filepath.Join(t.TempDir(), "cfg.json")
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	want, err := twohot.LoadConfig(path)
+	const doc = `{"name":"x","box_size":32,"n_grid":8,"n_steps":2}`
+	want, err := twohot.DecodeConfig(strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	s := newTestServer(t, Options{PoolWorkers: 1})
-	ts := httpServer(t, s)
-	resp, err := http.Post(ts.URL+"/api/sims", "application/json", strings.NewReader(doc))
+	resp, err := http.Post(httpServer(t, s).URL+"/api/sims", "application/json", strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,6 +375,6 @@ func TestHandlersSubmitDecodesLikeLoadConfig(t *testing.T) {
 	s.mu.Unlock()
 	want.OutputDir = got.OutputDir // the server's per-job artifact directory
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("POST body and config file decode differently:\n got %+v\nwant %+v", got, want)
+		t.Errorf("POST body and DecodeConfig disagree:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -12,8 +12,8 @@
 // package's Simulation owns both and selects an engine from its Config (or
 // accepts an injected one through its public Stepper seam, which this
 // package's engines implement structurally).  Engines never know which
-// backend computes forces: Forcer is satisfied by the root package's
-// ForceSolver adapters — tree, TreePM, mesh, direct — and the engines gate
+// backend computes forces: Forcer is satisfied by every root-package
+// ForceSolver — tree, TreePM, mesh, direct — and the engines gate
 // nothing on the backend kind.  Scatter defines which Result slots a solve
 // writes back into the set.  Block additionally applies a between-block
 // work-weight decay (decayStaleWork): coarse-rung particles' stale weights

@@ -17,8 +17,8 @@ type StepInfo struct {
 	// synchronization events).
 	DlnA float64
 	// Force is the most recent force result (Simulation.LastForce): counters,
-	// traversal/build statistics, timings, and — for Potential-capable
-	// solvers — the kernel sums.
+	// traversal/build statistics, timings, and — for solvers that compute
+	// one — the potential.
 	Force *core.Result
 	// Rungs is the particle count per timestep rung of the current block
 	// (nil outside block stepping).
@@ -37,7 +37,8 @@ type StepInfo struct {
 // Observer receives simulation lifecycle hooks.  Implementations are called
 // synchronously from the stepping loop, in registration order; a heavy
 // observer slows the run down but cannot corrupt it (everything it sees is
-// read-only by convention).  Use ObserverFuncs to implement a subset.
+// read-only by convention).  Use ObserverFuncs to implement a subset — a
+// progress callback is ObserverFuncs{Step: fn}.
 type Observer interface {
 	// OnStep fires after every completed step (StepOnce or a Run
 	// iteration), with DlnA set to the step size.
@@ -74,13 +75,6 @@ func (o ObserverFuncs) OnSynchronize(info StepInfo) {
 	if o.Sync != nil {
 		o.Sync(info)
 	}
-}
-
-// ProgressObserver adapts the classic progress callback — fn(step, z) after
-// every completed step — to the Observer interface.  It is the migration
-// path for the pre-redesign Run(progress) signature.
-func ProgressObserver(fn func(step int, z float64)) Observer {
-	return ObserverFuncs{Step: func(info StepInfo) { fn(info.Step, info.Z) }}
 }
 
 // AddObserver registers an observer for all subsequent steps, force solves

@@ -1,8 +1,8 @@
 package twohot
 
-// Observer and Stepper seam tests: hook firing semantics, the progress
-// migration path, custom-engine injection, and the pin that the rung-aware
-// work decay steers only schedules — never a trajectory bit.
+// Observer and Stepper seam tests: hook firing semantics, progress
+// callbacks, custom-engine injection, and the pin that the rung-aware work
+// decay steers only schedules — never a trajectory bit.
 
 import (
 	"testing"
@@ -42,7 +42,8 @@ func TestObserversFire(t *testing.T) {
 			},
 			Sync: func(info StepInfo) { syncs++ },
 		}),
-		WithProgress(func(step int, z float64) { progress = append(progress, step) }),
+		// A progress callback is a second Step hook.
+		WithObserver(ObserverFuncs{Step: func(info StepInfo) { progress = append(progress, info.Step) }}),
 	)
 	if err != nil {
 		t.Fatal(err)

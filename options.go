@@ -22,13 +22,6 @@ func WithObserver(obs ...Observer) Option {
 	return func(s *Simulation) { s.observers = append(s.observers, obs...) }
 }
 
-// WithProgress registers the classic progress callback — fn(step, z) after
-// every completed step — as an observer.  It replaces the progress argument
-// of the pre-redesign Run signature.
-func WithProgress(fn func(step int, z float64)) Option {
-	return WithObserver(ProgressObserver(fn))
-}
-
 // WithAnalysisObserver registers analysis observers at construction time
 // (see AddAnalysisObserver): each receives every scheduled in-situ analysis
 // catalog Config.Analysis fires during Run.

@@ -8,10 +8,7 @@ import (
 
 	"twohot/internal/core"
 	"twohot/internal/cosmo"
-	"twohot/internal/grid"
-	"twohot/internal/halo"
 	"twohot/internal/ic"
-	"twohot/internal/massfunc"
 	"twohot/internal/particle"
 	"twohot/internal/sdf"
 	"twohot/internal/step"
@@ -263,7 +260,7 @@ func (s *Simulation) Synchronize() error {
 // installed (AInit) and offset by StepCount, both of which checkpoints
 // preserve — so a run restored mid-way finishes the remaining steps of the
 // original grid, reproducing the uninterrupted run bit for bit.  Progress
-// reporting happens through observers (WithProgress, AddObserver); the run
+// reporting happens through observers (WithObserver, AddObserver); the run
 // ends with a Synchronize.
 func (s *Simulation) Run() error { return s.RunContext(context.Background()) }
 
@@ -385,82 +382,6 @@ func (s *Simulation) RungHistogram() []int {
 	return nil
 }
 
-// HalveTimestep and DoubleTimestep express the paper's policy of restricting
-// timestep changes to exact factors of two; they return the adjusted step.
-func HalveTimestep(dlnA float64) float64  { return dlnA / 2 }
-func DoubleTimestep(dlnA float64) float64 { return dlnA * 2 }
-
-// SuggestTimestep returns a step (in dlnA) limited so that no particle moves
-// more than maxDisplacementFrac of the mean interparticle separation, then
-// rounded down to the nearest factor-of-two division of baseStep.
-func (s *Simulation) SuggestTimestep(baseStep, maxDisplacementFrac float64) float64 {
-	if s.P == nil || s.LastForce == nil {
-		return baseStep
-	}
-	sep := s.Cfg.BoxSize / float64(s.Cfg.NGrid)
-	vmax := 0.0
-	for _, m := range s.P.Mom {
-		if v := m.Norm(); v > vmax {
-			vmax = v
-		}
-	}
-	if vmax == 0 {
-		return baseStep
-	}
-	// dx = p/a^2 * dt, dt ~ dlnA / H
-	h := s.Par.Hubble(s.A)
-	dlnAMax := maxDisplacementFrac * sep * s.A * s.A * h / vmax
-	step := baseStep
-	for step > dlnAMax && step > 1e-6 {
-		step = HalveTimestep(step)
-	}
-	return step
-}
-
-// PowerSpectrum measures the matter power spectrum of the current particle
-// distribution on an nMesh^3 grid.  No Poisson shot-noise term is subtracted:
-// the particle load originates from a grid (sub-Poissonian), and every
-// experiment that uses this estimator (Figure 7) compares ratios of runs
-// sharing the same discreteness.
-func (s *Simulation) PowerSpectrum(nMesh int) []grid.PowerSpectrumResult {
-	if nMesh == 0 {
-		nMesh = 2 * s.Cfg.NGrid
-	}
-	return grid.MeasureParticlePower(s.P.Pos, s.Cfg.BoxSize, nMesh, grid.PowerSpectrumOptions{
-		NumParticles: s.P.Len(),
-	})
-}
-
-// Halos runs the FOF finder (and spherical overdensity masses) on the current
-// particle distribution.
-func (s *Simulation) Halos(minMembers int) []halo.Halo {
-	opt := halo.Options{BoxSize: s.Cfg.BoxSize, MinMembers: minMembers}
-	h := halo.FOF(s.P.Pos, s.P.Mass, opt)
-	halo.SphericalOverdensity(s.P.Pos, s.P.Mass, h, opt)
-	return h
-}
-
-// MassFunction measures the SO mass function of the current snapshot and
-// returns it together with the ratio to the Tinker08 prediction (the Figure 8
-// observable).
-func (s *Simulation) MassFunction(minMembers, nBins int) ([]massfunc.Bin, []float64, []float64) {
-	halos := s.Halos(minMembers)
-	var masses []float64
-	for _, h := range halos {
-		if h.M200b > 0 {
-			masses = append(masses, h.M200b)
-		}
-	}
-	if len(masses) == 0 {
-		return nil, nil, nil
-	}
-	minM, maxM := masses[len(masses)-1], masses[0]
-	bins := massfunc.Measure(masses, s.Cfg.BoxSize, minM, maxM*1.0001, nBins)
-	pred := massfunc.NewPredictor(s.Par, s.Spec, s.Redshift())
-	m, ratio, _ := pred.RatioToFit(massfunc.Tinker08, bins)
-	return bins, m, ratio
-}
-
 // Snapshot converts the current state into an SDF snapshot structure.
 func (s *Simulation) Snapshot() *sdf.Snapshot {
 	snap := &sdf.Snapshot{
@@ -528,11 +449,4 @@ func (s *Simulation) OutputPath(name string) string {
 		return name
 	}
 	return filepath.Join(s.Cfg.OutputDir, name)
-}
-
-// LinearGrowthBetween returns D(aFinal)/D(aInit), the factor by which linear
-// fluctuations should have grown over the run — the analytic yardstick used
-// by the integration tests.
-func (s *Simulation) LinearGrowthBetween(aInit, aFinal float64) float64 {
-	return s.Par.GrowthFactor(aFinal) / s.Par.GrowthFactor(aInit)
 }

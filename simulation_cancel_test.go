@@ -63,11 +63,11 @@ func TestRunContextSuspendResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancelCause(context.Background())
-	suspended.AddObserver(ProgressObserver(func(step int, z float64) {
-		if step == 3 {
+	suspended.AddObserver(ObserverFuncs{Step: func(info StepInfo) {
+		if info.Step == 3 {
 			cancel(fmt.Errorf("suspend requested"))
 		}
-	}))
+	}})
 	err = suspended.RunContext(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled run returned %v, want context.Canceled in the chain", err)

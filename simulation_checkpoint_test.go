@@ -41,13 +41,13 @@ func TestCheckpointContinuityBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full.AddObserver(ProgressObserver(func(step int, z float64) {
-		if step == 3 {
+	full.AddObserver(ObserverFuncs{Step: func(info StepInfo) {
+		if info.Step == 3 {
 			if err := full.WriteCheckpoint(path); err != nil {
 				t.Errorf("mid-run checkpoint: %v", err)
 			}
 		}
-	}))
+	}})
 	if err := full.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,9 @@ func TestLinearGrowth(t *testing.T) {
 	}
 	aInit := sim.A
 
-	measure := func() []grid.PowerSpectrumResult { return sim.PowerSpectrum(32) }
+	measure := func() []grid.PowerSpectrumResult {
+		return grid.MeasureParticlePower(sim.P.Pos, cfg.BoxSize, 32, grid.PowerSpectrumOptions{NumParticles: sim.P.Len()})
+	}
 	p0 := measure()
 
 	if err := sim.Run(); err != nil {
@@ -90,7 +92,7 @@ func TestLinearGrowth(t *testing.T) {
 	}
 	p1 := measure()
 
-	growth := sim.LinearGrowthBetween(aInit, sim.A)
+	growth := sim.Par.GrowthFactor(sim.A) / sim.Par.GrowthFactor(aInit)
 	want := growth * growth
 
 	// Compare the mode-by-mode power ratio on the largest scales (first few
@@ -179,27 +181,4 @@ func TestCheckpointRestartPreservesLeapfrogOffset(t *testing.T) {
 		t.Errorf("restart diverged from the uninterrupted run by %g", maxDiff)
 	}
 	_ = os.Remove(path)
-}
-
-func TestSuggestTimestepFactorsOfTwo(t *testing.T) {
-	cfg := smallConfig()
-	sim, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.GenerateICs(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Accelerations(); err != nil {
-		t.Fatal(err)
-	}
-	base := 0.05
-	got := sim.SuggestTimestep(base, 0.1)
-	ratio := base / got
-	if ratio < 1 {
-		t.Fatalf("suggested step larger than base")
-	}
-	if math.Abs(math.Log2(ratio)-math.Round(math.Log2(ratio))) > 1e-12 {
-		t.Errorf("timestep adjustment %g is not a power-of-two division of the base step", ratio)
-	}
 }

@@ -1,11 +1,12 @@
 package twohot
 
-// Solver-conformance suite: every ForceSolver backend must honor the same
-// contract — honest capability reporting (nil Result arrays and ActiveForces
-// rejection must match what Capabilities claims), worker-count determinism,
-// and momentum conservation at force-error level — plus a regression pin
-// that the tree adapter reproduces the pre-redesign inline Accelerations
-// path bit for bit.
+// Solver-conformance suite, driven by a Config table through NewForceSolver
+// so the SolverKind dispatch itself is under test: every backend must fill
+// the Result arrays the table pins, reject masks exactly when it lacks
+// ActiveSubsets, solve identically after Reset, stay bit-identical across
+// worker counts and conserve momentum at force-error level — plus a
+// regression pin that the tree backend reproduces the pre-redesign inline
+// solve-and-step path bit for bit.
 
 import (
 	"math"
@@ -51,6 +52,23 @@ func conformanceSim(t *testing.T, cfg Config) *Simulation {
 	return sim
 }
 
+// solverCases is the Config table of the conformance suite: every backend
+// NewForceSolver dispatches to, with the Result arrays each one fills (the
+// TreePM short-range kernel sums are not the system potential, and the mesh
+// and direct backends record no per-particle work).
+var solverCases = []struct {
+	name      string
+	kind      SolverKind
+	ranks     int
+	pot, work bool
+}{
+	{"tree", SolverTree, 0, true, true},
+	{"distributed tree", SolverTree, 2, true, true},
+	{"treepm", SolverTreePM, 0, false, true},
+	{"pm", SolverPM, 0, false, false},
+	{"direct", SolverDirect, 0, true, false},
+}
+
 func TestSolverConformance(t *testing.T) {
 	// Momentum-conservation tolerances (|Σ m·a| / Σ m·|a|): the pairwise
 	// backends are antisymmetric to roundoff; the tree's sink-centred MAC
@@ -65,11 +83,12 @@ func TestSolverConformance(t *testing.T) {
 		SolverPM:     1e-9,
 		SolverDirect: 1e-9,
 	}
-	for _, kind := range []SolverKind{SolverTree, SolverTreePM, SolverPM, SolverDirect} {
-		t.Run(string(kind), func(t *testing.T) {
-			cfg := conformanceConfig(kind)
+	for _, tc := range solverCases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := conformanceConfig(tc.kind)
+			cfg.Ranks = tc.ranks
 			cfg.Workers = 1
-			if kind == SolverDirect {
+			if tc.kind == SolverDirect {
 				if testing.Short() {
 					t.Skip("the brute-force Ewald reference is slow")
 				}
@@ -82,19 +101,16 @@ func TestSolverConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			caps := sim.Solver().Capabilities()
 			res := sim.LastForce
 
-			if sim.Solver().Name() != string(kind) {
-				t.Errorf("solver name %q, want %q", sim.Solver().Name(), kind)
+			if sim.Solver().Name() != string(tc.kind) {
+				t.Errorf("solver name %q, want %q", sim.Solver().Name(), tc.kind)
 			}
-
-			// Capability honesty: nil Result arrays must match the claims.
-			if got := res.Pot != nil; got != caps.Potential {
-				t.Errorf("Result.Pot presence %v contradicts Capabilities.Potential %v", got, caps.Potential)
+			if got := res.Pot != nil; got != tc.pot {
+				t.Errorf("Result.Pot present %v, want %v", got, tc.pot)
 			}
-			if got := res.Work != nil; got != caps.WorkFeedback {
-				t.Errorf("Result.Work presence %v contradicts Capabilities.WorkFeedback %v", got, caps.WorkFeedback)
+			if got := res.Work != nil; got != tc.work {
+				t.Errorf("Result.Work present %v, want %v", got, tc.work)
 			}
 
 			// Momentum conservation: gravity is internal, so the
@@ -105,8 +121,8 @@ func TestSolverConformance(t *testing.T) {
 				fSum = fSum.Add(acc[i].Scale(sim.P.Mass[i]))
 				fScale += sim.P.Mass[i] * acc[i].Norm()
 			}
-			if rel := fSum.Norm() / fScale; rel > momTol[kind] {
-				t.Errorf("net force %.3e of the force scale exceeds %.1e", rel, momTol[kind])
+			if rel := fSum.Norm() / fScale; rel > momTol[tc.kind] {
+				t.Errorf("net force %.3e of the force scale exceeds %.1e", rel, momTol[tc.kind])
 			} else {
 				t.Logf("net force: %.3e of the force scale", rel)
 			}
@@ -119,9 +135,11 @@ func TestSolverConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range acc {
-				if acc[i] != wacc[i] {
-					t.Fatalf("particle %d: workers=1 and workers=3 disagree: %v vs %v", i, acc[i], wacc[i])
+			// Matched by ID: the distributed tree regroups each set by rank.
+			idx := byID(wsim)
+			for i, id := range sim.P.ID {
+				if w := wacc[idx[id]]; acc[i] != w {
+					t.Fatalf("particle %d: workers=1 and workers=3 disagree: %v vs %v", id, acc[i], w)
 				}
 			}
 		})
@@ -129,44 +147,32 @@ func TestSolverConformance(t *testing.T) {
 }
 
 // TestSolverConstructorsShareOneContract is the half of the contract the one
-// adapter owns, checked on every exported constructor: a mask is accepted
+// adapter owns, checked on every row of the Config table: a mask is accepted
 // exactly when ActiveSubsets is claimed and otherwise draws the one error,
-// Accelerations is the unmasked ActiveForces bit for bit, and a Reset solver
-// solves like a fresh one.
+// and a Reset solver solves like a fresh one.
 func TestSolverConstructorsShareOneContract(t *testing.T) {
-	cfg := conformanceConfig(SolverTree)
-	cfg.Workers = 2
-	tpm := cfg
-	tpm.Solver = SolverTreePM
-	pmOnly := cfg
-	pmOnly.Solver = SolverPM
-	load := conformanceSim(t, cfg).P
-	for _, tc := range []struct {
-		name string
-		n    int // particles of the load to solve for
-		mk   func() ForceSolver
-	}{
-		{"tree", load.Len(), func() ForceSolver { return NewTreeForceSolver(cfg.treeConfig()) }},
-		{"distributed tree", load.Len(), func() ForceSolver { return NewDistributedTreeForceSolver(cfg.treeConfig(), 2) }},
-		{"treepm", load.Len(), func() ForceSolver { return NewTreePMForceSolver(tpm.treeConfig(), tpm.pmOptions()) }},
-		{"pm", load.Len(), func() ForceSolver { return NewPMForceSolver(pmOnly.pmOptions()) }},
-		// Every pair pays a full Ewald lattice sum (~1 ms): 16 particles.
-		{"direct", 16, func() ForceSolver {
-			return NewDirectForceSolver(core.DirectSolver{Kernel: cfg.kernel(), Eps: cfg.SofteningLength(), G: cosmo.G, Periodic: true, BoxSize: cfg.BoxSize})
-		}},
-	} {
+	load := conformanceSim(t, conformanceConfig(SolverTree)).P
+	for _, tc := range solverCases {
 		t.Run(tc.name, func(t *testing.T) {
-			// A fresh copy of the first tc.n particles per solve (the distributed
-			// backend regroups its set in place).
-			set := func() *particle.Set { return load.Chunk(0, load.Len()/tc.n) }
-			same := func(what string, a, b *core.Result) {
-				t.Helper()
-				if !reflect.DeepEqual(a.Acc, b.Acc) || !reflect.DeepEqual(a.Pot, b.Pot) || !reflect.DeepEqual(a.Work, b.Work) {
-					t.Errorf("%s: results differ", what)
-				}
+			cfg := conformanceConfig(tc.kind)
+			cfg.Ranks = tc.ranks
+			cfg.Workers = 2
+			n := load.Len()
+			if tc.kind == SolverDirect {
+				n = 16 // every pair pays a full Ewald lattice sum (~1 ms)
 			}
-			fs := tc.mk()
-			mask := make([]bool, tc.n)
+			mk := func() ForceSolver {
+				fs, err := NewForceSolver(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fs
+			}
+			// A fresh copy of the first n particles per solve (the distributed
+			// backend regroups its set in place).
+			set := func() *particle.Set { return load.Chunk(0, load.Len()/n) }
+			fs := mk()
+			mask := make([]bool, n)
 			mask[0] = true
 			_, err := fs.ActiveForces(set(), mask, nil)
 			if fs.Capabilities().ActiveSubsets {
@@ -177,28 +183,25 @@ func TestSolverConstructorsShareOneContract(t *testing.T) {
 				t.Errorf("mask without ActiveSubsets: got error %v, want %q", err, want)
 			}
 
-			full, err := fs.Accelerations(set())
+			fresh, err := mk().ActiveForces(set(), nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := tc.mk().ActiveForces(set(), nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			same("Accelerations vs ActiveForces(p, nil, nil)", full, fresh)
 			fs.Reset()
 			again, err := fs.ActiveForces(set(), nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			same("Reset-then-solve vs a fresh solver", again, fresh)
+			if !reflect.DeepEqual(again.Acc, fresh.Acc) || !reflect.DeepEqual(again.Pot, fresh.Pot) || !reflect.DeepEqual(again.Work, fresh.Work) {
+				t.Error("Reset-then-solve differs from a fresh solver")
+			}
 		})
 	}
 }
 
 // TestSolverLazyConstruction pins that New builds no solver or stepper (a
 // pure tree run owns no PM solver, a pure PM run no tree solver), that the
-// first use builds exactly the configured backend, and that building one
+// first use builds exactly the configured backend, and that NewForceSolver
 // allocates no solve state.
 func TestSolverLazyConstruction(t *testing.T) {
 	for _, kind := range []SolverKind{SolverTree, SolverTreePM, SolverPM} {
@@ -217,14 +220,16 @@ func TestSolverLazyConstruction(t *testing.T) {
 	// Constructing a solver applies defaults and nothing else: no tree, no
 	// mesh grid (a 256^3 grid alone is 128 MiB) and no staging buffer exists
 	// before the first solve.
-	big := conformanceConfig(SolverTreePM)
-	big.PMGrid = 256
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	NewTreeForceSolver(core.TreeConfig{})
-	NewDistributedTreeForceSolver(core.TreeConfig{}, 2)
-	NewTreePMForceSolver(big.treeConfig(), big.pmOptions())
-	NewPMForceSolver(big.pmOptions())
+	for _, tc := range solverCases {
+		big := conformanceConfig(tc.kind)
+		big.Ranks = tc.ranks
+		big.PMGrid = 256
+		if _, err := NewForceSolver(big); err != nil {
+			t.Fatal(err)
+		}
+	}
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Errorf("constructing the solvers allocated %d bytes of solve state", grew)
@@ -249,19 +254,18 @@ func TestTreePMShortRangeOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	oracle := NewPMForceSolver(cfg.pmOptions())
-	ores, err := oracle.Accelerations(sim.P)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The oracle: the mesh long range plus the brute-force cell-list short
+	// range of the same split.
+	oracle := make([]vec.V3, sim.P.Len())
+	pm.NewSolver(cfg.pmOptions()).Accelerations(sim.P.Pos, sim.P.Mass[0], oracle)
 
 	scale := 0.0
 	for i := range acc {
-		scale += ores.Acc[i].Norm2()
+		scale += oracle[i].Norm2()
 	}
 	scale = math.Sqrt(scale / float64(len(acc)))
 	for i := range acc {
-		if diff := acc[i].Sub(ores.Acc[i]).Norm(); diff > 1e-10*scale {
+		if diff := acc[i].Sub(oracle[i]).Norm(); diff > 1e-10*scale {
 			t.Fatalf("particle %d: composite (MAC off) deviates %.3e from the brute-force oracle", i, diff/scale)
 		}
 	}
@@ -285,14 +289,18 @@ func TestTreePMShortRangeOracle(t *testing.T) {
 func TestBlockStepsRejectIncapableSolver(t *testing.T) {
 	cfg := conformanceConfig(SolverTree)
 	cfg.BlockSteps = 2
-	direct := NewDirectForceSolver(core.DirectSolver{
-		Kernel: cfg.kernel(), Eps: cfg.SofteningLength(), G: cosmo.G,
-		Periodic: true, BoxSize: cfg.BoxSize,
-	})
+	direct, err := NewForceSolver(conformanceConfig(SolverDirect))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := New(cfg, WithSolver(direct)); err == nil {
 		t.Fatal("New accepted block stepping with a solver lacking active-subset support")
 	}
-	if _, err := New(cfg, WithSolver(NewTreeForceSolver(cfg.treeConfig()))); err != nil {
+	tree, err := NewForceSolver(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(cfg, WithSolver(tree)); err != nil {
 		t.Fatalf("New rejected a capable injected solver: %v", err)
 	}
 
