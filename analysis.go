@@ -5,7 +5,6 @@ import (
 	"os"
 
 	"twohot/internal/analysis"
-	"twohot/internal/massfunc"
 )
 
 // AnalysisInfo is the payload delivered to analysis observers: why the output
@@ -54,11 +53,7 @@ func (s *Simulation) analysisCatalog(trig analysis.Trigger) (*analysis.Catalog, 
 	if s.P == nil {
 		return nil, fmt.Errorf("twohot: no particles loaded")
 	}
-	z := s.Redshift()
-	th := analysis.Theory{
-		Pred:     massfunc.NewPredictor(s.Par, s.Spec, z),
-		LinearPk: func(k float64) float64 { return s.Spec.PAt(k, z) },
-	}
+	th := analysis.NewTheory(s.Par, s.Spec, s.Redshift())
 	meta := analysis.Meta{Name: s.Cfg.Name, Step: s.StepCount, A: s.A, Trigger: trig}
 	return analysis.Run(s.P, meta, s.Cfg.analysisOptions(), th)
 }

@@ -14,7 +14,6 @@ import (
 	"twohot/internal/analysis"
 	"twohot/internal/cosmo"
 	"twohot/internal/halo"
-	"twohot/internal/massfunc"
 	"twohot/internal/sdf"
 	"twohot/internal/transfer"
 )
@@ -38,12 +37,7 @@ func main() {
 	// carries the raw measurements.
 	var th analysis.Theory
 	if par, err := cosmo.ByName(snap.Cosmology); err == nil {
-		spec := transfer.NewSpectrum(par, transfer.EisensteinHu)
-		z := 1/snap.ScaleFac - 1
-		th = analysis.Theory{
-			Pred:     massfunc.NewPredictor(par, spec, z),
-			LinearPk: func(k float64) float64 { return spec.PAt(k, z) },
-		}
+		th = analysis.NewTheory(par, transfer.NewSpectrum(par, transfer.EisensteinHu), 1/snap.ScaleFac-1)
 	}
 	cat, err := analysis.Run(snap.Particles, analysis.Meta{A: snap.ScaleFac}, analysis.Options{
 		BoxSize: snap.BoxSize,

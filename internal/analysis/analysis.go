@@ -7,11 +7,13 @@ import (
 	"os"
 	"sort"
 
+	"twohot/internal/cosmo"
 	"twohot/internal/grid"
 	"twohot/internal/halo"
 	"twohot/internal/massfunc"
 	"twohot/internal/particle"
 	"twohot/internal/sdf"
+	"twohot/internal/transfer"
 	"twohot/internal/vec"
 )
 
@@ -85,6 +87,14 @@ type Theory struct {
 	// LinearPk is the linear-theory power spectrum at the catalog's
 	// redshift [(Mpc/h)^3 vs k in h/Mpc].
 	LinearPk func(k float64) float64
+}
+
+// NewTheory builds the theory curves of one catalog at redshift z: the
+// growth factor D(z) is computed once and shared by both curves.
+func NewTheory(par cosmo.Params, spec *transfer.Spectrum, z float64) Theory {
+	pred := massfunc.NewPredictor(par, spec, z)
+	d := pred.Growth()
+	return Theory{Pred: pred, LinearPk: func(k float64) float64 { return spec.P(k) * d * d }}
 }
 
 // Meta identifies the simulation state a catalog describes.

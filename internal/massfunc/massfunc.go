@@ -71,23 +71,25 @@ const (
 	Warren06
 )
 
-// Predictor evaluates analytic mass functions for one cosmology.
+// Predictor evaluates analytic mass functions for one cosmology at one
+// redshift, fixed at construction together with its growth factor.
 type Predictor struct {
-	Par  cosmo.Params
-	Spec *transfer.Spectrum
-	Z    float64
+	par  cosmo.Params
+	spec *transfer.Spectrum
+	z    float64
+	d    float64 // linear growth factor D(z)
 }
 
 // NewPredictor builds a predictor at redshift z.
 func NewPredictor(par cosmo.Params, spec *transfer.Spectrum, z float64) *Predictor {
-	return &Predictor{Par: par, Spec: spec, Z: z}
+	return &Predictor{par: par, spec: spec, z: z, d: par.GrowthFactor(1 / (1 + z))}
 }
 
+// Growth returns the linear growth factor D(z) at the predictor's redshift.
+func (p *Predictor) Growth() float64 { return p.d }
+
 // sigma returns sigma(M, z).
-func (p *Predictor) sigma(m float64) float64 {
-	d := p.Par.GrowthFactor(1 / (1 + p.Z))
-	return p.Spec.SigmaM(m) * d
-}
+func (p *Predictor) sigma(m float64) float64 { return p.spec.SigmaM(m) * p.d }
 
 // dlnSigmaInvdlnM returns dln(1/sigma)/dlnM by finite difference.
 func (p *Predictor) dlnSigmaInvdlnM(m float64) float64 {
@@ -130,9 +132,9 @@ func (p *Predictor) DnDlnM(fit Fit, m float64) float64 {
 	case Warren06:
 		f = fWarren06(sigma)
 	default:
-		f = fTinker08(sigma, p.Z)
+		f = fTinker08(sigma, p.z)
 	}
-	rhoM := p.Par.MeanMatterDensity()
+	rhoM := p.par.MeanMatterDensity()
 	return f * rhoM / m * p.dlnSigmaInvdlnM(m)
 }
 

@@ -29,19 +29,31 @@ const (
 	BBKS
 )
 
+// sigma(R) is a trapezoid sum over sigmaN intervals of ln k in [-9, 6].
+const sigmaLnkMin, sigmaLnkMax, sigmaN = -9.0, 6.0, 2048
+
 // Spectrum evaluates the linear matter power spectrum for a cosmology,
-// normalized to sigma8 at z=0.
+// normalized to sigma8 at z=0.  Its cosmology and variant are fixed at
+// construction: the sigma(R) table is built from them.
 type Spectrum struct {
-	Par     cosmo.Params
-	Variant Variant
+	par     cosmo.Params
+	variant Variant
 	eh      ehParams
-	norm    float64 // amplitude so that sigma(8 Mpc/h) = sigma8
+	norm    float64      // amplitude so that sigma(8 Mpc/h) = sigma8
+	sig     []sigmaPoint // the R-independent integrand factors of sigma(R)
 }
+
+// sigmaPoint is one ln k node of the sigma(R) integral: k, k^ns and T(k).
+type sigmaPoint struct{ k, pow, t float64 }
 
 // NewSpectrum builds a normalized spectrum for the given cosmology.
 func NewSpectrum(par cosmo.Params, v Variant) *Spectrum {
-	s := &Spectrum{Par: par, Variant: v}
-	s.eh = newEHParams(par)
+	s := &Spectrum{par: par, variant: v, eh: newEHParams(par), sig: make([]sigmaPoint, sigmaN+1)}
+	h := (sigmaLnkMax - sigmaLnkMin) / sigmaN
+	for i := range s.sig {
+		k := math.Exp(sigmaLnkMin + float64(i)*h)
+		s.sig[i] = sigmaPoint{k, math.Pow(k, par.Ns), s.Transfer(k)}
+	}
 	s.norm = 1
 	sig := s.SigmaR(8)
 	s.norm = (par.Sigma8 / sig) * (par.Sigma8 / sig)
@@ -53,8 +65,8 @@ func (s *Spectrum) Transfer(k float64) float64 {
 	if k <= 0 {
 		return 1
 	}
-	kMpc := k * s.Par.H // EH98 formulas use k in 1/Mpc
-	switch s.Variant {
+	kMpc := k * s.par.H // EH98 formulas use k in 1/Mpc
+	switch s.variant {
 	case EisensteinHu:
 		return s.eh.full(kMpc)
 	case EisensteinHuNoWiggle:
@@ -72,34 +84,21 @@ func (s *Spectrum) P(k float64) float64 {
 		return 0
 	}
 	t := s.Transfer(k)
-	return s.norm * math.Pow(k, s.Par.Ns) * t * t
-}
-
-// PAt returns the linear power spectrum at redshift z using the growth
-// factor of the background.
-func (s *Spectrum) PAt(k, z float64) float64 {
-	d := s.Par.GrowthFactor(1 / (1 + z))
-	return s.P(k) * d * d
+	return s.norm * math.Pow(k, s.par.Ns) * t * t
 }
 
 // SigmaR returns the rms linear density fluctuation in top-hat spheres of
-// comoving radius R (Mpc/h) at z=0.
+// comoving radius R (Mpc/h) at z=0.  Each term is P(k) W(kR)^2 k^3 (the
+// extra k from the dlnk measure), with P's factors multiplied in P's order.
 func (s *Spectrum) SigmaR(R float64) float64 {
-	// integrate in ln k
-	const (
-		lnkMin = -9.0
-		lnkMax = 6.0
-		n      = 2048
-	)
-	h := (lnkMax - lnkMin) / n
+	h := (sigmaLnkMax - sigmaLnkMin) / sigmaN
 	sum := 0.0
-	for i := 0; i <= n; i++ {
-		lnk := lnkMin + float64(i)*h
-		k := math.Exp(lnk)
+	for i, p := range s.sig {
+		k, t := p.k, p.t
 		w := topHatWindow(k * R)
-		f := s.P(k) * w * w * k * k * k // extra k from dlnk measure
+		f := s.norm * p.pow * t * t * w * w * k * k * k
 		weight := 1.0
-		if i == 0 || i == n {
+		if i == 0 || i == sigmaN {
 			weight = 0.5
 		}
 		sum += weight * f
@@ -111,7 +110,7 @@ func (s *Spectrum) SigmaR(R float64) float64 {
 // SigmaM returns sigma(M) for halo mass M (1e10 Msun/h) at z=0, using the
 // mean matter density to convert mass to Lagrangian radius.
 func (s *Spectrum) SigmaM(m float64) float64 {
-	rho := s.Par.MeanMatterDensity()
+	rho := s.par.MeanMatterDensity()
 	r := math.Cbrt(3 * m / (4 * math.Pi * rho))
 	return s.SigmaR(r)
 }
@@ -125,7 +124,7 @@ func topHatWindow(x float64) float64 {
 }
 
 func (s *Spectrum) bbks(k float64) float64 {
-	p := s.Par
+	p := s.par
 	gamma := p.OmegaM * p.H * math.Exp(-p.OmegaB*(1+math.Sqrt(2*p.H)/p.OmegaM))
 	q := k / gamma
 	return math.Log(1+2.34*q) / (2.34 * q) *

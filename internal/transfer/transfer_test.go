@@ -71,14 +71,3 @@ func TestSigmaMMonotonic(t *testing.T) {
 		t.Errorf("sigma(1e15 Msun/h) = %g", sig)
 	}
 }
-
-func TestPAtRedshiftScalesWithGrowth(t *testing.T) {
-	par := cosmo.Planck2013()
-	s := NewSpectrum(par, EisensteinHu)
-	k := 0.1
-	d := par.GrowthFactor(1 / (1 + 2.0))
-	want := s.P(k) * d * d
-	if math.Abs(s.PAt(k, 2)-want)/want > 1e-12 {
-		t.Error("PAt must scale as the squared growth factor")
-	}
-}
