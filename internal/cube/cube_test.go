@@ -187,7 +187,159 @@ func TestBackgroundAccelFusedBitIdentical(t *testing.T) {
 	}
 }
 
+// cornerFixture is a background list shaped like a sink group's: a parent
+// cell, its eight octants, a neighbour one level up and neighbours one level
+// down (one of them ending at -0, beside the parent's +0 face), each under
+// every one of 27 replica offsets.
+func cornerFixture() (boxes []vec.Box, offs []int32, offsets []vec.V3) {
+	negZero := math.Copysign(0, -1)
+	cells := []vec.Box{
+		vec.CubeBox(vec.V3{0, 0, 0}, 1),
+		vec.CubeBox(vec.V3{1, 0, 0}, 2),
+		vec.CubeBox(vec.V3{0, -0.25, 0.5}, 0.25),
+		{Lo: vec.V3{-0.25, 0, 0}, Hi: vec.V3{negZero, 0.25, 0.25}},
+	}
+	for oct := 0; oct < 8; oct++ {
+		cells = append(cells, vec.CubeBox(vec.V3{float64(oct >> 2), float64(oct >> 1 & 1), float64(oct & 1)}.Scale(0.5), 0.5))
+	}
+	for i := -1; i <= 1; i++ {
+		for j := -1; j <= 1; j++ {
+			for k := -1; k <= 1; k++ {
+				offsets = append(offsets, vec.V3{float64(i), float64(j), float64(k)}.Scale(4))
+			}
+		}
+	}
+	for o := range offsets {
+		for _, c := range cells {
+			boxes = append(boxes, c)
+			offs = append(offs, int32(o))
+		}
+	}
+	return boxes, offs, offsets
+}
+
+// Grouped evaluation must reproduce BackgroundAccel box by box, bit for bit,
+// at sinks outside the tiling, inside a box, on a shared face, edge and
+// corner, and where a corner difference is +0 for one box and -0 for its
+// neighbour.
+func TestBackgroundCornersMatchPerBox(t *testing.T) {
+	boxes, offs, offsets := cornerFixture()
+	rng := rand.New(rand.NewSource(5))
+	sinks := map[string]vec.V3{
+		"outside":  {2.7, -1.3, 1.9},
+		"inside":   {0.3, 0.6, 0.1},
+		"face":     {0.5, 0.3, 0.7},
+		"edge":     {0.5, 0.5, 0.3},
+		"corner":   {0.5, 0.5, 0.5},
+		"zero":     {0, 0.1, 0.2},
+		"neg-zero": {math.Copysign(0, -1), 0.1, 0.2},
+	}
+	for i := 0; i < 20; i++ {
+		sinks[fmt.Sprintf("random%d", i)] = vec.V3{rng.Float64(), rng.Float64(), rng.Float64()}.Scale(3).Sub(vec.V3{1, 1, 1})
+	}
+	bits := func(a vec.V3, p float64) [4]uint64 {
+		return [4]uint64{math.Float64bits(a[0]), math.Float64bits(a[1]), math.Float64bits(a[2]), math.Float64bits(p)}
+	}
+	var g BackgroundGroup
+	g.Index(boxes, offs)
+	if len(g.pts) >= 8*len(boxes) {
+		t.Fatalf("%d distinct corners of %d boxes: nothing shared", len(g.pts), len(boxes))
+	}
+	for name, x := range sinks {
+		g.Eval(x, offsets)
+		var sumA, wantSumA vec.V3
+		var sumP, wantSumP float64
+		for i, box := range boxes {
+			a, p := g.Box(i, 1.5)
+			wa, wp := BackgroundAccel(box, 1.5, x.Sub(offsets[offs[i]]))
+			if bits(a, p) != bits(wa, wp) {
+				t.Errorf("%s box %d: grouped (%v, %g), per box (%v, %g)", name, i, a, p, wa, wp)
+			}
+			sumA, sumP = sumA.Add(a), sumP+p
+			wantSumA, wantSumP = wantSumA.Add(wa), wantSumP+wp
+		}
+		if bits(sumA, sumP) != bits(wantSumA, wantSumP) {
+			t.Errorf("%s: summed field (%v, %g), per box (%v, %g)", name, sumA, sumP, wantSumA, wantSumP)
+		}
+	}
+}
+
+// A warmed BackgroundGroup reuses its buffers: indexing a list, evaluating a
+// sink and summing a box allocate nothing.
+func TestBackgroundGroupZeroAllocs(t *testing.T) {
+	boxes, offs, offsets := cornerFixture()
+	var g BackgroundGroup
+	g.Index(boxes, offs)
+	g.Eval(vec.V3{0.3, 0.6, 0.1}, offsets)
+	for name, f := range map[string]func(){
+		"Index": func() { g.Index(boxes, offs) },
+		"Eval":  func() { g.Eval(vec.V3{0.3, 0.6, 0.1}, offsets) },
+		"Box": func() {
+			for i := range boxes {
+				a, p := g.Box(i, 1.5)
+				benchSink += a[0] + p
+			}
+		},
+	} {
+		if n := testing.AllocsPerRun(10, f); n != 0 {
+			t.Errorf("%s: %v allocations per run", name, n)
+		}
+	}
+}
+
 var benchSink float64
+
+// BenchmarkBackgroundGroup evaluates one sink group's background list, per
+// box with BackgroundAccel and grouped with BackgroundGroup, and reports the
+// time per sink.  The list is the 3x3x3 block of leaf boxes around the
+// group's leaf under four replica offsets: 108 boxes, 2.37 distinct corners
+// per box and 8 sinks, the shape of a tree.cosmo group list (124 boxes,
+// 2.38 corners per box, 8 sinks on average).
+func BenchmarkBackgroundGroup(b *testing.B) {
+	var boxes []vec.Box
+	var offs []int32
+	offsets := []vec.V3{{0, 0, 0}, {-4, 0, 0}, {0, -4, 0}, {-4, -4, 0}}
+	for o := range offsets {
+		for n := 0; n < 27; n++ {
+			boxes = append(boxes, vec.CubeBox(vec.V3{float64(n / 9), float64(n / 3 % 3), float64(n % 3)}.Scale(0.5), 0.5))
+			offs = append(offs, int32(o))
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	sinks := make([]vec.V3, 8)
+	for i := range sinks {
+		sinks[i] = vec.V3{rng.Float64(), rng.Float64(), rng.Float64()}.Scale(0.5).Add(vec.V3{0.5, 0.5, 0.5})
+	}
+	report := func(b *testing.B, cornersPerBox float64) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sinks)), "ns/sink")
+		b.ReportMetric(cornersPerBox, "corners/box")
+	}
+	b.Run("per-box", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, x := range sinks {
+				for bi, box := range boxes {
+					a, p := BackgroundAccel(box, 1, x.Sub(offsets[offs[bi]]))
+					benchSink += a[0] + p
+				}
+			}
+		}
+		report(b, 8)
+	})
+	b.Run("grouped", func(b *testing.B) {
+		var g BackgroundGroup
+		for i := 0; i < b.N; i++ {
+			g.Index(boxes, offs)
+			for _, x := range sinks {
+				g.Eval(x, offsets)
+				for bi := range boxes {
+					a, p := g.Box(bi, 1)
+					benchSink += a[0] + p
+				}
+			}
+		}
+		report(b, float64(len(g.pts))/float64(len(boxes)))
+	})
+}
 
 func BenchmarkBackgroundAccel(b *testing.B) {
 	box := vec.CubeBox(vec.V3{1, 2, 3}, 0.5)

@@ -22,9 +22,10 @@ import (
 
 // equivCase is one traversal configuration of the equivalence grid.
 type equivCase struct {
-	name   string
-	rhoBar float64 // background subtraction when > 0
-	cfg    Config
+	name    string
+	rhoBar  float64 // background subtraction when > 0
+	lattice bool    // run over latticeTree instead of equivTrees
+	cfg     Config
 }
 
 func equivCases() []equivCase {
@@ -86,7 +87,35 @@ func equivCases() []equivCase {
 			cfg: Config{MAC: MACBarnesHut, Theta: 0.6, Kernel: softening.None,
 				SplitRS: 0.05, SplitRCut: 0.2},
 		},
+		// Sinks on an unperturbed lattice sit exactly on the corners of
+		// their own and their neighbours' background boxes, so the corner
+		// sums hit the safeLog/safeAtan guards on corners the boxes share.
+		{
+			name:    "abs/periodic-ws1-bg-lattice/none",
+			rhoBar:  1,
+			lattice: true,
+			cfg: Config{MAC: MACAbsoluteError, AccTol: 1e-3, Kernel: softening.None,
+				Periodic: true, BoxSize: 1, WS: 1},
+		},
 	}
+}
+
+// latticeTree builds an unperturbed 8^3 lattice whose points are corners of
+// the tree's cells at every level down to the leaves.
+func latticeTree(t *testing.T, rhoBar float64) map[string]*tree.Tree {
+	t.Helper()
+	const side = 8
+	var pos []vec.V3
+	var mass []float64
+	for i := 0; i < side*side*side; i++ {
+		pos = append(pos, vec.V3{float64(i/(side*side)) / side, float64(i/side%side) / side, float64(i%side) / side})
+		mass = append(mass, 1.0/(side*side*side))
+	}
+	tr, err := tree.Build(pos, mass, vec.CubeBox(vec.V3{}, 1), tree.Options{Order: 4, LeafSize: 8, RhoBar: rhoBar})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*tree.Tree{"lattice": tr}
 }
 
 // equivTrees builds the particle distributions the grid runs over: a uniform
@@ -140,7 +169,11 @@ func equivTrees(t *testing.T, rhoBar float64) map[string]*tree.Tree {
 
 func TestListInheritMatchesLegacyGather(t *testing.T) {
 	for _, tc := range equivCases() {
-		for dist, tr := range equivTrees(t, tc.rhoBar) {
+		trees := equivTrees
+		if tc.lattice {
+			trees = latticeTree
+		}
+		for dist, tr := range trees(t, tc.rhoBar) {
 			w := NewWalker(tr, tc.cfg)
 			refAcc, refPot, refCnt := w.forcesForAllLegacy(2)
 			legacyWalks := w.LastStats.ReplicaWalks

@@ -35,10 +35,12 @@ package traverse
 // Work lists and the per-group interaction lists are stored as
 // structure-of-arrays index/offset slices (no []*tree.Cell), and are applied
 // through batched kernels: multipole.EvaluateTruncatedBlock evaluates each
-// accepted cell against the whole sink block while its moments stay hot, and
-// p2pAccumulate fuses the force and potential factors into one pass with
-// inlined fast paths for the None and Plummer kernels.  All buffers are
-// pooled per worker on the Walker.
+// accepted cell against the whole sink block while its moments stay hot,
+// p2pAccumulate fuses the force and potential factors into one pass (pairs
+// beyond the kernel's support take the Newtonian factors inline, Plummer is
+// inlined), and cube.BackgroundGroup evaluates each distinct corner of the
+// group's background boxes once per sink.  All buffers are pooled per worker
+// on the Walker.
 
 import (
 	"math"
@@ -285,6 +287,7 @@ type inheritWS struct {
 	res     []multipole.Result
 	accBuf  []vec.V3
 	potBuf  []float64
+	bg      cube.BackgroundGroup
 
 	counters Counters
 	stats    TraversalStats
@@ -723,9 +726,10 @@ func (w *Walker) exactGather(ci, oi int32, g sinkGroup, al *applyLists) {
 // applyGroup applies the resolved SoA lists to every sink particle of the
 // group.  Far cells run source-major through the block evaluator so each
 // cell's moments are streamed once per group; direct sources run through the
-// fused particle-particle kernel.  Per-sink accumulation order is cells, then
-// sources, then background boxes, each in list order — the exact order of the
-// legacy application, so the floating-point sums agree bit for bit.
+// fused particle-particle kernel, background boxes through the group's shared
+// corners.  Per-sink accumulation order is cells, then sources, then
+// background boxes, each in list order — the exact order of the legacy
+// application, so the floating-point sums agree bit for bit.
 func (w *Walker) applyGroup(g sinkGroup, al *applyLists, ws *inheritWS, acc []vec.V3, pot []float64) {
 	t := w.Tree
 	ws.counters.SinkCells++
@@ -780,6 +784,7 @@ func (w *Walker) applyGroup(g sinkGroup, al *applyLists, ws *inheritWS, acc []ve
 
 	nSrc := int64(len(al.srcX))
 	rhoBar := t.RhoBar()
+	ws.bg.Index(al.bgBoxes, al.bgOff)
 	for s := 0; s < m; s++ {
 		i := g.first + s
 		x := t.Pos[i]
@@ -791,9 +796,9 @@ func (w *Walker) applyGroup(g sinkGroup, al *applyLists, ws *inheritWS, acc []ve
 			a, p = p2pAccumulate(w.Cfg.Kernel, w.Cfg.Eps, x, al, accB[s], potB[s])
 		}
 		ws.counters.P2P += nSrc
+		ws.bg.Eval(x, w.offsets)
 		for bi := range al.bgBoxes {
-			xRel := x.Sub(w.offsets[al.bgOff[bi]])
-			ba, bp := cube.BackgroundAccel(al.bgBoxes[bi], rhoBar, xRel)
+			ba, bp := ws.bg.Box(bi, rhoBar)
 			a = a.Add(ba)
 			p += bp
 			ws.counters.BgCubes++
