@@ -34,80 +34,6 @@ func NewExpansion(p int, center vec.V3) *Expansion {
 	}
 }
 
-// ExpansionArena hands out zeroed expansions of one order from flat backing
-// arrays, so a caller building many expansions of the same order (a tree's
-// cell moments) performs three slice allocations instead of four per
-// expansion.  Capacity is fixed at construction; Alloc falls back to an
-// individual NewExpansion when the arena is exhausted, so callers only ever
-// see a fresh zeroed expansion.  Not safe for concurrent use.
-type ExpansionArena struct {
-	p     int
-	exps  []Expansion
-	m     []float64
-	b     []float64
-	norms []float64
-	used  int
-}
-
-// NewExpansionArena returns an arena for up to capacity expansions of order p.
-func NewExpansionArena(p, capacity int) *ExpansionArena {
-	return &ExpansionArena{
-		p:     p,
-		exps:  make([]Expansion, capacity),
-		m:     make([]float64, capacity*NumTerms(p)),
-		b:     make([]float64, capacity*(p+2)),
-		norms: make([]float64, capacity*(p+1)),
-	}
-}
-
-// Cap returns the arena's capacity; Order the expansion order it was built
-// for.
-func (a *ExpansionArena) Cap() int   { return len(a.exps) }
-func (a *ExpansionArena) Order() int { return a.p }
-
-// Reset recycles the whole arena.  Expansions handed out before the reset are
-// overwritten by subsequent Alloc calls; the caller must ensure they are no
-// longer referenced.
-func (a *ExpansionArena) Reset() { a.used = 0 }
-
-// Alloc returns a zeroed expansion of the arena's order about center.
-func (a *ExpansionArena) Alloc(center vec.V3) *Expansion {
-	if a.used >= len(a.exps) {
-		return NewExpansion(a.p, center)
-	}
-	nm, nb, nn := NumTerms(a.p), a.p+2, a.p+1
-	e := &a.exps[a.used]
-	e.P = a.p
-	e.Center = center
-	e.M = a.m[a.used*nm : (a.used+1)*nm : (a.used+1)*nm]
-	e.B = a.b[a.used*nb : (a.used+1)*nb : (a.used+1)*nb]
-	e.Norms = a.norms[a.used*nn : (a.used+1)*nn : (a.used+1)*nn][:0]
-	a.used++
-	for i := range e.M {
-		e.M[i] = 0
-	}
-	for i := range e.B {
-		e.B[i] = 0
-	}
-	e.Bmax = 0
-	e.Mass = 0
-	return e
-}
-
-// Reset clears the expansion in place, keeping the order and changing the
-// center.
-func (e *Expansion) Reset(center vec.V3) {
-	e.Center = center
-	for i := range e.M {
-		e.M[i] = 0
-	}
-	for i := range e.B {
-		e.B[i] = 0
-	}
-	e.Bmax = 0
-	e.Mass = 0
-}
-
 // CopyFrom makes e a value copy of src (same order required): moments,
 // absolute moments, Bmax, mass, center and the finalized norms.  A copied
 // expansion is bit-identical to recomputing src's moments from the same

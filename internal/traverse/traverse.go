@@ -41,10 +41,6 @@ type Config struct {
 	// the estimate requires it).
 	MinimumOrder int
 
-	// GroupSize caps the number of sink particles treated as one block
-	// (m x n blocking); 0 uses the tree leaf size.
-	GroupSize int
-
 	// SplitRS, when positive, runs the traversal in TreePM short-range mode:
 	// every interaction — multipole and particle-particle — is damped by the
 	// erfc complement of the Gaussian force split at scale SplitRS

@@ -3,6 +3,7 @@ package tree
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"twohot/internal/keys"
@@ -10,15 +11,84 @@ import (
 	"twohot/internal/vec"
 )
 
-// This file pins the parallel build pipeline to the serial reference: for
-// every worker count the built tree must be BIT-IDENTICAL — same reordered
-// particle arrays, same SortIndex, same cell array in the same order, same
-// hash contents, and exactly equal (==, no tolerance) multipole moments.
+// This file pins the build pipeline to the serial reference: for every worker
+// count the built tree must be BIT-IDENTICAL to buildSerialReference — same
+// reordered particle arrays, same SortIndex, same cell array in the same
+// order, same hash contents, and exactly equal (==, no tolerance) multipole
+// moments.
 
-// equivWorkerCounts are the parallel worker counts checked against the
-// serial (Workers: 1) reference.  3 is deliberately not a power of two so
-// chunk boundaries never align with octant boundaries.
-var equivWorkerCounts = []int{2, 3, 8}
+// equivWorkerCounts are the worker counts checked against the serial
+// reference.  1 runs the pipeline's tasks one after another; 3 is
+// deliberately not a power of two so chunk boundaries never align with
+// octant boundaries.
+var equivWorkerCounts = []int{1, 2, 3, 8}
+
+// buildSerialReference is the test oracle for every build: the shared
+// prologue sorts the particles, and the tree is then built by the plain
+// depth-first recursion over the sorted keys — no plan, no arenas, no stitch,
+// no dirty-set copy.  Build must reproduce it bit for bit at every worker
+// count, from scratch and incrementally.
+func buildSerialReference(pos []vec.V3, mass []float64, box vec.Box, opt Options) (*Tree, error) {
+	opt.Workers, opt.Previous, opt.Dirty, opt.Scratch = 1, nil, nil, nil
+	t, _, err := newTree(pos, mass, box, opt, 0)
+	if err != nil {
+		return nil, err
+	}
+	t.RootIdx = t.buildSerial(keys.RootKey, 0, len(pos))
+	return t, nil
+}
+
+// distributedSerialReference is the oracle for NewDistributed: the same
+// prologue, then the plain recursion under each of the rank's branch cells.
+func distributedSerialReference(pos []vec.V3, mass []float64, box vec.Box, opt Options, keyLo, keyHi uint64) (*Distributed, error) {
+	opt.Workers, opt.Previous, opt.Dirty, opt.Scratch = 1, nil, nil, nil
+	t, _, err := newTree(pos, mass, box, opt, 1024)
+	if err != nil {
+		return nil, err
+	}
+	d := &Distributed{Tree: t, KeyLo: keyLo, KeyHi: keyHi}
+	for _, bk := range BranchKeys(keyLo, keyHi) {
+		lo, hi := bk.BodyRange()
+		first := sort.Search(len(t.Keys), func(i int) bool { return t.Keys[i] >= uint64(lo) })
+		last := sort.Search(len(t.Keys), func(i int) bool { return t.Keys[i] > uint64(hi) })
+		if last <= first {
+			continue
+		}
+		idx := t.buildSerial(bk, first, last-first)
+		if bk == keys.RootKey {
+			t.RootIdx = idx
+		}
+		d.BranchCells = append(d.BranchCells, bk)
+	}
+	return d, nil
+}
+
+// buildSerial constructs the cell covering the key-sorted particle range
+// [first, first+count) and its subtree by recursion in pre-order, and
+// returns the cell's index.
+func (t *Tree) buildSerial(key keys.Key, first, count int) int32 {
+	c := t.newCell(key, first, count)
+	idx := int32(len(t.Cell))
+	t.Cell = append(t.Cell, &c)
+	t.Hash.Put(key, idx)
+	if count <= t.Opt.LeafSize || key.Level() >= keys.MaxDepth {
+		c.Leaf = true
+		t.leafMoments(&c)
+		return idx
+	}
+	lo := first
+	for oct := 0; oct < 8; oct++ {
+		childKey := key.Child(oct)
+		hi := lo + t.childUpperBound(childKey, lo, first+count)
+		if hi > lo {
+			c.ChildIdx[oct] = t.buildSerial(childKey, lo, hi-lo)
+			c.ChildMask |= 1 << uint(oct)
+		}
+		lo = hi
+	}
+	t.computeInternalMoments(idx)
+	return idx
+}
 
 // buildInput is a named particle distribution for the equivalence suite.
 type buildInput struct {
@@ -166,10 +236,8 @@ func TestParallelBuildMatchesSerialReference(t *testing.T) {
 				box := vec.CubeBox(vec.V3{}, 1)
 				opt := Options{Order: 4, LeafSize: 16, RhoBar: rhoBar}
 
-				optRef := opt
-				optRef.Workers = 1
 				refPos, refMass := cloneInput(in)
-				ref, err := Build(refPos, refMass, box, optRef)
+				ref, err := buildSerialReference(refPos, refMass, box, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -224,17 +292,19 @@ func TestParallelBuildTinyInputs(t *testing.T) {
 			pos[i] = vec.V3{rng.Float64(), rng.Float64(), rng.Float64()}
 			mass[i] = float64(i + 1)
 		}
-		ref, err := Build(append([]vec.V3(nil), pos...), append([]float64(nil), mass...), box,
-			Options{Order: 2, LeafSize: 16, Workers: 1})
+		ref, err := buildSerialReference(append([]vec.V3(nil), pos...), append([]float64(nil), mass...), box,
+			Options{Order: 2, LeafSize: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Build(append([]vec.V3(nil), pos...), append([]float64(nil), mass...), box,
-			Options{Order: 2, LeafSize: 16, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
+		for _, w := range append([]int{4}, equivWorkerCounts...) {
+			got, err := Build(append([]vec.V3(nil), pos...), append([]float64(nil), mass...), box,
+				Options{Order: 2, LeafSize: 16, Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			treesEqual(t, ref, got)
 		}
-		treesEqual(t, ref, got)
 	}
 }
 
@@ -246,7 +316,7 @@ func TestDistributedBuildWorkerEquivalence(t *testing.T) {
 
 	// Key range covering roughly the middle half of the sorted keys.
 	pos, mass := cloneInput(in)
-	probe, err := Build(pos, mass, box, Options{Order: 2, LeafSize: 8, Workers: 1})
+	probe, err := buildSerialReference(pos, mass, box, Options{Order: 2, LeafSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,17 +331,20 @@ func TestDistributedBuildWorkerEquivalence(t *testing.T) {
 		}
 	}
 
-	build := func(workers int) *Distributed {
-		d, err := NewDistributed(append([]vec.V3(nil), rp...), append([]float64(nil), rm...), box,
-			Options{Order: 2, LeafSize: 8, Workers: workers}, keyLo, keyHi)
+	opt := Options{Order: 2, LeafSize: 8}
+	ref, err := distributedSerialReference(append([]vec.V3(nil), rp...), append([]float64(nil), rm...), box,
+		opt, keyLo, keyHi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range equivWorkerCounts {
+		optW := opt
+		optW.Workers = w
+		got, err := NewDistributed(append([]vec.V3(nil), rp...), append([]float64(nil), rm...), box,
+			optW, keyLo, keyHi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return d
-	}
-	ref := build(1)
-	for _, w := range equivWorkerCounts {
-		got := build(w)
 		if len(ref.BranchCells) != len(got.BranchCells) {
 			t.Fatalf("workers=%d: branch count differs: %d vs %d", w, len(ref.BranchCells), len(got.BranchCells))
 		}

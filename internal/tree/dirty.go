@@ -26,15 +26,15 @@ package tree
 // crossing count is bit-identical to rebuilding it.
 //
 // The reuse decision is a pure function of (cell key, D, previous tree), so
-// the serial recursion, the parallel planner and the stitch replay all make
-// it at the same points and the built tree is bit-identical for every worker
-// count — the same discipline as the rest of the pipeline, pinned by
-// dirty_test.go.
+// the planner, the arena builds and the stitch replay all make it at the
+// same points and the built tree is bit-identical for every worker count —
+// the same discipline as the rest of the pipeline, pinned by dirty_test.go.
 
 import (
 	"sort"
 
 	"twohot/internal/keys"
+	"twohot/internal/multipole"
 )
 
 // ReusedSubtree records one subtree the dirty-set build copied verbatim from
@@ -132,49 +132,13 @@ func (t *Tree) reusable(key keys.Key, count int) (int32, bool) {
 }
 
 // copySubtree transplants the previous tree's subtree rooted at pIdx into
-// this tree, with the particle range now starting at first.  Cells are
-// appended in the previous subtree's pre-order (which is the order the
-// serial build would have produced), First is shifted uniformly, and each
-// cell's expansion is copied value-for-value into this build's expansion
-// storage — never aliased, because the previous tree's pooled arenas are
-// recycled two builds later.  Returns the new root index.
-func (t *Tree) copySubtree(pIdx int32, first int) int32 {
-	prev := t.prev
-	delta := first - prev.Cell[pIdx].First
-	base := int32(len(t.Cell))
-	contiguous := true
-	var rec func(pi int32) int32
-	rec = func(pi int32) int32 {
-		pc := prev.Cell[pi]
-		idx := int32(len(t.Cell))
-		if pi-pIdx != idx-base {
-			contiguous = false
-		}
-		cp := t.allocCell()
-		*cp = *pc
-		cp.First += delta
-		e := t.newExpansion(pc.Exp.Center)
-		e.CopyFrom(pc.Exp)
-		cp.Exp = e
-		t.Cell = append(t.Cell, cp)
-		t.Hash.Put(cp.Key, idx)
-		for oct := 0; oct < 8; oct++ {
-			if ci := pc.ChildIdx[oct]; ci != NoChild {
-				cp.ChildIdx[oct] = rec(ci)
-			}
-		}
-		return idx
-	}
-	root := rec(pIdx)
-	t.recordReuse(pIdx, base, int32(len(t.Cell))-base, contiguous)
-	return root
-}
-
-// copySubtree (arena form) mirrors the tree-level copy for one parallel
-// build task: the subtree is copied into the arena with arena-local child
-// indices, and the copy is logged in the arena's reuse info (segments with
-// arena-local Root; the stitch phase rebases and publishes them).  Returns
-// the arena-local root index.
+// the arena, with the particle range now starting at first.  Cells are
+// appended in the previous subtree's pre-order (the order a rebuild would
+// produce) with arena-local child indices, First is shifted uniformly, and
+// each cell's expansion is copied value-for-value, never aliased, so no tree
+// shares moment storage with its predecessor.  The copy is logged in the
+// arena's reuse info (segments with arena-local Root; the stitch phase
+// rebases and publishes them).  Returns the arena-local root index.
 func (a *arena) copySubtree(pIdx int32, first int) int32 {
 	t := a.t
 	prev := t.prev
@@ -190,7 +154,7 @@ func (a *arena) copySubtree(pIdx int32, first int) int32 {
 		}
 		c := *pc
 		c.First += delta
-		e := t.newExpansion(pc.Exp.Center)
+		e := multipole.NewExpansion(t.Opt.Order, pc.Exp.Center)
 		e.CopyFrom(pc.Exp)
 		c.Exp = e
 		a.cells = append(a.cells, &c)
@@ -210,16 +174,6 @@ func (a *arena) copySubtree(pIdx int32, first int) int32 {
 			ReusedSubtree{PrevRoot: pIdx, Root: base, NumCells: n})
 	}
 	return root
-}
-
-// recordReuse updates the reuse statistics and, for pre-order contiguous
-// copies, the Reuse segment list.
-func (t *Tree) recordReuse(prevRoot, root, numCells int32, contiguous bool) {
-	t.Stats.ReusedSubtrees++
-	t.Stats.ReusedCells += int(numCells)
-	if contiguous {
-		t.Reuse = append(t.Reuse, ReusedSubtree{PrevRoot: prevRoot, Root: root, NumCells: numCells})
-	}
 }
 
 // ReuseSource returns the tree whose cells this build's Reuse segments refer

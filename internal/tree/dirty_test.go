@@ -1,10 +1,10 @@
 package tree
 
 // This file pins the dirty-set subtree reuse (Options.Dirty) to the
-// from-scratch build: for any dirty fraction — none, a few, most, all — any
-// drift amplitude and any worker count, the reusing build must be
-// BIT-IDENTICAL to a fresh build of the same positions, while actually
-// copying subtrees whenever anything is clean.
+// from-scratch serial reference: for any dirty fraction — none, a few, most,
+// all — any drift amplitude and any worker count, the reusing build must be
+// BIT-IDENTICAL to buildSerialReference of the same positions, while
+// actually copying subtrees whenever anything is clean.
 
 import (
 	"fmt"
@@ -66,7 +66,7 @@ func TestDirtyBuildMatchesScratch(t *testing.T) {
 
 				refPos := append([]vec.V3(nil), drift...)
 				refMass := append([]float64(nil), in.mass...)
-				ref, err := Build(refPos, refMass, box, opt)
+				ref, err := buildSerialReference(refPos, refMass, box, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -114,10 +114,10 @@ func TestDirtyBuildMatchesScratch(t *testing.T) {
 	}
 }
 
-// TestDirtyBuildSharedMoments makes sure copied expansions never alias the
-// previous tree's pooled storage: after two further builds through the same
-// scratch (which recycles the arena side the source tree used), the copied
-// tree's moments must be untouched.
+// TestDirtyBuildNoAliasing makes sure copied expansions never alias the
+// previous tree's storage: after a further build through the same scratch
+// (which recycles the retained side the source tree used), the copied tree's
+// moments must be untouched.
 func TestDirtyBuildNoAliasing(t *testing.T) {
 	n := 2000
 	box := vec.CubeBox(vec.V3{}, 1)
@@ -198,7 +198,7 @@ func TestDirtyBuildChain(t *testing.T) {
 
 		refPos := append([]vec.V3(nil), pos...)
 		refMass := append([]float64(nil), in.mass...)
-		ref, err := Build(refPos, refMass, box, opt)
+		ref, err := buildSerialReference(refPos, refMass, box, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func TestDirtyBuildRejectsIncompatiblePrevious(t *testing.T) {
 
 			refPos := append([]vec.V3(nil), drift...)
 			refMass := append([]float64(nil), in.mass...)
-			ref, err := Build(refPos, refMass, box, opt)
+			ref, err := buildSerialReference(refPos, refMass, box, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,7 +2,6 @@ package tree
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"twohot/internal/keys"
@@ -64,24 +63,11 @@ type Distributed struct {
 // key range.  Call AddRemoteCell for every branch cell received from the
 // other ranks and then BuildUpper to assemble the shared upper tree.
 func NewDistributed(pos []vec.V3, mass []float64, box vec.Box, opt Options, keyLo, keyHi uint64) (*Distributed, error) {
-	opt.defaults()
-	if len(pos) == 0 {
-		return nil, fmt.Errorf("tree: rank owns no particles")
-	}
-	if len(pos) > math.MaxInt32 {
-		return nil, fmt.Errorf("tree: %d particles exceed the 2^31 sort-record limit", len(pos))
-	}
-	t := &Tree{
-		Opt:  opt,
-		Box:  box,
-		Hash: NewHashTable(2*len(pos) + 1024),
-		Pos:  pos,
-		Mass: mass,
-	}
-	workers := opt.workerCount()
-	t.sortParticles(workers)
-	if opt.RhoBar > 0 {
-		t.buildBackgroundMoments()
+	// The slack leaves hash room for the remote branch cells and the shared
+	// upper cells added after the local build.
+	t, workers, err := newTree(pos, mass, box, opt, 1024)
+	if err != nil {
+		return nil, err
 	}
 
 	d := &Distributed{Tree: t, KeyLo: keyLo, KeyHi: keyHi}

@@ -9,10 +9,10 @@ import (
 )
 
 // This file pins the incremental rebuild (Options.Previous) to the
-// from-scratch build: for every drift amplitude — including none at all and
-// a complete shuffle that defeats the near-sorted fast path — and for every
-// worker count, the rebuilt tree must be BIT-IDENTICAL to a fresh build of
-// the same positions.
+// from-scratch serial reference: for every drift amplitude — including none
+// at all and a complete shuffle that defeats the near-sorted fast path — and
+// for every worker count, the rebuilt tree must be BIT-IDENTICAL to
+// buildSerialReference of the same positions.
 
 // driftedClone returns a copy of pos with every coordinate perturbed by a
 // Gaussian of width sigma (periodically wrapped into the unit box).
@@ -60,8 +60,7 @@ func TestIncrementalBuildMatchesScratch(t *testing.T) {
 
 				refPos := append([]vec.V3(nil), drift...)
 				refMass := append([]float64(nil), in.mass...)
-				scratchOpt := opt
-				ref, err := Build(refPos, refMass, box, scratchOpt)
+				ref, err := buildSerialReference(refPos, refMass, box, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -117,7 +116,7 @@ func TestIncrementalBuildRejectsIncompatiblePrevious(t *testing.T) {
 		t.Fatal(err)
 	}
 	pos, mass := mk(800)
-	ref, err := Build(append([]vec.V3(nil), pos...), append([]float64(nil), mass...), box, Options{Order: 2, Workers: 1})
+	ref, err := buildSerialReference(append([]vec.V3(nil), pos...), append([]float64(nil), mass...), box, Options{Order: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +150,7 @@ func TestIncrementalBuildChain(t *testing.T) {
 
 		refPos := append([]vec.V3(nil), pos...)
 		refMass := append([]float64(nil), in.mass...)
-		ref, err := Build(refPos, refMass, box, opt)
+		ref, err := buildSerialReference(refPos, refMass, box, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

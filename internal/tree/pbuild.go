@@ -10,16 +10,18 @@ import (
 	"twohot/internal/parsort"
 )
 
-// This file implements the parallel build pipeline behind Build and
-// NewDistributed.  The stages are
+// This file implements the build pipeline behind Build and NewDistributed,
+// the one way either builds a tree.  The stages are
 //
 //  1. key computation over parallel chunks (element-wise keys.FromPosition),
 //  2. a parallel sort of packed (key, index) records (parsort.SortKV),
 //  3. a gather of the particle arrays into key order over parallel chunks,
-//  4. concurrent subtree builds: the domain is split at a level chosen from
-//     the worker count, each split cell's subtree is built into a private
-//     arena, and a single-threaded stitch replays the upper walk to install
-//     arenas and hash entries in the serial build's exact pre-order,
+//  4. subtree builds: the domain is split at a level chosen from the worker
+//     count, each split cell's subtree is built into a private arena by the
+//     workers (one after another when there is one), and a single-threaded
+//     stitch replays the upper walk to install arenas and hash entries in
+//     the recursive pre-order — the order a plain depth-first recursion over
+//     the sorted keys would produce,
 //  5. a final parallel internal-moment pass over the stitched upper cells,
 //     level by level from the deepest.
 //
@@ -27,8 +29,9 @@ import (
 // goroutine scheduling: stages 1 and 3 are element-wise, the sort order is
 // total (ties broken by original index), the cell layout of stage 4 depends
 // only on the sorted keys, and stage 5 computes each cell's moments from
-// already-finished children with the same code the serial build uses.  The
-// equivalence suite in build_equiv_test.go pins this bit-for-bit.
+// already-finished children with the same code the arenas use.  The
+// equivalence suite in build_equiv_test.go pins every worker count
+// bit-for-bit to that plain recursion, kept there as buildSerialReference.
 
 // GrowSlice resizes a pooled buffer to length n, reallocating only when the
 // capacity is exhausted.  Contents are unspecified (callers overwrite every
@@ -85,7 +88,7 @@ func parallelChunks(n, workers int, body func(lo, hi int)) {
 // carries the particle's index in the caller's ordering, so the sorted record
 // sequence — a total order over (key, caller index) — is exactly the one the
 // from-scratch path produces, and everything built from it is bit-identical.
-func (t *Tree) sortParticles(workers int) (*BuildScratch, int) {
+func (t *Tree) sortParticles(workers int) {
 	n := len(t.Pos)
 	sc := t.Opt.Scratch
 	t.Opt.Scratch = nil // the tree must not retain the caller's scratch
@@ -160,18 +163,6 @@ func (t *Tree) sortParticles(workers int) (*BuildScratch, int) {
 	})
 	t.Keys = newKeys
 	t.SortIndex = idx
-	return sc, side
-}
-
-// buildRange constructs the subtree covering the key-sorted particle range
-// [first, first+count) under key: serially for workers <= 1 (the reference
-// implementation the equivalence suite compares against), through the
-// arena pipeline otherwise.
-func (t *Tree) buildRange(key keys.Key, first, count, workers int) int32 {
-	if workers <= 1 {
-		return t.buildCell(key, first, count)
-	}
-	return t.buildParallel(key, first, count, workers)
 }
 
 // splitLevelFor picks the absolute level at which the domain is cut into
@@ -213,9 +204,10 @@ type arena struct {
 	reuse arenaReuseInfo
 }
 
-// build mirrors Tree.buildCell exactly — including the dirty-set reuse check
-// at every level — appending into the arena instead of the tree and
-// computing all leaf and internal moments of the subtree.
+// build constructs the subtree covering the key-sorted particle range
+// [first, first+count) under key by depth-first recursion — making the
+// dirty-set reuse check at every level — and computes all leaf and internal
+// moments of the subtree.  Returns the arena-local root index.
 func (a *arena) build(key keys.Key, first, count int) int32 {
 	t := a.t
 	if pi, ok := t.reusable(key, count); ok {
@@ -251,14 +243,15 @@ func (a *arena) build(key keys.Key, first, count int) int32 {
 	return idx
 }
 
-// buildParallel is the concurrent counterpart of buildCell for the same
-// (key, first, count) subtree.  See the file comment for the stages.
-func (t *Tree) buildParallel(root keys.Key, first, count, workers int) int32 {
+// buildRange constructs the subtree covering the key-sorted particle range
+// [first, first+count) under root on up to workers goroutines and returns
+// its index.  See the file comment for the stages.
+func (t *Tree) buildRange(root keys.Key, first, count, workers int) int32 {
 	splitLevel := splitLevelFor(root.Level(), workers)
 
 	// taskHere decides, identically in the plan and stitch walks, whether a
 	// cell is built whole by one task (leaves included: a range that the
-	// serial build would turn into a leaf is a single-cell task).
+	// recursion would turn into a leaf is a single-cell task).
 	taskHere := func(level, count int) bool {
 		return count <= t.Opt.LeafSize || level >= keys.MaxDepth || level >= splitLevel
 	}
@@ -316,8 +309,8 @@ func (t *Tree) buildParallel(root keys.Key, first, count, workers int) int32 {
 
 	// Phase 3: stitch — replay the planning walk on the calling goroutine,
 	// appending upper cells and arena cells so that the cell array and the
-	// hash-table insertion sequence match the serial build's pre-order
-	// exactly.  Upper-cell moments are deferred to phase 4.
+	// hash-table insertion sequence follow the recursive pre-order exactly.
+	// Upper-cell moments are deferred to phase 4.
 	var upper []int32
 	nextTask := 0
 	var stitch func(key keys.Key, first, count int) int32

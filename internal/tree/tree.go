@@ -64,8 +64,8 @@ type Options struct {
 	Rank   int // owning rank id (0 for shared-memory trees)
 	// Workers is the number of goroutines used by the build pipeline
 	// (key computation, record sort, subtree construction, moment pass).
-	// 0 means GOMAXPROCS; 1 forces the serial reference build.  The built
-	// tree is bit-identical for every worker count.
+	// 0 means GOMAXPROCS; with 1 the pipeline's tasks run one after
+	// another.  The built tree is bit-identical for every worker count.
 	Workers int
 	// Previous, when non-nil, seeds the incremental rebuild: particles are
 	// re-keyed in the previous tree's sorted record order, so on a
@@ -102,81 +102,19 @@ type Options struct {
 
 // BuildScratch pools the large transient slices of the build pipeline — the
 // sort records and the gather staging buffers — plus double buffers for the
-// storage the built tree retains: the sorted key/index arrays, the cell
-// structs and the per-cell expansions.  A steady-state near-static step
-// allocates almost nothing.  The zero value is ready to use; the first build
-// through a scratch sizes the retained arenas for the ones after it.
+// sorted key/index arrays the built tree retains.  The zero value is ready to
+// use.
 type BuildScratch struct {
 	recs  []parsort.KV
 	gpos  []vec.V3
 	gmass []float64
 	dirty []uint64 // sorted dirty-key set of the subtree-reuse path
-	// Double-buffered retained storage: build k hands out side k%2, so the
+	// Double-buffered retained arrays: build k hands out side k%2, so the
 	// previous build's tree (side (k-1)%2) stays fully intact while it
 	// seeds the incremental sort.
-	keys  [2][]uint64
-	idx   [2][]int
-	cells [2][]Cell
-	exps  [2]*multipole.ExpansionArena
-	flip  int
-	// cellEstimate is the cell count of the most recent build, used to size
-	// the retained arenas of the next one.
-	cellEstimate int
-}
-
-// retainedAlloc is the per-build view of the scratch's retained-storage side:
-// cell slots and expansions are handed out sequentially, falling back to the
-// heap when the side's capacity (sized from the previous build) runs out.
-// Only the serial build path allocates through it; parallel arena tasks keep
-// their private allocations.
-type retainedAlloc struct {
-	cells []Cell
-	used  int
-	exps  *multipole.ExpansionArena
-}
-
-func (a *retainedAlloc) newCell() *Cell {
-	if a == nil || a.used >= len(a.cells) {
-		return &Cell{}
-	}
-	c := &a.cells[a.used]
-	a.used++
-	*c = Cell{}
-	return c
-}
-
-// allocCell returns storage for one cell (pooled when a scratch side is
-// active, heap otherwise).
-func (t *Tree) allocCell() *Cell { return t.alloc.newCell() }
-
-// newExpansion returns a zeroed expansion of the tree's order (pooled when a
-// scratch side is active).
-func (t *Tree) newExpansion(center vec.V3) *multipole.Expansion {
-	if t.alloc != nil && t.alloc.exps != nil {
-		return t.alloc.exps.Alloc(center)
-	}
-	return multipole.NewExpansion(t.Opt.Order, center)
-}
-
-// attachRetained prepares the scratch's next retained side for this build,
-// growing the arenas to fit the previous build's cell count (with slack).
-// nEstimate <= 0 leaves the arenas empty (first build through the scratch:
-// everything falls back to the heap, and the count observed sizes the side
-// for the build after next).
-func (t *Tree) attachRetained(sc *BuildScratch, side, nEstimate int) {
-	if nEstimate > 0 {
-		want := nEstimate + nEstimate/4 + 64
-		if cap(sc.cells[side]) < want {
-			sc.cells[side] = make([]Cell, want)
-		}
-		if sc.exps[side] == nil || sc.exps[side].Cap() < want || sc.exps[side].Order() != t.Opt.Order {
-			sc.exps[side] = multipole.NewExpansionArena(t.Opt.Order, want)
-		}
-		sc.exps[side].Reset()
-		t.alloc = &retainedAlloc{cells: sc.cells[side][:cap(sc.cells[side])], exps: sc.exps[side]}
-		return
-	}
-	t.alloc = nil
+	keys [2][]uint64
+	idx  [2][]int
+	flip int
 }
 
 // BuildStats reports how a build's sort phase ran (see Options.Previous).
@@ -235,10 +173,6 @@ type Tree struct {
 	// ReusedSubtree for what consumers may do with the segments.
 	Reuse []ReusedSubtree
 
-	// alloc is the transient retained-storage allocator of the current
-	// build (nil outside serial scratch-backed builds).
-	alloc *retainedAlloc
-
 	// Transient dirty-set state of the current build (see dirty.go):
 	// the copy source, and the sorted old+new body keys of the dirty
 	// particles.  Both are cleared before Build returns; reuseFrom
@@ -265,52 +199,53 @@ type Tree struct {
 // retains references to them.  box must be the cubical root volume containing
 // all positions.
 //
-// Construction is a parallel pipeline over opt.Workers goroutines: keys are
-// computed in chunks, the (key, index) records are sorted with the parsort
-// record sort, the domain is split into subtrees built concurrently into
-// per-task arenas, and the stitched upper cells get their moments in a final
-// parallel pass.  The result is bit-identical for every worker count: the
-// sort order is total, the arena/stitch layout reproduces the serial
-// pre-order exactly, and every moment is computed by the same code over the
-// same operands in the same sequence.
+// Construction is a pipeline over opt.Workers goroutines: keys are computed
+// in chunks, the (key, index) records are sorted with the parsort record
+// sort, the domain is split into subtrees built into per-task arenas, and the
+// stitched upper cells get their moments in a final pass (pbuild.go).  The
+// result is bit-identical for every worker count: the sort order is total,
+// the arena/stitch layout is the recursive pre-order, and every moment is
+// computed by the same code over the same operands in the same sequence.
 func Build(pos []vec.V3, mass []float64, box vec.Box, opt Options) (*Tree, error) {
+	t, workers, err := newTree(pos, mass, box, opt, 0)
+	if err != nil {
+		return nil, err
+	}
+	t.RootIdx = t.buildRange(keys.RootKey, 0, len(pos), workers)
+	t.prev = nil
+	t.dirtyKeys = nil
+	t.Opt.Dirty = nil // the tree must not retain the caller's dirty mask
+	return t, nil
+}
+
+// newTree is the prologue Build and NewDistributed share: option defaults,
+// the input checks, the key sort of the particle arrays and the background
+// moments.  hashSlack reserves hash-table room beyond the local cells.  It
+// returns the resolved worker count.
+func newTree(pos []vec.V3, mass []float64, box vec.Box, opt Options, hashSlack int) (*Tree, int, error) {
 	opt.defaults()
 	if len(pos) != len(mass) {
-		return nil, fmt.Errorf("tree: position and mass lengths differ")
+		return nil, 0, fmt.Errorf("tree: position and mass lengths differ")
 	}
 	if len(pos) == 0 {
-		return nil, fmt.Errorf("tree: cannot build a tree with no particles")
+		return nil, 0, fmt.Errorf("tree: cannot build a tree with no particles")
 	}
 	if len(pos) > math.MaxInt32 {
-		return nil, fmt.Errorf("tree: %d particles exceed the 2^31 sort-record limit", len(pos))
+		return nil, 0, fmt.Errorf("tree: %d particles exceed the 2^31 sort-record limit", len(pos))
 	}
 	t := &Tree{
 		Opt:  opt,
 		Box:  box,
-		Hash: NewHashTable(2 * len(pos)),
+		Hash: NewHashTable(2*len(pos) + hashSlack),
 		Pos:  pos,
 		Mass: mass,
 	}
 	workers := opt.workerCount()
-	sc, side := t.sortParticles(workers)
-
+	t.sortParticles(workers)
 	if opt.RhoBar > 0 {
 		t.buildBackgroundMoments()
 	}
-
-	// The serial path allocates its retained cell and expansion storage
-	// from the scratch side the sorted arrays came from; the parallel path
-	// keeps per-task allocations (concurrent arenas would need locking).
-	if workers <= 1 {
-		t.attachRetained(sc, side, sc.cellEstimate)
-	}
-	t.RootIdx = t.buildRange(keys.RootKey, 0, len(pos), workers)
-	t.alloc = nil
-	t.prev = nil
-	t.dirtyKeys = nil
-	t.Opt.Dirty = nil // the tree must not retain the caller's dirty mask
-	sc.cellEstimate = len(t.Cell)
-	return t, nil
+	return t, workers, nil
 }
 
 // buildBackgroundMoments caches, per level, the multipole moments of a
@@ -337,9 +272,8 @@ func (t *Tree) BackgroundMomentsForLevel(level int) *multipole.Expansion {
 func (t *Tree) RhoBar() float64 { return t.Opt.RhoBar }
 
 // newCell initializes the common fields of a local cell covering the given
-// particle range.  Every build path (serial recursion, parallel arenas, the
-// stitch walk) must construct cells through this single helper so their
-// layouts cannot diverge.
+// particle range.  The arena builds and the stitch walk both construct cells
+// through this single helper so their layouts cannot diverge.
 func (t *Tree) newCell(key keys.Key, first, count int) Cell {
 	box := key.CellBox(t.Box)
 	c := Cell{
@@ -357,42 +291,6 @@ func (t *Tree) newCell(key keys.Key, first, count int) Cell {
 	return c
 }
 
-// buildCell recursively constructs the cell covering the given particle range
-// and returns its index.  When the dirty-set path is armed and the range is
-// untouched since the previous build, the whole subtree is copied instead.
-func (t *Tree) buildCell(key keys.Key, first, count int) int32 {
-	if pi, ok := t.reusable(key, count); ok {
-		return t.copySubtree(pi, first)
-	}
-	level := key.Level()
-	cp := t.allocCell()
-	*cp = t.newCell(key, first, count)
-	idx := int32(len(t.Cell))
-	t.Cell = append(t.Cell, cp)
-	t.Hash.Put(key, idx)
-
-	if count <= t.Opt.LeafSize || level >= keys.MaxDepth {
-		t.Cell[idx].Leaf = true
-		t.computeLeafMoments(idx)
-		return idx
-	}
-
-	// Partition the key-sorted range among the eight children.
-	lo := first
-	for oct := 0; oct < 8; oct++ {
-		childKey := key.Child(oct)
-		hi := lo + t.childUpperBound(childKey, lo, first+count)
-		if hi > lo {
-			ci := t.buildCell(childKey, lo, hi-lo)
-			t.Cell[idx].ChildIdx[oct] = ci
-			t.Cell[idx].ChildMask |= 1 << uint(oct)
-		}
-		lo = hi
-	}
-	t.computeInternalMoments(idx)
-	return idx
-}
-
 // childUpperBound returns how many of the sorted keys in t.Keys[lo:hi] fall
 // inside childKey's body-key range (lo being the first candidate slot).
 func (t *Tree) childUpperBound(childKey keys.Key, lo, hi int) int {
@@ -400,13 +298,11 @@ func (t *Tree) childUpperBound(childKey keys.Key, lo, hi int) int {
 	return sort.Search(hi-lo, func(i int) bool { return t.Keys[lo+i] > uint64(hiKey) })
 }
 
-func (t *Tree) computeLeafMoments(idx int32) { t.leafMoments(t.Cell[idx]) }
-
 // leafMoments computes the delta moments of a leaf cell from its particle
 // range.  It only reads shared tree state, so concurrent calls on distinct
 // cells are safe.
 func (t *Tree) leafMoments(c *Cell) {
-	e := t.newExpansion(c.Center)
+	e := multipole.NewExpansion(t.Opt.Order, c.Center)
 	for i := c.First; i < c.First+c.NBodies; i++ {
 		e.AddParticle(t.Pos[i], t.Mass[i])
 	}
@@ -427,10 +323,10 @@ func (t *Tree) computeInternalMoments(idx int32) {
 
 // internalMoments shifts the children's moments (resolved through child, so
 // callers can supply arena-local children) up to cell c.  The octant loop and
-// the arithmetic are shared by the serial build, the arena builds and the
-// stitched upper-cell pass, which keeps every path bit-identical.
+// the arithmetic are shared by the arena builds and the stitched upper-cell
+// pass, which keeps the two bit-identical.
 func (t *Tree) internalMoments(c *Cell, childAt func(oct int) *Cell) {
-	e := t.newExpansion(c.Center)
+	e := multipole.NewExpansion(t.Opt.Order, c.Center)
 	for oct := 0; oct < 8; oct++ {
 		child := childAt(oct)
 		if child == nil {
