@@ -121,7 +121,7 @@ func TestStageClusterRunRestartKeepsStepSize(t *testing.T) {
 	_, aInit := snap.StepGrid()
 	ckpt := filepath.Join(cfg.OutputDir, "ckpt.sdf")
 	for k := 1; k < cfg.NSteps; k++ {
-		// The epoch the engines reach after k steps (step.Global.Advance).
+		// The epoch the engine reaches after k steps (step.Block.Advance).
 		snap.ScaleFac *= math.Exp(fresh.DlnA)
 		snap.SetStepGrid(k, aInit)
 		if err := sdf.Write(ckpt, snap); err != nil {

@@ -91,7 +91,7 @@ type Config struct {
 	// or crash recovery.  With block stepping each fabric is self-consistent
 	// (deterministic, resume- and recovery-identical) but the two differ from
 	// each other: they start a substep's decomposition from different
-	// layouts (ROADMAP item 3).
+	// layouts (ROADMAP item 2(b)).
 	Transport string `json:"transport,omitempty"`
 	// BlockSteps, when positive, replaces every global step with a
 	// hierarchical block step of that many power-of-two rung levels:

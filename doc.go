@@ -15,8 +15,9 @@
 //     PM, direct summation): one solve method, ActiveForces, and one
 //     implementation.  NewForceSolver is the one constructor and the only
 //     SolverKind dispatch.
-//   - Stepper — the time integrator (global leapfrog or hierarchical block
-//     timesteps; step.NewEngine picks, for a run and a cluster rank alike).
+//   - Stepper — the time integrator: hierarchical block timesteps, whose
+//     one-level form is the global leapfrog (step.NewEngine builds it, for a
+//     run and a cluster rank alike).
 //   - Observer — registered diagnostics hooks (OnStep, OnForce,
 //     OnSynchronize) receiving step statistics, rung histograms and energy
 //     tallies; ObserverFuncs adapts plain functions.
@@ -32,7 +33,7 @@
 //	internal/tree       the hashed oct-tree (local and distributed)
 //	internal/traverse   the MAC, interaction lists, background subtraction, periodic replicas
 //	internal/core       the assembled force solvers (tree, direct, Ewald, distributed)
-//	internal/step       stepping engines (global leapfrog, block timesteps) and the rung scheduler
+//	internal/step       the block-timestep engine (one level = global leapfrog) and the rung scheduler
 //	internal/comm       the message-passing runtime (ranks, collectives, ABM)
 //	internal/domain     space-filling-curve domain decomposition
 //	internal/cosmo      Friedmann background, growth factors, drift/kick integrals

@@ -67,7 +67,7 @@ func main() {
 	var decomp *domain.Decomposition
 	counts := make([]int, *nRanks)
 	if err := world.Run(func(r *comm.Rank) error {
-		d, err := domain.Decompose(r, perRank[r.ID], box, domain.Options{Curve: curve}, nil)
+		d, err := domain.Decompose(r, perRank[r.ID], box, domain.Options{Curve: curve})
 		if err != nil {
 			return err
 		}

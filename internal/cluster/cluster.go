@@ -133,19 +133,21 @@ const tagGather = 8000
 type RunHooks struct {
 	// OnBlock fires on each rank after every completed block step of a
 	// block-stepped run (Spec.BlockSteps > 0) with the completed-step count
-	// and the agreed global rung histogram of that block.
+	// and the rung histogram of that block: the agreed global one when
+	// BlockSteps > 1, the rank's own count on a one-level schedule, which
+	// has nothing to agree.
 	OnBlock func(stepsDone int, hist []int)
 }
 
 // RankRun is the per-rank body of a cluster run, independent of the
 // transport joining r to its world.  Each rank loads its contiguous chunk of
 // the input snapshot and then drives the same stepping engine a
-// single-process Simulation drives — step.Global, or step.Block when
-// Spec.BlockSteps > 0 — against its share of the distributed force solve
-// (core.RankSolver): Advance, rechunk back to the canonical layout, and on the
-// checkpoint cadence a collective checkpoint gate followed by a gather to
-// rank 0.  The run ends with the engine's Synchronize and a final gather, so
-// the result snapshot is synchronized.
+// single-process Simulation drives — the step.Block of Spec.BlockSteps rung
+// levels, one level for global stepping — against its share of the
+// distributed force solve (core.RankSolver): Advance, rechunk back to the
+// canonical layout, and on the checkpoint cadence a collective checkpoint
+// gate followed by a gather to rank 0.  The run ends with the engine's
+// Synchronize and a final gather, so the result snapshot is synchronized.
 //
 // The step grid comes from the input snapshot (sdf.Snapshot.StepGrid): a
 // checkpoint resumes after its completed-step count and hands its anchor on
@@ -183,10 +185,7 @@ func RankRunHooked(r *comm.Rank, spec Spec, hooks RunHooks) error {
 	})
 
 	eng := step.NewEngine(par, spec.Tree.BoxSize, snap.Particles.Len(), spec.BlockSteps, spec.RungDisplacementFrac)
-	blk, _ := eng.(*step.Block)
-	if blk != nil {
-		blk.AgreeRungs = func(local []int) ([]int, error) { return sumRungs(r, local) }
-	}
+	eng.AgreeRungs = func(local []int) ([]int, error) { return sumRungs(r, local) }
 
 	for s := startStep; s < spec.NSteps; s++ {
 		// Fresh splitters at every step; within a block step the solver
@@ -198,8 +197,8 @@ func RankRunHooked(r *comm.Rank, spec Spec, hooks RunHooks) error {
 		if err := rechunk(r, my); err != nil {
 			return fmt.Errorf("cluster: rank %d step %d rechunk: %w", r.ID, s, err)
 		}
-		if blk != nil && hooks.OnBlock != nil {
-			hooks.OnBlock(s+1, blk.RungHistogram())
+		if spec.BlockSteps > 0 && hooks.OnBlock != nil {
+			hooks.OnBlock(s+1, eng.RungHistogram())
 		}
 		if spec.CheckpointPath != "" && step.CheckpointDue(s+1, spec.CheckpointEvery, spec.NSteps) {
 			if err := syncIfUnrepresentable(r, my, &clk, eng, fz); err != nil {
@@ -226,9 +225,10 @@ func RankRunHooked(r *comm.Rank, spec Spec, hooks RunHooks) error {
 	return writeGathered(r, my, spec.ResultPath, clk, spec, spec.NSteps, aInit)
 }
 
-// sumRungs is the rung agreement of a block-stepped world (step.Block's
-// AgreeRungs): the per-rank histograms are summed so every rank derives the
-// same substep schedule — and sees the same global rung occupancy.
+// sumRungs is the rung agreement of a multi-level block-stepped world
+// (step.Block's AgreeRungs): the per-rank histograms are summed so every
+// rank derives the same substep schedule — and sees the same global rung
+// occupancy.
 func sumRungs(r *comm.Rank, local []int) ([]int, error) {
 	enc := make([]uint64, len(local))
 	for i, c := range local {
@@ -249,11 +249,11 @@ func sumRungs(r *comm.Rank, local []int) ([]int, error) {
 // world holds per-particle momentum epochs a single-epoch snapshot cannot
 // represent (a multi-rung block; the engine's CheckpointReady says so).  The
 // verdict is collective — an allreduce over the ranks' local answers — so
-// every rank takes the same branch.  Global and all-rung-0 states leave one
-// uniform trailing epoch, which the snapshot's two scale factors represent
-// exactly; they are written unchanged, which keeps an all-rung-0 block run's
-// checkpoints byte-identical to a global run's.
-func syncIfUnrepresentable(r *comm.Rank, my *particle.Set, clk *step.Clock, eng step.Engine, fz *core.RankSolver) error {
+// every rank takes the same branch.  One-level and all-rung-0 states leave
+// one uniform trailing epoch, which the snapshot's two scale factors
+// represent exactly; they are written unchanged, which keeps an all-rung-0
+// block run's checkpoints byte-identical to a global-timestep run's.
+func syncIfUnrepresentable(r *comm.Rank, my *particle.Set, clk *step.Clock, eng *step.Block, fz *core.RankSolver) error {
 	local := 0.0
 	if eng.CheckpointReady(clk.AMom) != nil {
 		local = 1

@@ -215,7 +215,7 @@ func (s *RankSolver) solve(my *particle.Set, masked bool) (*Result, error) {
 	// --- Domain decomposition -------------------------------------------
 	t0 := time.Now()
 	if s.decomp == nil {
-		s.decomp, err = domain.Decompose(r, my, box, domain.Options{UseWork: cfg.UseWorkWeights}, nil)
+		s.decomp, err = domain.Decompose(r, my, box, domain.Options{UseWork: cfg.UseWorkWeights})
 		if err != nil {
 			return nil, fmt.Errorf("core: domain decomposition: %w", err)
 		}

@@ -99,7 +99,7 @@ func TestRingExchangeMatchesAllgather(t *testing.T) {
 			for i := r.ID; i < len(pos); i += n {
 				my.Append(pos[i], vec.V3{}, mass[i], int64(i))
 			}
-			d, err := domain.Decompose(r, my, box, domain.Options{}, nil)
+			d, err := domain.Decompose(r, my, box, domain.Options{})
 			if err != nil {
 				return err
 			}

@@ -9,9 +9,8 @@
 // particle counts, or the per-particle interaction counts recorded by the
 // previous force solve (Options.UseWork) — and exchanges particles, as
 // particle wire records (particle.EncodeRange), with the direct Alltoallv (the
-// paper's direct/pairwise/hierarchical comparison lives in comm).  A previous
-// Decomposition seeds the splitter sampling, the cheap refinement path for
-// near-static steps.
+// paper's direct/pairwise/hierarchical comparison lives in comm).  Every
+// call samples splitters afresh from the current keys.
 //
 // Shared-memory: SplitWeighted is the same idea for an already-ordered
 // sequence — it cuts per-item work weights into contiguous shards of

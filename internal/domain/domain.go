@@ -40,20 +40,14 @@ type Options struct {
 
 // Decompose chooses splitters for the particles currently held by each rank
 // and exchanges particles so that every rank ends up owning a contiguous key
-// range.  prev, if non-nil, seeds the splitter sampling with the previous
-// decomposition (cheap refinement when particles have moved little).
-// The particles of each rank are left sorted by key.
-func Decompose(r *comm.Rank, set *particle.Set, box vec.Box, opt Options, prev *Decomposition) (*Decomposition, error) {
+// range.  The particles of each rank are left sorted by key.
+func Decompose(r *comm.Rank, set *particle.Set, box vec.Box, opt Options) (*Decomposition, error) {
 	ks := set.Keys(box, opt.Curve)
 	var weights []float64
 	if opt.UseWork {
 		weights = set.Work
 	}
-	var prevSplit []uint64
-	if prev != nil {
-		prevSplit = prev.Splitters
-	}
-	splitters, err := parsort.ChooseSplitters(r, ks, weights, samplesPerRank, prevSplit)
+	splitters, err := parsort.ChooseSplitters(r, ks, weights, samplesPerRank)
 	if err != nil {
 		return nil, err
 	}

@@ -46,7 +46,7 @@ func TestDecomposePreservesParticlesAndBalances(t *testing.T) {
 	}
 	decomps := make([]*Decomposition, nRanks)
 	err := world.Run(func(r *comm.Rank) error {
-		d, err := Decompose(r, perRank[r.ID], box, Options{Curve: keys.Hilbert}, nil)
+		d, err := Decompose(r, perRank[r.ID], box, Options{Curve: keys.Hilbert})
 		if err != nil {
 			return err
 		}

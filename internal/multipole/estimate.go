@@ -73,20 +73,17 @@ func (e *Expansion) truncationError(q int, dPow, denom float64) float64 {
 	return float64(q+2) * lead / denom
 }
 
-// LowestOrder returns the lowest truncation order q in [minQ, P) whose
+// LowestOrder returns the lowest truncation order q in [0, P) whose
 // AccelErrorEstimate(q, d) meets tol, or P when none does.  It is the loop
 // over AccelErrorEstimate with the power of d carried from one candidate
 // order to the next.
-func (e *Expansion) LowestOrder(minQ int, d, tol float64) int {
+func (e *Expansion) LowestOrder(d, tol float64) int {
 	if e.Norms == nil || d <= e.Bmax {
 		return e.P
 	}
 	denom := (d - e.Bmax) * (d - e.Bmax)
 	dPow := d
-	for k := 0; k < minQ; k++ {
-		dPow *= d
-	}
-	for q := minQ; q < e.P; q++ {
+	for q := 0; q < e.P; q++ {
 		if e.truncationError(q, dPow, denom) <= tol {
 			return q
 		}

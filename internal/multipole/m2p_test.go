@@ -158,18 +158,17 @@ func TestLowestOrderMatchesEstimateLoop(t *testing.T) {
 		if trial%50 == 0 {
 			e.Norms = nil // FinalizeNorms never ran: every estimate is +Inf
 		}
-		minQ := rng.Intn(e.P + 2)
 		tol := math.Exp(10 * rng.NormFloat64())
 		for _, d := range []float64{0.5 * e.Bmax, e.Bmax, e.Bmax * (1 + rng.Float64()), e.Bmax * (2 + 20*rng.Float64())} {
 			want := e.P
-			for q := minQ; q < e.P; q++ {
+			for q := 0; q < e.P; q++ {
 				if e.AccelErrorEstimate(q, d) <= tol {
 					want = q
 					break
 				}
 			}
-			if got := e.LowestOrder(minQ, d, tol); got != want {
-				t.Fatalf("P=%d minQ=%d d=%g tol=%g: LowestOrder %d, estimate loop %d", e.P, minQ, d, tol, got, want)
+			if got := e.LowestOrder(d, tol); got != want {
+				t.Fatalf("P=%d d=%g tol=%g: LowestOrder %d, estimate loop %d", e.P, d, tol, got, want)
 			}
 		}
 	}

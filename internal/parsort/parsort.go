@@ -106,9 +106,7 @@ func IsSorted(keys []uint64) bool {
 // every rank contributes a weighted sample of its keys, the concatenated
 // sample is sorted, and nRanks-1 splitter keys are chosen so that the
 // cumulative weight between consecutive splitters is approximately equal.
-// If prev is non-nil it is used to seed the sample (the paper's optimization
-// of placing samples near the previous decomposition's splits).
-func ChooseSplitters(r *comm.Rank, keys []uint64, weights []float64, samplesPerRank int, prev []uint64) ([]uint64, error) {
+func ChooseSplitters(r *comm.Rank, keys []uint64, weights []float64, samplesPerRank int) ([]uint64, error) {
 	if samplesPerRank < 1 {
 		samplesPerRank = 1
 	}
@@ -119,14 +117,11 @@ func ChooseSplitters(r *comm.Rank, keys []uint64, weights []float64, samplesPerR
 	}
 	// Evenly spaced local sample (keys need not be sorted; sampling evenly
 	// spaced indices of an unsorted array still samples the distribution).
-	local := make([]uint64, 0, samplesPerRank+len(prev))
+	local := make([]uint64, 0, samplesPerRank)
 	for s := 0; s < samplesPerRank && n > 0; s++ {
 		idx := s * n / samplesPerRank
 		local = append(local, keys[idx])
 	}
-	// Seed with previous splitters so refinement is cheap when the
-	// distribution barely moved.
-	local = append(local, prev...)
 	all, err := r.AllgatherUint64(local)
 	if err != nil {
 		return nil, err

@@ -70,7 +70,7 @@ func TestChooseSplittersBalances(t *testing.T) {
 		for i := range keys {
 			keys[i] = uint64(rng.Int63())
 		}
-		splitters, err := ChooseSplitters(r, keys, nil, 64, nil)
+		splitters, err := ChooseSplitters(r, keys, nil, 64)
 		if err != nil {
 			return err
 		}

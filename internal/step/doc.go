@@ -1,21 +1,20 @@
-// Package step implements the time-integration engines of the simulation —
-// the global symplectic leapfrog (Global) and the hierarchical
-// block-timestep integrator (Block), both driving an abstract force backend
-// (Forcer) against an integrator clock (Clock) — plus the scheduler the
-// block engine is built from: power-of-two rung assignment, the substep
-// ladder, and the per-particle integrator state a block-stepped run carries
-// between substeps.
+// Package step implements the time integrator of the simulation — the
+// hierarchical block-timestep engine (Block), driving an abstract force
+// backend (Forcer) against an integrator clock (Clock), whose one-level form
+// is the global symplectic leapfrog — plus the scheduler it is built from:
+// power-of-two rung assignment, the substep ladder, and the per-particle
+// integrator state a block-stepped run carries between substeps.
 //
-// # Engines
+// # Engine
 //
-// An engine mutates the particle set and the Clock in place; the root
-// package's Simulation owns both and selects an engine from its Config (or
-// accepts an injected one through its public Stepper seam, which this
-// package's engines implement structurally).  Engines never know which
+// The engine mutates the particle set and the Clock in place; the root
+// package's Simulation owns both and builds the engine from its Config
+// (NewEngine; or accepts an injected one through its public Stepper seam,
+// which Block implements structurally).  The engine never knows which
 // backend computes forces: Forcer is satisfied by every root-package
-// ForceSolver — tree, TreePM, mesh, direct — and the engines gate
+// ForceSolver — tree, TreePM, mesh, direct — and the engine gates
 // nothing on the backend kind.  Scatter defines which Result slots a solve
-// writes back into the set.  Block additionally applies a between-block
+// writes back into the set.  Each multi-rung block ends with a
 // work-weight decay (decayStaleWork): coarse-rung particles' stale weights
 // are pulled toward the mean so the shard balancer stops chasing cooled hot
 // spots — schedule-only, never a result bit.
@@ -41,20 +40,21 @@
 // one arithmetic helper, FactorCache, memoizes a kick/drift integral on the
 // exact bit pattern of the "from" epoch — so when every particle shares one
 // epoch, the factor is obtained by exactly one call with exactly the
-// arguments the global integrator would pass.  That degeneracy is what
+// arguments of the leapfrog's single kick.  That degeneracy is what
 // makes a block step whose particles all sit on rung 0 bit-identical to the
-// global leapfrog step (pinned by simulation_blockstep_test.go at the
-// repository root).
+// global leapfrog step, whether the engine has one level or many (pinned by
+// simulation_blockstep_test.go at the repository root, and against the
+// leapfrog arithmetic itself by this package's tests).
 //
 // # Distributed stepping
 //
 // A multi-process cluster run has no integrator of its own: each rank of
-// internal/cluster drives one of these engines — Global, or Block when block
-// stepping is configured, the same choice a single-process Simulation makes —
-// against a Forcer backed by its share of the distributed force solve.  The
-// leapfrog arithmetic therefore exists once, here, for every transport.
+// internal/cluster drives the engine NewEngine builds — the same call a
+// single-process Simulation makes — against a Forcer backed by its share of
+// the distributed force solve.  The leapfrog arithmetic therefore exists
+// once, here, for every transport.
 //
-// The engines run unchanged over message-passing ranks because their
+// The engine runs unchanged over message-passing ranks because its
 // per-particle state is not engine-private: rungs, momentum epochs and
 // activity flags live in the particle set itself (particle.Set.Rung,
 // MomEpoch, Flags), travel inside the wire record of every exchange, and the
@@ -67,7 +67,8 @@
 //     runner sums them with one allgather).  Every rank derives the block's
 //     substep schedule from the agreed histogram, never from its local
 //     maximum, so the worlds march in lockstep even when the finest occupied
-//     rung lives on one rank.
+//     rung lives on one rank.  A one-level engine has one schedule and never
+//     calls the hook, so a global-timestep run pays no agreement.
 //
 //   - Synchronized checkpoint boundaries.  CheckpointReady reports whether
 //     the momenta collapse to a single epoch; mid-block (or after a genuinely
@@ -75,18 +76,18 @@
 //     Distributed runners must decide collectively — a one-float allreduce of
 //     the local verdicts — whether to Synchronize before writing, because a
 //     rank-local decision would diverge and deadlock the collectives.
-//     (Global's verdict is always "ready"; the cluster body asks it anyway,
-//     so both engines run the same collectives.)
+//     (A one-level engine's verdict is always "ready"; the cluster body asks
+//     it anyway, so every run takes the same collectives.)
 //
 // When every particle sits on rung 0 the schedule has one substep, the
 // engine hands the solver a nil activity mask, and the distributed block run
-// is bit-identical to the distributed global run — the same degeneracy as in
-// the single-rank case, pinned across transports by internal/cluster's
+// is bit-identical to the distributed one-level run — the same degeneracy as
+// in the single-rank case, pinned across transports by internal/cluster's
 // block-mode tests.
 //
 // # Concurrency model
 //
 // Everything here is plain data owned by one integrator: no goroutines, no
-// shared state.  An engine or FactorCache must not be used from multiple
+// shared state.  A Block or FactorCache must not be used from multiple
 // goroutines concurrently.
 package step

@@ -10,11 +10,11 @@ import (
 	"twohot/internal/vec"
 )
 
-// Forcer is the solver contract the integrator engines drive: one solve over
-// a particle set, optionally restricted to an active subset.  It is the
+// Forcer is the solver contract the integrator drives: one solve over a
+// particle set, optionally restricted to an active subset.  It is the
 // internal face of the root package's ForceSolver interface (which satisfies
-// it structurally) and of core.TreeSolver and core.RankSolver, so the engines
-// never know which backend — tree, TreePM, mesh, direct summation or a rank
+// it structurally) and of core.TreeSolver and core.RankSolver, so the engine
+// never knows which backend — tree, TreePM, mesh, direct summation or a rank
 // of the distributed tree — produces the accelerations.
 //
 // The result is in the set's particle order and leaves the set's Acc/Pot/Work
@@ -29,39 +29,22 @@ type Forcer interface {
 
 // Clock is the integrator-owned time state of a simulation: the scale factor
 // of the positions and the scale factor of the canonical momenta (half a
-// step behind once the leapfrog is primed).  Engines mutate it in place; the
-// owner (the root Simulation) copies it back after each call.
+// step behind once the leapfrog is primed).  The engine mutates it in place;
+// the owner (the root Simulation) copies it back after each call.
 type Clock struct {
 	A    float64
 	AMom float64
 }
 
-// Engine is what a stepping loop — Simulation.Run, cluster.RankRun — asks of
-// an integrator; *Global and *Block provide it.  Advance and Synchronize
-// mutate the particle set and the clock in place and return the last force
-// result of the call (nil when no solve was needed).
-type Engine interface {
-	Advance(f Forcer, p *particle.Set, clk *Clock, dlnA float64) (*core.Result, error)
-	Synchronize(f Forcer, p *particle.Set, clk *Clock) (*core.Result, error)
-	// CheckpointReady reports whether the integrator state collapses to the
-	// single momentum epoch aMom a snapshot can represent.
-	CheckpointReady(aMom float64) error
-	// Reset drops per-particle integrator history, as after installing a new
-	// particle load.
-	Reset()
-}
-
-// NewEngine returns the engine a run configuration describes: the global
-// leapfrog for levels <= 0, otherwise the block-timestep engine with levels
-// rung levels and displacement criterion frac (0 = the 0.1 default), measured
-// against the mean interparticle separation box/cbrt(nParticles) of the whole
-// load.  math.Cbrt is exact on perfect cubes, so for an NGrid^3 lattice load
-// the separation is bit for bit box/NGrid.
-func NewEngine(par cosmo.Params, boxSize float64, nParticles, levels int, frac float64) Engine {
-	if levels <= 0 {
-		return NewGlobal(par, boxSize)
-	}
-	return NewBlock(par, boxSize, boxSize/math.Cbrt(float64(nParticles)), levels, frac)
+// NewEngine returns the engine a run configuration describes: the
+// block-timestep engine with max(levels, 1) rung levels — one level is the
+// global leapfrog, every particle stepped by every solve — and displacement
+// criterion frac (0 = the 0.1 default), measured against the mean
+// interparticle separation box/cbrt(nParticles) of the whole load.
+// math.Cbrt is exact on perfect cubes, so for an NGrid^3 lattice load the
+// separation is bit for bit box/NGrid.
+func NewEngine(par cosmo.Params, boxSize float64, nParticles, levels int, frac float64) *Block {
+	return NewBlock(par, boxSize, boxSize/math.Cbrt(float64(nParticles)), max(levels, 1), frac)
 }
 
 // CheckpointDue is the checkpoint cadence of every stepping loop: a
@@ -102,83 +85,13 @@ func Scatter(p *particle.Set, res *core.Result, active []bool) {
 	}
 }
 
-// Global is the single-rung stepping engine: the symplectic comoving
-// leapfrog of Quinn et al. (1997), kicking every momentum from its current
-// epoch to the half step and drifting every position across the full step.
-// The first Advance on a fresh Clock (AMom == A) primes the half-step offset.
-type Global struct {
-	Par     cosmo.Params
-	BoxSize float64
+// NewGlobal returns the global leapfrog for the given background cosmology
+// and periodic box: a one-level Block, whose every Advance is one fully
+// active kick-drift step.  The benchmark's kick-drift probe builds its
+// engine here.
+func NewGlobal(par cosmo.Params, boxSize float64) *Block {
+	return NewBlock(par, boxSize, 0, 1, 0)
 }
-
-// NewGlobal returns a global-leapfrog engine for the given background
-// cosmology and periodic box.
-func NewGlobal(par cosmo.Params, boxSize float64) *Global {
-	return &Global{Par: par, BoxSize: boxSize}
-}
-
-// Advance performs one kick-drift step of size dlnA and returns the step's
-// force result.
-func (g *Global) Advance(f Forcer, p *particle.Set, clk *Clock, dlnA float64) (*core.Result, error) {
-	aNow := clk.A
-	aNext := aNow * math.Exp(dlnA)
-	if aNext > 1 {
-		aNext = 1
-	}
-	aHalfNext := math.Sqrt(aNow * aNext)
-
-	res, err := f.ActiveForces(p, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	Scatter(p, res, nil)
-
-	// Kick the momenta from wherever they currently are (a_init on the very
-	// first step, the previous half step afterwards) to the next half step.
-	kick := g.Par.KickFactor(clk.AMom, aHalfNext)
-	for i := range p.Mom {
-		p.Mom[i] = p.Mom[i].Add(res.Acc[i].Scale(kick))
-	}
-	clk.AMom = aHalfNext
-
-	// Drift the positions across the full step using the half-step momenta.
-	drift := g.Par.DriftFactor(aNow, aNext)
-	l := g.BoxSize
-	for i := range p.Pos {
-		p.Pos[i] = vec.WrapV(p.Pos[i].Add(p.Mom[i].Scale(drift)), l)
-	}
-	clk.A = aNext
-	return res, nil
-}
-
-// Synchronize closes the leapfrog by kicking the momenta from the half step
-// up to the position epoch.  Returns (nil, nil) when the clock is already
-// synchronized.
-func (g *Global) Synchronize(f Forcer, p *particle.Set, clk *Clock) (*core.Result, error) {
-	if clk.AMom == clk.A {
-		return nil, nil
-	}
-	res, err := f.ActiveForces(p, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	Scatter(p, res, nil)
-	kick := g.Par.KickFactor(clk.AMom, clk.A)
-	for i := range p.Mom {
-		p.Mom[i] = p.Mom[i].Add(res.Acc[i].Scale(kick))
-	}
-	clk.AMom = clk.A
-	return res, nil
-}
-
-// Reset implements the engine contract; the global leapfrog carries no
-// per-particle state.
-func (g *Global) Reset() {}
-
-// CheckpointReady implements the engine contract: the global leapfrog's
-// state is fully described by the clock, so a snapshot can always represent
-// it.
-func (g *Global) CheckpointReady(aMom float64) error { return nil }
 
 // DefaultWorkDecay is the rate at which Block pulls the stale work weights of
 // long-inactive particles back toward the mean at the end of each block (see
@@ -191,7 +104,10 @@ const DefaultWorkDecay = 0.5
 // forces only for the sinks on its active rungs while the inactive particles
 // stay frozen (which is what lets the tree rebuild and the traversal reuse
 // their subtrees bit-identically).  A block whose particles all land on
-// rung 0 reproduces Global's arithmetic bit for bit.
+// rung 0 is one fully active substep: the global comoving leapfrog, which is
+// why a one-level Block (NewGlobal, NewEngine with levels <= 1) is the
+// global-timestep engine and every multi-level block whose particles stay on
+// rung 0 reproduces it bit for bit.
 //
 // The per-particle integrator state (rung, momentum epoch, activity flags)
 // lives in the particle set itself (Set.Rung/MomEpoch/Flags), so a Forcer
@@ -218,7 +134,9 @@ type Block struct {
 	WorkDecay float64
 
 	// AgreeRungs, when set, merges the per-rank rung histograms at the start
-	// of each block so every rank derives the same substep schedule: it
+	// of each block of a multi-level engine (a one-level schedule has
+	// nothing to agree, so it is never called when Levels is 1) so every
+	// rank derives the same substep schedule: it
 	// receives this rank's histogram (length Levels, index = rung) and must
 	// return the element-wise global sum — one allgather+sum in a distributed
 	// run, identity when nil.  The agreed histogram also becomes
@@ -246,8 +164,9 @@ func NewBlock(par cosmo.Params, boxSize, sep float64, levels int, frac float64) 
 
 // RungHistogram returns the particle count per timestep rung of the current
 // block (index = rung level), or nil when no block has run yet.  With an
-// AgreeRungs hook installed the histogram is the agreed global one, identical
-// on every rank; otherwise it counts the local particles.
+// AgreeRungs hook installed on a multi-level engine the histogram is the
+// agreed global one, identical on every rank; otherwise it counts the local
+// particles.
 func (b *Block) RungHistogram() []int {
 	if !b.primed || b.hist == nil {
 		return nil
@@ -265,9 +184,10 @@ func (b *Block) Reset() {
 	b.hist = nil
 }
 
-// CheckpointReady implements the engine contract: a multi-rung block leaves
-// every particle's momentum at its own rung's half step, which a
-// single-epoch snapshot cannot represent.
+// CheckpointReady reports whether the integrator state collapses to the
+// single momentum epoch aMom a snapshot can represent.  A multi-rung block
+// leaves every particle's momentum at its own rung's half step, which it
+// cannot.
 func (b *Block) CheckpointReady(aMom float64) error {
 	if !b.primed || b.p == nil {
 		return nil
@@ -288,16 +208,24 @@ func resizeBool(s []bool, n int) []bool {
 	return s[:n]
 }
 
+// prime attaches the engine to p and, on a fresh engine, sets every
+// particle's momentum epoch from the clock: the first Advance kicks from
+// there, so a fresh clock (AMom == A) primes the leapfrog's half-step offset.
+func (b *Block) prime(p *particle.Set, clk *Clock) {
+	b.p = p
+	if b.primed {
+		return
+	}
+	for i := range p.MomEpoch {
+		p.MomEpoch[i] = clk.AMom
+	}
+	b.movedValid = false
+	b.primed = true
+}
+
 // Advance performs one hierarchical block step of total size dlnA.
 func (b *Block) Advance(f Forcer, p *particle.Set, clk *Clock, dlnA float64) (*core.Result, error) {
-	b.p = p
-	if !b.primed {
-		for i := range p.MomEpoch {
-			p.MomEpoch[i] = clk.AMom
-		}
-		b.movedValid = false
-		b.primed = true
-	}
+	b.prime(p, clk)
 
 	// Rung assignment from the current momenta: one rung-r step may move a
 	// particle at most frac of the mean interparticle separation (the
@@ -324,7 +252,7 @@ func (b *Block) Advance(f Forcer, p *particle.Set, clk *Clock, dlnA float64) (*c
 		local[r]++
 	}
 	agreed := local
-	if b.AgreeRungs != nil {
+	if b.AgreeRungs != nil && b.Levels > 1 {
 		var err error
 		if agreed, err = b.AgreeRungs(local); err != nil {
 			return nil, err
@@ -472,8 +400,8 @@ func (b *Block) Advance(f Forcer, p *particle.Set, clk *Clock, dlnA float64) (*c
 // domain.SplitWeighted chase hot spots that have since cooled.  The blend
 // factor WorkDecay*(1 - 1/Span(r)) grows with staleness and vanishes for the
 // finest rung and for single-rung blocks — weights steer only the worker
-// shards, never a result bit, so the all-rung-0 bit-identity with Global is
-// untouched (and so is every force of a multi-rung block).
+// shards, never a result bit, so the all-rung-0 bit-identity with the
+// one-level engine is untouched (and so is every force of a multi-rung block).
 func (b *Block) decayStaleWork(p *particle.Set, sched Schedule) {
 	if b.WorkDecay == 0 || sched.MaxRung == 0 || p.Len() == 0 {
 		return
@@ -493,26 +421,15 @@ func (b *Block) decayStaleWork(p *particle.Set, sched Schedule) {
 	}
 }
 
-// Synchronize closes the leapfrog of a block-stepped run: positions all sit
-// at the block boundary clk.A, and each particle's momentum is kicked from
-// its own epoch up to it.  When every particle shares one epoch the factor
-// cache degenerates to the exact arithmetic of the global Synchronize, bit
-// for bit.  Before the first block (no per-particle state yet) the global
-// closing kick applies.
+// Synchronize closes the leapfrog: positions all sit at the block boundary
+// clk.A, and each particle's momentum is kicked from its own epoch up to it.
+// When every particle shares one epoch the factor cache makes exactly the
+// one KickFactor(clk.AMom, clk.A) call of a single closing kick.  Returns
+// (nil, nil) without a solve when the clock is already synchronized — a
+// verdict every rank of a distributed run reaches alike.
 func (b *Block) Synchronize(f Forcer, p *particle.Set, clk *Clock) (*core.Result, error) {
-	if !b.primed || b.p == nil {
-		return (&Global{Par: b.Par, BoxSize: b.BoxSize}).Synchronize(f, p, clk)
-	}
-	b.p = p
-	synced := true
-	for _, am := range p.MomEpoch {
-		if am != clk.A {
-			synced = false
-			break
-		}
-	}
-	if synced {
-		clk.AMom = clk.A
+	b.prime(p, clk)
+	if clk.AMom == clk.A {
 		return nil, nil
 	}
 	var moved []bool

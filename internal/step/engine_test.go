@@ -1,6 +1,7 @@
 package step
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -243,21 +244,21 @@ func TestScatterSubset(t *testing.T) {
 	}
 }
 
-// TestNewEngine pins the one engine choice every stepping loop makes — the
-// global leapfrog for 0 levels, the block engine otherwise — and that the
-// separation the block engine derives from a particle count is, for lattice
-// loads, bit for bit the box/NGrid a Config spells (math.Cbrt is exact on
-// perfect cubes), so a single-process run and a rank world assign the same
-// rungs.
+// TestNewEngine pins the one engine every stepping loop builds — a
+// one-level block (the global leapfrog) for 0 levels, the requested depth
+// otherwise — and that the separation it derives from a particle count is,
+// for lattice loads, bit for bit the box/NGrid a Config spells (math.Cbrt
+// is exact on perfect cubes), so a single-process run and a rank world
+// assign the same rungs.
 func TestNewEngine(t *testing.T) {
 	par := testParams(t)
-	if g, ok := NewEngine(par, 64, 512, 0, 0.05).(*Global); !ok || g.BoxSize != 64 {
-		t.Fatalf("0 levels: got %#v, want the global leapfrog on the 64 box", g)
+	if b := NewEngine(par, 64, 512, 0, 0.05); b.Levels != 1 || b.BoxSize != 64 {
+		t.Fatalf("0 levels: got %#v, want a one-level block on the 64 box", b)
 	}
 	for _, box := range []float64{1, 64, 100, 128.7} {
 		for nGrid := 2; nGrid <= 64; nGrid++ {
-			b, ok := NewEngine(par, box, nGrid*nGrid*nGrid, 3, 0.05).(*Block)
-			if !ok || b.Levels != 3 || b.DisplacementFrac != 0.05 || b.BoxSize != box {
+			b := NewEngine(par, box, nGrid*nGrid*nGrid, 3, 0.05)
+			if b.Levels != 3 || b.DisplacementFrac != 0.05 || b.BoxSize != box {
 				t.Fatalf("3 levels: got %#v", b)
 			}
 			if want := box / float64(nGrid); b.Sep != want {
@@ -265,6 +266,163 @@ func TestNewEngine(t *testing.T) {
 			}
 		}
 	}
+}
+
+// leapfrogReference is the global comoving leapfrog of Quinn et al. (1997)
+// written out directly: every solve is full, every momentum is kicked from
+// the clock's momentum epoch to the next half step and every position
+// drifted across the full step.  It is the test oracle the one-level Block
+// is pinned against bit for bit.
+type leapfrogReference struct {
+	Par     cosmo.Params
+	BoxSize float64
+}
+
+func (g leapfrogReference) Advance(f Forcer, p *particle.Set, clk *Clock, dlnA float64) (*core.Result, error) {
+	aNow := clk.A
+	aNext := aNow * math.Exp(dlnA)
+	if aNext > 1 {
+		aNext = 1
+	}
+	aHalfNext := math.Sqrt(aNow * aNext)
+
+	res, err := f.ActiveForces(p, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	Scatter(p, res, nil)
+	kick := g.Par.KickFactor(clk.AMom, aHalfNext)
+	for i := range p.Mom {
+		p.Mom[i] = p.Mom[i].Add(res.Acc[i].Scale(kick))
+	}
+	clk.AMom = aHalfNext
+	drift := g.Par.DriftFactor(aNow, aNext)
+	for i := range p.Pos {
+		p.Pos[i] = vec.WrapV(p.Pos[i].Add(p.Mom[i].Scale(drift)), g.BoxSize)
+	}
+	clk.A = aNext
+	return res, nil
+}
+
+func (g leapfrogReference) Synchronize(f Forcer, p *particle.Set, clk *Clock) (*core.Result, error) {
+	if clk.AMom == clk.A {
+		return nil, nil
+	}
+	res, err := f.ActiveForces(p, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	Scatter(p, res, nil)
+	kick := g.Par.KickFactor(clk.AMom, clk.A)
+	for i := range p.Mom {
+		p.Mom[i] = p.Mom[i].Add(res.Acc[i].Scale(kick))
+	}
+	clk.AMom = clk.A
+	return res, nil
+}
+
+// fieldForcer returns accelerations that depend on each particle's position,
+// so a drift that differs in one bit shows in the next kick, and counts its
+// solves and partial (non-nil) activity masks.
+type fieldForcer struct{ calls, partial int }
+
+func (f *fieldForcer) ActiveForces(p *particle.Set, active, moved []bool) (*core.Result, error) {
+	f.calls++
+	if active != nil {
+		f.partial++
+	}
+	res := &core.Result{Acc: make([]vec.V3, p.Len())}
+	for i, x := range p.Pos {
+		res.Acc[i] = vec.V3{math.Sin(x[0]), math.Cos(x[1]), x[2] - 0.5*x[0]}.Scale(1e3)
+	}
+	return res, nil
+}
+
+// leapfrogSet is a small load with spread positions and momenta in a box of
+// side 8.
+func leapfrogSet() *particle.Set {
+	set := particle.New(27)
+	for i := 0; i < 27; i++ {
+		fi := float64(i)
+		set.Append(vec.V3{math.Mod(1.7*fi, 8), math.Mod(2.3*fi+0.5, 8), math.Mod(0.9*fi+1, 8)},
+			vec.V3{math.Sin(fi), math.Cos(3 * fi), 0.1 * fi}, 1, int64(i))
+	}
+	return set
+}
+
+// sameState fails unless two runs agree bit for bit in positions, momenta
+// and clock.
+func sameState(t *testing.T, what string, got, want *particle.Set, gotClk, wantClk Clock) {
+	t.Helper()
+	if gotClk != wantClk {
+		t.Fatalf("%s: clock %+v, leapfrog %+v", what, gotClk, wantClk)
+	}
+	for i := range want.Pos {
+		if got.Pos[i] != want.Pos[i] || got.Mom[i] != want.Mom[i] {
+			t.Fatalf("%s: particle %d at %v mom %v, leapfrog %v mom %v",
+				what, i, got.Pos[i], got.Mom[i], want.Pos[i], want.Mom[i])
+		}
+	}
+}
+
+// TestOneLevelEngineMatchesLeapfrog pins the engine a global-timestep run
+// builds (NewEngine with 0 levels) against the leapfrog written out
+// directly: bit for bit in positions, momenta and clock over several
+// Advance calls of varying size and the closing Synchronize, and on both
+// Synchronize calls of an engine that never advanced — a synchronized clock
+// (no solve, nil result) and a trailing one (one full solve).
+func TestOneLevelEngineMatchesLeapfrog(t *testing.T) {
+	par := testParams(t)
+	const box = 8.0
+	ref := leapfrogReference{Par: par, BoxSize: box}
+
+	eng := NewEngine(par, box, 27, 0, 0)
+	got, want := leapfrogSet(), leapfrogSet()
+	gotClk, wantClk := Clock{A: 0.05, AMom: 0.05}, Clock{A: 0.05, AMom: 0.05}
+	fg, fw := &fieldForcer{}, &fieldForcer{}
+	for k, dlnA := range []float64{0.1, 0.1, 0.25, 0.05} {
+		if _, err := eng.Advance(fg, got, &gotClk, dlnA); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ref.Advance(fw, want, &wantClk, dlnA); err != nil {
+			t.Fatal(err)
+		}
+		sameState(t, fmt.Sprintf("advance %d", k), got, want, gotClk, wantClk)
+	}
+	if _, err := eng.Synchronize(fg, got, &gotClk); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Synchronize(fw, want, &wantClk); err != nil {
+		t.Fatal(err)
+	}
+	sameState(t, "synchronize", got, want, gotClk, wantClk)
+	if fg.calls != fw.calls || fg.partial != 0 {
+		t.Fatalf("engine made %d solves (%d partial), leapfrog %d", fg.calls, fg.partial, fw.calls)
+	}
+
+	// A fresh engine on a synchronized clock: nothing to close.
+	f := &fieldForcer{}
+	set := leapfrogSet()
+	clk := Clock{A: 0.2, AMom: 0.2}
+	res, err := NewEngine(par, box, 27, 0, 0).Synchronize(f, set, &clk)
+	if err != nil || res != nil || f.calls != 0 || clk != (Clock{A: 0.2, AMom: 0.2}) {
+		t.Fatalf("unprimed synchronized clock: result %v, err %v, %d solves, clock %+v", res, err, f.calls, clk)
+	}
+	sameState(t, "unprimed synchronized", set, leapfrogSet(), clk, clk)
+
+	// A fresh engine on a trailing clock (a restored checkpoint): one full
+	// solve and the leapfrog's closing kick.
+	got, want = leapfrogSet(), leapfrogSet()
+	gotClk, wantClk = Clock{A: 0.2, AMom: 0.19}, Clock{A: 0.2, AMom: 0.19}
+	fg, fw = &fieldForcer{}, &fieldForcer{}
+	res, err = NewEngine(par, box, 27, 0, 0).Synchronize(fg, got, &gotClk)
+	if err != nil || res == nil || fg.calls != 1 || fg.partial != 0 {
+		t.Fatalf("unprimed trailing clock: result %v, err %v, %d solves (%d partial)", res, err, fg.calls, fg.partial)
+	}
+	if _, err := ref.Synchronize(fw, want, &wantClk); err != nil {
+		t.Fatal(err)
+	}
+	sameState(t, "unprimed trailing", got, want, gotClk, wantClk)
 }
 
 // TestCheckpointDue is the cadence table: every k-th completed step, never
@@ -281,5 +439,59 @@ func TestCheckpointDue(t *testing.T) {
 	}
 	if CheckpointDue(3, 0, 6) || CheckpointDue(6, 1, 6) {
 		t.Error("a checkpoint is due without a cadence or after the last step")
+	}
+}
+
+// constForcer hands back one precomputed constant-acceleration result, so an
+// engine driven by it spends its time on rung assignment, kick, drift and
+// scatter alone.
+type constForcer struct{ res core.Result }
+
+func (f *constForcer) ActiveForces(p *particle.Set, _, _ []bool) (*core.Result, error) {
+	return &f.res, nil
+}
+
+// BenchmarkAdvance times one engine step of 32 768 particles under a
+// constant force: at 0 levels (what a global-timestep run builds), 1 level,
+// and 3 levels with momenta spread so every rung is occupied (a four-substep
+// block).
+func BenchmarkAdvance(b *testing.B) {
+	par, err := cosmo.ByName("planck2013")
+	if err != nil {
+		b.Fatal(err)
+	}
+	const (
+		n    = 32768
+		box  = 64.0
+		dlnA = 0.01
+		frac = 0.1
+		a0   = 0.5
+	)
+	sep := box / math.Cbrt(n)
+	// One rung-r step may move a particle frac*sep: momenta from half to
+	// four times the rung-0 limit land on rungs 0 to 2, a third on each.
+	vRung0 := frac * sep * a0 * a0 * par.Hubble(a0) / dlnA
+	for _, levels := range []int{0, 1, 3} {
+		b.Run(fmt.Sprintf("levels=%d", levels), func(b *testing.B) {
+			set := particle.New(n)
+			for i := 0; i < n; i++ {
+				x := vec.V3{float64(i % 32), float64(i / 32 % 32), float64(i / 1024)}.Scale(sep)
+				v := vRung0 * math.Pow(2, 3*float64(i%96)/96-1)
+				set.Append(x, vec.V3{0.8 * v, 0.6 * v, 0}, 1, int64(i))
+			}
+			f := &constForcer{res: core.Result{Acc: make([]vec.V3, n)}}
+			for i := range f.res.Acc {
+				f.res.Acc[i] = vec.V3{1e-3, 0, 0}
+			}
+			eng := NewEngine(par, box, n, levels, frac)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				clk := Clock{A: a0, AMom: 0.995 * a0}
+				if _, err := eng.Advance(f, set, &clk, dlnA); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -56,9 +56,10 @@ func (s Schedule) LowestActive(k int) int {
 // appearing in a substep.  Particles sharing a rung history share a momentum
 // epoch bit for bit, so a substep touches only a handful of distinct keys no
 // matter how many particles it kicks — and when every particle shares one
-// epoch (a single-rung run), the factor is computed by exactly one call with
-// exactly the arguments the global integrator would pass, which is what
-// keeps the all-rung-0 block step bit-identical to the global step.
+// epoch (every particle on rung 0), the factor is computed by exactly one
+// call with exactly the arguments of the leapfrog's single kick, which is
+// what keeps an all-rung-0 multi-level block bit-identical to a one-level
+// (global) step.
 type FactorCache struct {
 	f  func(a1, a2 float64) float64
 	to float64

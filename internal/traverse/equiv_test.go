@@ -39,9 +39,8 @@ func equivCases() []equivCase {
 			cfg:  Config{MAC: MACBarnesHut, Theta: 0.7, Kernel: softening.Plummer, Eps: 0.01},
 		},
 		{
-			name: "abs/open/spline-minorder",
-			cfg: Config{MAC: MACAbsoluteError, AccTol: 3e-4, Kernel: softening.Spline, Eps: 0.02,
-				MinimumOrder: 2},
+			name: "abs/open/spline",
+			cfg:  Config{MAC: MACAbsoluteError, AccTol: 3e-4, Kernel: softening.Spline, Eps: 0.02},
 		},
 		{
 			name: "abs/periodic-ws1/dehnen",

@@ -36,11 +36,6 @@ type Config struct {
 	WS           int // explicit replica shells (2 in the paper); 0 disables replicas
 	LatticeOrder int // local-expansion order for the far lattice; 0 disables it
 
-	// MinimumOrder forces every accepted cell interaction to be evaluated at
-	// at least this order (the adaptive-order selection still upgrades when
-	// the estimate requires it).
-	MinimumOrder int
-
 	// SplitRS, when positive, runs the traversal in TreePM short-range mode:
 	// every interaction — multipole and particle-particle — is damped by the
 	// erfc complement of the Gaussian force split at scale SplitRS
@@ -338,12 +333,12 @@ func sinkRadius(t *tree.Tree, c *tree.Cell) float64 {
 }
 
 // chooseOrder returns the lowest expansion order whose error estimate meets
-// the tolerance (never below MinimumOrder, never above the stored order).
+// the tolerance (never above the stored order).
 func (w *Walker) chooseOrder(c *tree.Cell, d float64) int {
 	if w.Cfg.MAC == MACBarnesHut {
 		return c.Exp.P
 	}
-	return c.Exp.LowestOrder(w.Cfg.MinimumOrder, d, w.Cfg.AccTol)
+	return c.Exp.LowestOrder(d, w.Cfg.AccTol)
 }
 
 // octantBox returns the spatial region of child octant oct of cell c.

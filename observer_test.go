@@ -103,7 +103,7 @@ func TestWithStepperInjection(t *testing.T) {
 	}
 
 	par := ref.Par
-	cs := &countingStepper{inner: step.NewGlobal(par, cfg.BoxSize)}
+	cs := &countingStepper{inner: step.NewEngine(par, cfg.BoxSize, cfg.NGrid*cfg.NGrid*cfg.NGrid, 0, 0)}
 	sim, err := New(cfg, WithStepper(cs))
 	if err != nil {
 		t.Fatal(err)

@@ -79,11 +79,12 @@ func New(cfg Config, opts ...Option) (*Simulation, error) {
 	// Block stepping issues active-subset solves; fail at construction, not
 	// mid-run, when the solver (configured or injected) cannot serve them.
 	// Whether block stepping is coming is read from the configuration and
-	// from a directly injected block engine; a custom stepper that wraps one
-	// escapes this early gate and hits the solver's own error on the first
-	// partially-active substep instead.
+	// from a directly injected multi-level engine (a one-level engine is the
+	// global leapfrog: every substep fully active); a custom stepper that
+	// wraps one escapes this early gate and hits the solver's own error on
+	// the first partially-active substep instead.
 	needsActive := cfg.BlockSteps > 0
-	if _, ok := s.stepper.(*step.Block); ok {
+	if b, ok := s.stepper.(*step.Block); ok && b.Levels > 1 {
 		needsActive = true
 	}
 	// Solver() builds the configured backend when none was injected:
@@ -112,8 +113,9 @@ func (s *Simulation) Solver() ForceSolver {
 }
 
 // Stepper returns the simulation's time-integration engine, constructing it
-// from the configuration on first use (a block-timestep engine when
-// Config.BlockSteps > 0, the global leapfrog otherwise).
+// from the configuration on first use: the block-timestep engine with
+// Config.BlockSteps rung levels, one level — the global leapfrog — when
+// BlockSteps is 0.
 func (s *Simulation) Stepper() Stepper {
 	if s.stepper == nil {
 		c := s.Cfg
@@ -215,9 +217,9 @@ func (s *Simulation) Accelerations() ([]vec.V3, error) {
 }
 
 // StepOnce advances the simulation by one step of size dlnA through the
-// stepping engine: the symplectic comoving leapfrog (Quinn et al. 1997) when
-// Cfg.BlockSteps == 0, the hierarchical block-timestep integrator otherwise.
-// The two are bit-identical whenever every particle lands on rung 0.  The
+// stepping engine: one block of the hierarchical block-timestep integrator,
+// which with every particle on rung 0 — always, when Cfg.BlockSteps is 0 —
+// is one step of the symplectic comoving leapfrog (Quinn et al. 1997).  The
 // first call primes the momenta's half-step offset.  OnStep observers fire
 // after the step completes; OnForce observers fire on every solve inside it.
 func (s *Simulation) StepOnce(dlnA float64) error {
@@ -373,10 +375,10 @@ func (s *Simulation) CheckpointPath() string {
 }
 
 // RungHistogram returns the particle count per timestep rung of the current
-// block (index = rung level), or nil when block stepping is inactive or no
-// block step has run yet.
+// block (index = rung level), or nil when Cfg.BlockSteps is 0, the stepper
+// is a custom one, or no block step has run yet.
 func (s *Simulation) RungHistogram() []int {
-	if b, ok := s.stepper.(*step.Block); ok {
+	if b, ok := s.stepper.(*step.Block); ok && s.Cfg.BlockSteps > 0 {
 		return b.RungHistogram()
 	}
 	return nil

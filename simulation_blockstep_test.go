@@ -80,6 +80,47 @@ func TestBlockStepAllRungZeroMatchesGlobal(t *testing.T) {
 	assertBitIdentical(t, "blocksteps=4/loose", ref, got)
 }
 
+// TestRungHistogramOnlyWhenBlockStepping pins the observable contract of
+// StepInfo.Rungs and RungHistogram: nil for a global-timestep run
+// (block_steps 0), although its engine is a one-level block, and a
+// histogram of every particle for block_steps 1 and 3.
+func TestRungHistogramOnlyWhenBlockStepping(t *testing.T) {
+	for _, levels := range []int{0, 1, 3} {
+		cfg := blockConfig()
+		cfg.BlockSteps = levels
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seen [][]int
+		sim.AddObserver(ObserverFuncs{Step: func(info StepInfo) { seen = append(seen, info.Rungs) }})
+		if err := sim.GenerateICs(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.StepOnce(0.05); err != nil {
+			t.Fatal(err)
+		}
+		hist := sim.RungHistogram()
+		if len(seen) != 1 {
+			t.Fatalf("block_steps %d: %d step notifications, want 1", levels, len(seen))
+		}
+		if levels == 0 {
+			if hist != nil || seen[0] != nil {
+				t.Fatalf("block_steps 0: rung histogram %v, step info %v, want nil", hist, seen[0])
+			}
+			continue
+		}
+		total := 0
+		for _, c := range hist {
+			total += c
+		}
+		if total != sim.NumParticles() || len(hist) > levels || len(seen[0]) != len(hist) {
+			t.Fatalf("block_steps %d: rung histogram %v, step info %v, for %d particles",
+				levels, hist, seen[0], sim.NumParticles())
+		}
+	}
+}
+
 func TestBlockStepMultiRung(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-rung integration is covered by the full run")

@@ -9,11 +9,11 @@ import (
 // Stepper is the pluggable time-integration engine of a Simulation: it
 // advances a particle set by leapfrog steps of size dlnA (in ln a) against
 // whatever ForceSolver the simulation carries, and closes the leapfrog when
-// asked to synchronize.  The built-in engines live in internal/step — the
-// global single-rung leapfrog (step.Global) and the hierarchical
-// block-timestep integrator (step.Block) — and a Simulation takes the one
-// step.NewEngine picks for Config.BlockSteps (the choice every stepping loop
-// shares), or accepts a custom engine via WithStepper.
+// asked to synchronize.  The built-in engine is internal/step's hierarchical
+// block-timestep integrator (step.Block), whose one-level form is the global
+// leapfrog; a Simulation takes the one step.NewEngine builds for
+// Config.BlockSteps (the call every stepping loop shares), or accepts a
+// custom engine via WithStepper.
 //
 // Both Advance and Synchronize mutate the particle set and the clock in
 // place and return the last force result of the call (nil when no solve was
@@ -22,7 +22,7 @@ import (
 // CheckpointReady is part of the contract — not an optional extra — so a
 // wrapper around an engine cannot silently drop the checkpoint gate: a
 // stepper carrying per-particle state a single-epoch snapshot cannot
-// represent (the block engine mid-block) must refuse, and WriteCheckpoint
+// represent (a multi-rung block) must refuse, and WriteCheckpoint
 // propagates the refusal.  Engines without such state return nil
 // unconditionally.
 type Stepper interface {
