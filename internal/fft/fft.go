@@ -15,11 +15,12 @@ import (
 
 // Plan is a reusable 1-D complex FFT plan for a fixed length.
 type Plan struct {
-	N       int
-	pow2    bool
-	perm    []int          // bit-reversal permutation (radix-2 path)
-	twiddle []complex128   // stage twiddle factors (radix-2 path)
-	bs      *bluesteinPlan // arbitrary-length path
+	N        int
+	pow2     bool
+	perm     []int          // bit-reversal permutation (radix-2 path)
+	twiddle  []complex128   // stage twiddle factors (radix-2 path)
+	itwiddle []complex128   // their conjugates, for the inverse (radix-2 path)
+	bs       *bluesteinPlan // arbitrary-length path
 }
 
 // NewPlan builds a plan for length n (n >= 1).
@@ -32,9 +33,11 @@ func NewPlan(n int) *Plan {
 		p.pow2 = true
 		p.perm = bitReversePermutation(n)
 		p.twiddle = make([]complex128, n/2)
+		p.itwiddle = make([]complex128, n/2)
 		for i := 0; i < n/2; i++ {
 			angle := -2 * math.Pi * float64(i) / float64(n)
 			p.twiddle[i] = cmplx.Exp(complex(0, angle))
+			p.itwiddle[i] = cmplx.Conj(p.twiddle[i])
 		}
 	} else {
 		p.bs = newBluestein(n)
@@ -61,26 +64,37 @@ func bitReversePermutation(n int) []int {
 }
 
 // Forward transforms data in place with the e^{-2 pi i k x / N} convention.
-func (p *Plan) Forward(data []complex128) { p.transform(data, false) }
+func (p *Plan) Forward(data []complex128) { p.apply(data, false, p.scratch()) }
 
 // Inverse transforms data in place, including the 1/N normalization.
-func (p *Plan) Inverse(data []complex128) {
-	p.transform(data, true)
-	scale := complex(1/float64(p.N), 0)
-	for i := range data {
-		data[i] *= scale
+func (p *Plan) Inverse(data []complex128) { p.apply(data, true, p.scratch()) }
+
+// scratch returns a buffer long enough for one transform of this plan: the
+// Bluestein path convolves at its padded length, the radix-2 path needs none.
+func (p *Plan) scratch() []complex128 {
+	if p.pow2 {
+		return nil
 	}
+	return make([]complex128, p.bs.m)
 }
 
-func (p *Plan) transform(data []complex128, inverse bool) {
+// apply is Forward (inverse false) or Inverse (inverse true) with a caller's
+// scratch from p.scratch, so a loop over lines allocates it once.
+func (p *Plan) apply(data []complex128, inverse bool, scratch []complex128) {
 	if len(data) != p.N {
 		panic("fft: data length does not match plan")
 	}
 	if p.pow2 {
 		p.radix2(data, inverse)
-		return
+	} else {
+		p.bs.transform(data, inverse, scratch)
 	}
-	p.bs.transform(data, inverse)
+	if inverse {
+		scale := complex(1/float64(p.N), 0)
+		for i := range data {
+			data[i] *= scale
+		}
+	}
 }
 
 func (p *Plan) radix2(data []complex128, inverse bool) {
@@ -91,15 +105,16 @@ func (p *Plan) radix2(data []complex128, inverse bool) {
 			data[i], data[j] = data[j], data[i]
 		}
 	}
+	twiddle := p.twiddle
+	if inverse {
+		twiddle = p.itwiddle
+	}
 	for size := 2; size <= n; size <<= 1 {
 		half := size >> 1
 		step := n / size
 		for start := 0; start < n; start += size {
 			for k := 0; k < half; k++ {
-				w := p.twiddle[k*step]
-				if inverse {
-					w = cmplx.Conj(w)
-				}
+				w := twiddle[k*step]
 				a := data[start+k]
 				b := data[start+k+half] * w
 				data[start+k] = a + b
@@ -141,9 +156,11 @@ func newBluestein(n int) *bluesteinPlan {
 	return bs
 }
 
-func (bs *bluesteinPlan) transform(data []complex128, inverse bool) {
+// transform convolves in scratch, which must hold at least bs.m values.
+func (bs *bluesteinPlan) transform(data []complex128, inverse bool, scratch []complex128) {
 	n, m := bs.n, bs.m
-	a := make([]complex128, m)
+	a := scratch[:m]
+	clear(a[n:])
 	for k := 0; k < n; k++ {
 		x := data[k]
 		if inverse {
@@ -214,82 +231,59 @@ func (g *Grid3) transform(inverse bool) {
 	n0, n1, n2 := g.N[0], g.N[1], g.N[2]
 	workers := runtime.GOMAXPROCS(0)
 	// Transform along axis 2 (contiguous lines).
-	parallelFor(n0*n1, workers, func(line int) {
-		i := line / n1
-		j := line % n1
-		row := g.Data[g.Index(i, j, 0) : g.Index(i, j, 0)+n2]
-		if inverse {
-			g.plan[2].Inverse(row)
-		} else {
-			g.plan[2].Forward(row)
+	ParallelRanges(n0*n1, workers, func(lo, hi int) {
+		scratch := g.plan[2].scratch()
+		for line := lo; line < hi; line++ {
+			start := line * n2
+			g.plan[2].apply(g.Data[start:start+n2], inverse, scratch)
 		}
 	})
-	// Axis 1: stride n2.
-	parallelFor(n0*n2, workers, func(line int) {
-		i := line / n2
-		k := line % n2
-		buf := make([]complex128, n1)
-		for j := 0; j < n1; j++ {
-			buf[j] = g.Data[g.Index(i, j, k)]
-		}
-		if inverse {
-			g.plan[1].Inverse(buf)
-		} else {
-			g.plan[1].Forward(buf)
-		}
-		for j := 0; j < n1; j++ {
-			g.Data[g.Index(i, j, k)] = buf[j]
-		}
-	})
-	// Axis 0: stride n1*n2.
-	parallelFor(n1*n2, workers, func(line int) {
-		j := line / n2
-		k := line % n2
-		buf := make([]complex128, n0)
-		for i := 0; i < n0; i++ {
-			buf[i] = g.Data[g.Index(i, j, k)]
-		}
-		if inverse {
-			g.plan[0].Inverse(buf)
-		} else {
-			g.plan[0].Forward(buf)
-		}
-		for i := 0; i < n0; i++ {
-			g.Data[g.Index(i, j, k)] = buf[i]
+	// Axis 1: line (i, k) starts at (i, 0, k), stride n2.
+	g.strided(g.plan[1], n0*n2, n2, func(line int) int { return line/n2*n1*n2 + line%n2 }, inverse)
+	// Axis 0: line (j, k) starts at (0, j, k), stride n1*n2.
+	g.strided(g.plan[0], n1*n2, n1*n2, func(line int) int { return line }, inverse)
+}
+
+// strided transforms lines of p.N elements spaced stride apart, line l
+// starting at start(l), through one gather buffer per worker range.
+func (g *Grid3) strided(p *Plan, lines, stride int, start func(line int) int, inverse bool) {
+	ParallelRanges(lines, runtime.GOMAXPROCS(0), func(lo, hi int) {
+		buf, scratch := make([]complex128, p.N), p.scratch()
+		for line := lo; line < hi; line++ {
+			first := start(line)
+			for x := range buf {
+				buf[x] = g.Data[first+x*stride]
+			}
+			p.apply(buf, inverse, scratch)
+			for x, v := range buf {
+				g.Data[first+x*stride] = v
+			}
 		}
 	})
 }
 
-// parallelFor runs body(i) for i in [0, n) across the given number of
-// workers.
-func parallelFor(n, workers int, body func(int)) {
+// ParallelRanges splits [0, n) into at most workers contiguous ranges and
+// runs body(lo, hi) on each concurrently (inline when workers <= 1 or n is
+// small), so per-range scratch is allocated once per range rather than once
+// per index.  The 3-D transforms split lines with it, the mesh solver its
+// per-mode and per-particle loops.
+func ParallelRanges(n, workers int, body func(lo, hi int)) {
 	if workers < 1 {
 		workers = 1
 	}
 	if workers == 1 || n < 2*workers {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
+		body(0, n)
 		return
 	}
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				body(i)
-			}
-		}(lo, hi)
+			body(lo, hi)
+		}()
 	}
 	wg.Wait()
 }

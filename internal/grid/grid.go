@@ -140,13 +140,12 @@ type PowerSpectrumResult struct {
 
 // PowerSpectrumOptions controls the estimator.
 type PowerSpectrumOptions struct {
-	NBins          int     // number of logarithmic bins (default: N/2 linear-ish bins)
-	DeconvolveCIC  bool    // divide by the CIC assignment window
-	SubtractShot   bool    // subtract 1/n shot noise
-	NumParticles   int     // needed when SubtractShot is set
-	LogarithmicK   bool    // logarithmic binning (default linear in k)
-	KMin, KMax     float64 // bin range; defaults to fundamental..Nyquist
-	InterlaceAlias bool    // reserved; not implemented
+	NBins         int     // number of logarithmic bins (default: N/2 linear-ish bins)
+	DeconvolveCIC bool    // divide by the CIC assignment window
+	SubtractShot  bool    // subtract 1/n shot noise
+	NumParticles  int     // needed when SubtractShot is set
+	LogarithmicK  bool    // logarithmic binning (default linear in k)
+	KMin, KMax    float64 // bin range; defaults to fundamental..Nyquist
 	// Workers bounds the goroutines of the mode-binning sweep (0 =
 	// GOMAXPROCS).  Each i-plane of k space is accumulated into its own
 	// partial bins and the partials are reduced in plane order, so the

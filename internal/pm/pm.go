@@ -10,7 +10,6 @@ package pm
 import (
 	"math"
 	"runtime"
-	"sync"
 
 	"twohot/internal/cosmo"
 	"twohot/internal/fft"
@@ -32,32 +31,60 @@ type Options struct {
 	RCut float64
 	// Eps is the short-range Plummer-equivalent softening length.
 	Eps float64
-	// Workers caps the goroutines of the short-range sum; <= 0 means
-	// GOMAXPROCS.  The result is bit-identical for every worker count (each
-	// particle's neighbor sum is computed independently in a fixed order).
+	// Workers caps the goroutines of the short-range sum and of the mesh
+	// solve's per-mode and per-particle loops; <= 0 means GOMAXPROCS.  The
+	// result is bit-identical for every worker count (each particle's
+	// neighbor sum, each mode and each interpolation is computed independently
+	// in a fixed order; the deposit stays serial).
 	Workers int
 }
 
-// Solver computes gravitational accelerations with PM or TreePM.
+// Solver computes gravitational accelerations with PM or TreePM.  It keeps
+// state across calls — the first long-range solve tabulates the Green's
+// function and allocates the meshes that later solves reuse — and must not
+// be used from multiple goroutines concurrently, the same contract as
+// twohot.ForceSolver.
 type Solver struct {
-	Opt Options
+	opt  Options
+	mesh *meshState // nil until the first LongRange
 }
 
-// NewSolver validates the options and returns a solver.
+// meshState is what a long-range solve reuses: the particle-independent
+// tables, the grids, and the particle-length buffers (grown on demand).
+type meshState struct {
+	green  []float64  // Green's function per mode, split filter and CIC deconvolution applied (DC unused)
+	kv     []float64  // wavenumber per grid index along one axis
+	rho    *grid.Mesh // deposited mass, then the real part of one gradient component
+	pot    *fft.Grid3 // density contrast, then the potential, in k space
+	comp   *fft.Grid3 // one gradient component of the potential
+	masses []float64  // the deposit weights
+	vals   []float64  // one interpolated component per particle
+}
+
+// NewSolver validates the options and returns a solver.  It allocates no
+// mesh: the first LongRange does.
 func NewSolver(opt Options) *Solver {
 	if opt.RCut == 0 {
 		opt.RCut = 4.5
 	}
-	return &Solver{Opt: opt}
+	return &Solver{opt: opt}
 }
 
 // SplitScale returns the force-split scale r_s in length units (0 for pure
 // PM).
 func (s *Solver) SplitScale() float64 {
-	if s.Opt.Asmth == 0 {
+	if s.opt.Asmth == 0 {
 		return 0
 	}
-	return s.Opt.Asmth * s.Opt.BoxSize / float64(s.Opt.Mesh)
+	return s.opt.Asmth * s.opt.BoxSize / float64(s.opt.Mesh)
+}
+
+// workers resolves Options.Workers.
+func (s *Solver) workers() int {
+	if s.opt.Workers > 0 {
+		return s.opt.Workers
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // Accelerations returns the comoving accelerations (G=cosmo.G) of all
@@ -66,110 +93,130 @@ func (s *Solver) SplitScale() float64 {
 // periodic Poisson solve discards the DC mode).
 func (s *Solver) Accelerations(pos []vec.V3, mass float64, acc []vec.V3) {
 	s.LongRange(pos, mass, acc)
-	if s.Opt.Asmth > 0 {
+	if s.opt.Asmth > 0 {
 		s.ShortRange(pos, mass, acc)
 	}
 }
 
-// LongRange overwrites acc with the mesh force alone.  With Asmth > 0 the
-// Green's function carries the Gaussian long-range filter exp(-k^2 rs^2), and
-// the result is exactly the long-range half of the TreePM split — the entry
-// point the tree-short-range composite pairs with its rcut-truncated walk.
+// LongRange overwrites acc[:len(pos)] with the mesh force alone.  With
+// Asmth > 0 the Green's function carries the Gaussian long-range filter
+// exp(-k^2 rs^2), and the result is exactly the long-range half of the TreePM
+// split — the entry point the tree-short-range composite pairs with its
+// rcut-truncated walk.
 func (s *Solver) LongRange(pos []vec.V3, mass float64, acc []vec.V3) {
-	long := s.longRange(pos, mass)
-	copy(acc, long)
-}
+	if s.mesh == nil {
+		s.mesh = s.newMeshState()
+	}
+	m := s.mesh
+	n, l := s.opt.Mesh, s.opt.BoxSize
+	workers := s.workers()
+	acc = acc[:len(pos)]
 
-// longRange computes the mesh force.  With Asmth > 0 the Green's function is
-// multiplied by the Gaussian long-range filter exp(-k^2 rs^2).
-func (s *Solver) longRange(pos []vec.V3, mass float64) []vec.V3 {
-	n := s.Opt.Mesh
-	l := s.Opt.BoxSize
-	rs := s.SplitScale()
-
-	mesh := grid.NewMesh(n, l)
-	masses := make([]float64, len(pos))
+	if cap(m.masses) < len(pos) {
+		m.masses = make([]float64, len(pos))
+		m.vals = make([]float64, len(pos))
+	}
+	masses, vals := m.masses[:len(pos)], m.vals[:len(pos)]
 	for i := range masses {
 		masses[i] = mass
 	}
-	mesh.DepositCIC(pos, masses)
+	clear(m.rho.Data)
+	m.rho.DepositCIC(pos, masses)
 
 	// Convert to density contrast times mean density: rho - rho_mean, in
 	// mass per volume units.
 	cellVol := math.Pow(l/float64(n), 3)
-	mean := mesh.Total() / float64(len(mesh.Data))
-	for i := range mesh.Data {
-		mesh.Data[i] = (mesh.Data[i] - mean) / cellVol
+	mean := m.rho.Total() / float64(len(m.rho.Data))
+	for i, v := range m.rho.Data {
+		m.pot.Data[i] = complex((v-mean)/cellVol, 0)
 	}
+	m.pot.Forward()
 
-	g := mesh.ToComplex()
-	g.Forward()
-
-	kf := 2 * math.Pi / l
-	// Potential: phi_k = -4 pi G delta rho_k / k^2 (comoving Poisson
-	// equation for the peculiar potential).
-	for i := 0; i < n; i++ {
-		ki := float64(fft.FreqIndex(i, n)) * kf
-		for j := 0; j < n; j++ {
-			kj := float64(fft.FreqIndex(j, n)) * kf
-			for k := 0; k < n; k++ {
-				kk := float64(fft.FreqIndex(k, n)) * kf
-				idx := g.Index(i, j, k)
-				k2 := ki*ki + kj*kj + kk*kk
-				if k2 == 0 {
-					g.Data[idx] = 0
-					continue
-				}
-				green := -4 * math.Pi * cosmo.G / k2
-				if rs > 0 {
-					green *= math.Exp(-k2 * rs * rs)
-				}
-				if s.Opt.DeconvolveCIC {
-					w := grid.CICWindow(ki, kj, kk, l, n)
-					if w > 1e-6 {
-						green /= w * w
-					}
-				}
-				g.Data[idx] *= complex(green, 0)
-			}
+	// Potential: phi_k = green_k delta rho_k, one i-plane range per worker.
+	plane := n * n
+	fft.ParallelRanges(n, workers, func(lo, hi int) {
+		for idx := lo * plane; idx < hi*plane; idx++ {
+			m.pot.Data[idx] *= complex(m.green[idx], 0)
 		}
-	}
+	})
+	m.pot.Data[0] = 0 // the mean density exerts no force
 
 	// Spectral gradient for each force component: a = -grad phi, i.e.
 	// a_k = -i k phi_k.
-	acc := make([]vec.V3, len(pos))
-	compMesh := grid.NewMesh(n, l)
-	vals := make([]float64, len(pos))
 	for c := 0; c < 3; c++ {
-		comp := fft.NewCube(n)
-		for i := 0; i < n; i++ {
-			ki := float64(fft.FreqIndex(i, n)) * kf
-			for j := 0; j < n; j++ {
-				kj := float64(fft.FreqIndex(j, n)) * kf
-				for k := 0; k < n; k++ {
-					kk := float64(fft.FreqIndex(k, n)) * kf
-					idx := comp.Index(i, j, k)
-					var kc float64
-					switch c {
-					case 0:
-						kc = ki
-					case 1:
-						kc = kj
-					default:
-						kc = kk
+		fft.ParallelRanges(n, workers, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				for j := 0; j < n; j++ {
+					for k := 0; k < n; k++ {
+						idx := (i*n+j)*n + k
+						var kc float64
+						switch c {
+						case 0:
+							kc = m.kv[i]
+						case 1:
+							kc = m.kv[j]
+						default:
+							kc = m.kv[k]
+						}
+						m.comp.Data[idx] = complex(0, -kc) * m.pot.Data[idx]
 					}
-					comp.Data[idx] = complex(0, -kc) * g.Data[idx]
+				}
+			}
+		})
+		m.comp.Inverse()
+		m.rho.FromComplex(m.comp)
+		fft.ParallelRanges(len(pos), workers, func(lo, hi int) {
+			m.rho.InterpolateCIC(pos[lo:hi], vals[lo:hi])
+			for i := lo; i < hi; i++ {
+				acc[i][c] = vals[i]
+			}
+		})
+	}
+}
+
+// newMeshState allocates the grids and tabulates the wavenumbers and the
+// Green's function of the comoving Poisson equation for the peculiar
+// potential, phi_k = -4 pi G delta rho_k / k^2, times the split filter and
+// the CIC deconvolution.
+func (s *Solver) newMeshState() *meshState {
+	n, l := s.opt.Mesh, s.opt.BoxSize
+	rs := s.SplitScale()
+	m := &meshState{
+		green: make([]float64, n*n*n),
+		kv:    make([]float64, n),
+		rho:   grid.NewMesh(n, l),
+		pot:   fft.NewCube(n),
+		comp:  fft.NewCube(n),
+	}
+	kf := 2 * math.Pi / l
+	for i := range m.kv {
+		m.kv[i] = float64(fft.FreqIndex(i, n)) * kf
+	}
+	fft.ParallelRanges(n, s.workers(), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			for j := 0; j < n; j++ {
+				for k := 0; k < n; k++ {
+					ki, kj, kk := m.kv[i], m.kv[j], m.kv[k]
+					k2 := ki*ki + kj*kj + kk*kk
+					if k2 == 0 {
+						continue // the DC mode is zeroed, not multiplied
+					}
+					green := -4 * math.Pi * cosmo.G / k2
+					if rs > 0 {
+						green *= math.Exp(-k2 * rs * rs)
+					}
+					if s.opt.DeconvolveCIC {
+						w := grid.CICWindow(ki, kj, kk, l, n)
+						if w > 1e-6 {
+							green /= w * w
+						}
+					}
+					m.green[(i*n+j)*n+k] = green
 				}
 			}
 		}
-		comp.Inverse()
-		compMesh.FromComplex(comp)
-		compMesh.InterpolateCIC(pos, vals)
-		for i := range acc {
-			acc[i][c] = vals[i]
-		}
-	}
-	return acc
+	})
+	return m
 }
 
 // ShortRange adds the erfc-complement short-range force using a cell-linked
@@ -178,10 +225,10 @@ func (s *Solver) longRange(pos []vec.V3, mass float64) []vec.V3 {
 // within rcut is visited exactly once), which makes it the small-N oracle
 // for the tree-walk short range of the TreePM composite.
 func (s *Solver) ShortRange(pos []vec.V3, mass float64, acc []vec.V3) {
-	l := s.Opt.BoxSize
+	l := s.opt.BoxSize
 	rs := s.SplitScale()
-	rcut := s.Opt.RCut * rs
-	eps := s.Opt.Eps
+	rcut := s.opt.RCut * rs
+	eps := s.opt.Eps
 	split := softening.NewSplit(rs)
 
 	// Cell-linked list with cells at least rcut wide.
@@ -233,57 +280,39 @@ func (s *Solver) ShortRange(pos []vec.V3, mass float64, acc []vec.V3) {
 		heads[idx] = i
 	}
 
-	workers := s.Opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var wg sync.WaitGroup
-	chunk := (len(pos) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(pos) {
-			hi = len(pos)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				pi := pos[i]
-				ci, cj, ck := cellOf(pi)
-				var a vec.V3
-				for _, di := range offsets {
-					for _, dj := range offsets {
-						for _, dk := range offsets {
-							ni := ((ci+di)%nc + nc) % nc
-							nj := ((cj+dj)%nc + nc) % nc
-							nk := ((ck+dk)%nc + nc) % nc
-							for j := heads[(ni*nc+nj)*nc+nk]; j >= 0; j = next[j] {
-								if j == i {
-									continue
-								}
-								d := vec.MinImageV(pos[j].Sub(pi), l)
-								r2 := d.Norm2()
-								if r2 > rcut*rcut || r2 == 0 {
-									continue
-								}
-								r := math.Sqrt(r2)
-								// Short-range kernel: softened Newtonian force
-								// times the erfc complement of the Gaussian
-								// long-range filter (same factors as the tree
-								// short-range walk).
-								ff := softening.ForceFactor(softening.Plummer, r, eps)
-								sff, _ := split.Factors(r)
-								a = a.Add(d.Scale(cosmo.G * mass * ff * sff))
+	fft.ParallelRanges(len(pos), s.workers(), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			pi := pos[i]
+			ci, cj, ck := cellOf(pi)
+			var a vec.V3
+			for _, di := range offsets {
+				for _, dj := range offsets {
+					for _, dk := range offsets {
+						ni := ((ci+di)%nc + nc) % nc
+						nj := ((cj+dj)%nc + nc) % nc
+						nk := ((ck+dk)%nc + nc) % nc
+						for j := heads[(ni*nc+nj)*nc+nk]; j >= 0; j = next[j] {
+							if j == i {
+								continue
 							}
+							d := vec.MinImageV(pos[j].Sub(pi), l)
+							r2 := d.Norm2()
+							if r2 > rcut*rcut || r2 == 0 {
+								continue
+							}
+							r := math.Sqrt(r2)
+							// Short-range kernel: softened Newtonian force
+							// times the erfc complement of the Gaussian
+							// long-range filter (same factors as the tree
+							// short-range walk).
+							ff := softening.ForceFactor(softening.Plummer, r, eps)
+							sff, _ := split.Factors(r)
+							a = a.Add(d.Scale(cosmo.G * mass * ff * sff))
 						}
 					}
 				}
-				acc[i] = acc[i].Add(a)
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
+			acc[i] = acc[i].Add(a)
+		}
+	})
 }

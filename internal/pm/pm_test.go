@@ -7,6 +7,8 @@ import (
 
 	"twohot/internal/cosmo"
 	"twohot/internal/ewald"
+	"twohot/internal/fft"
+	"twohot/internal/grid"
 	"twohot/internal/softening"
 	"twohot/internal/vec"
 )
@@ -95,9 +97,9 @@ func TestMomentumConservation(t *testing.T) {
 // erfc-complement short-range force: every minimum-image pair within rcut,
 // evaluated with the same kernel factors as Solver.ShortRange.
 func allPairsShortRange(s *Solver, pos []vec.V3, mass float64) []vec.V3 {
-	l := s.Opt.BoxSize
+	l := s.opt.BoxSize
 	rs := s.SplitScale()
-	rcut := s.Opt.RCut * rs
+	rcut := s.opt.RCut * rs
 	acc := make([]vec.V3, len(pos))
 	for i := range pos {
 		for j := range pos {
@@ -110,7 +112,7 @@ func allPairsShortRange(s *Solver, pos []vec.V3, mass float64) []vec.V3 {
 				continue
 			}
 			r := math.Sqrt(r2)
-			ff := softening.ForceFactor(softening.Plummer, r, s.Opt.Eps)
+			ff := softening.ForceFactor(softening.Plummer, r, s.opt.Eps)
 			sff, _ := softening.SplitFactors(r, rs)
 			acc[i] = acc[i].Add(d.Scale(cosmo.G * mass * ff * sff))
 		}
@@ -187,5 +189,191 @@ func TestSplitScale(t *testing.T) {
 	pure := NewSolver(Options{Mesh: 64, BoxSize: 128})
 	if pure.SplitScale() != 0 {
 		t.Error("pure PM should have no split scale")
+	}
+}
+
+// longRangeReference is the per-call long-range solve LongRange replaced:
+// fresh meshes and grids, the Green's function evaluated per mode on every
+// call, every loop serial.  It is the oracle LongRange is pinned to bit for
+// bit.
+func longRangeReference(s *Solver, pos []vec.V3, mass float64) []vec.V3 {
+	n := s.opt.Mesh
+	l := s.opt.BoxSize
+	rs := s.SplitScale()
+
+	mesh := grid.NewMesh(n, l)
+	masses := make([]float64, len(pos))
+	for i := range masses {
+		masses[i] = mass
+	}
+	mesh.DepositCIC(pos, masses)
+
+	// Convert to density contrast times mean density: rho - rho_mean, in
+	// mass per volume units.
+	cellVol := math.Pow(l/float64(n), 3)
+	mean := mesh.Total() / float64(len(mesh.Data))
+	for i := range mesh.Data {
+		mesh.Data[i] = (mesh.Data[i] - mean) / cellVol
+	}
+
+	g := mesh.ToComplex()
+	g.Forward()
+
+	kf := 2 * math.Pi / l
+	// Potential: phi_k = -4 pi G delta rho_k / k^2 (comoving Poisson
+	// equation for the peculiar potential).
+	for i := 0; i < n; i++ {
+		ki := float64(fft.FreqIndex(i, n)) * kf
+		for j := 0; j < n; j++ {
+			kj := float64(fft.FreqIndex(j, n)) * kf
+			for k := 0; k < n; k++ {
+				kk := float64(fft.FreqIndex(k, n)) * kf
+				idx := g.Index(i, j, k)
+				k2 := ki*ki + kj*kj + kk*kk
+				if k2 == 0 {
+					g.Data[idx] = 0
+					continue
+				}
+				green := -4 * math.Pi * cosmo.G / k2
+				if rs > 0 {
+					green *= math.Exp(-k2 * rs * rs)
+				}
+				if s.opt.DeconvolveCIC {
+					w := grid.CICWindow(ki, kj, kk, l, n)
+					if w > 1e-6 {
+						green /= w * w
+					}
+				}
+				g.Data[idx] *= complex(green, 0)
+			}
+		}
+	}
+
+	// Spectral gradient for each force component: a = -grad phi, i.e.
+	// a_k = -i k phi_k.
+	acc := make([]vec.V3, len(pos))
+	compMesh := grid.NewMesh(n, l)
+	vals := make([]float64, len(pos))
+	for c := 0; c < 3; c++ {
+		comp := fft.NewCube(n)
+		for i := 0; i < n; i++ {
+			ki := float64(fft.FreqIndex(i, n)) * kf
+			for j := 0; j < n; j++ {
+				kj := float64(fft.FreqIndex(j, n)) * kf
+				for k := 0; k < n; k++ {
+					kk := float64(fft.FreqIndex(k, n)) * kf
+					idx := comp.Index(i, j, k)
+					var kc float64
+					switch c {
+					case 0:
+						kc = ki
+					case 1:
+						kc = kj
+					default:
+						kc = kk
+					}
+					comp.Data[idx] = complex(0, -kc) * g.Data[idx]
+				}
+			}
+		}
+		comp.Inverse()
+		compMesh.FromComplex(comp)
+		compMesh.InterpolateCIC(pos, vals)
+		for i := range acc {
+			acc[i][c] = vals[i]
+		}
+	}
+	return acc
+}
+
+// ShortRange adds the erfc-complement short-range force using a cell-linked
+
+// randomPositions returns n uniform positions in the periodic box [0, l)^3.
+func randomPositions(rng *rand.Rand, n int, l float64) []vec.V3 {
+	pos := make([]vec.V3, n)
+	for i := range pos {
+		pos[i] = vec.V3{l * rng.Float64(), l * rng.Float64(), l * rng.Float64()}
+	}
+	return pos
+}
+
+// TestLongRangeMatchesReference pins LongRange bit for bit to the per-call
+// oracle over the split, the deconvolution, power-of-two and Bluestein
+// meshes and worker counts, through one solver's calls with moved positions,
+// a new mass and a particle count that grows and then shrinks — so the
+// tables built on the first call and the buffers reused after it change no
+// bit, and neither does the worker split of the mode and particle loops.
+func TestLongRangeMatchesReference(t *testing.T) {
+	const l = 40.0
+	rng := rand.New(rand.NewSource(5))
+	// The second call moves the first call's particles and adds more; the
+	// third shrinks the set again.
+	first := randomPositions(rng, 257, l)
+	grown := randomPositions(rng, 611, l)
+	for i, p := range first {
+		for d := range p {
+			grown[i][d] = math.Mod(p[d]+0.3*rng.NormFloat64()+l, l)
+		}
+	}
+	calls := [][]vec.V3{first, grown, randomPositions(rng, 130, l)}
+	masses := []float64{1.5, 1.5, 0.7}
+	for _, asmth := range []float64{0, 1.25} {
+		for _, deconv := range []bool{true, false} {
+			for _, mesh := range []int{16, 24, 64} {
+				opt := Options{Mesh: mesh, BoxSize: l, DeconvolveCIC: deconv, Asmth: asmth, Eps: 0.1}
+				want := make([][]vec.V3, len(calls))
+				for c, pos := range calls {
+					want[c] = longRangeReference(NewSolver(opt), pos, masses[c])
+				}
+				for _, workers := range []int{1, 2, 3} {
+					opt.Workers = workers
+					s := NewSolver(opt)
+					for c, pos := range calls {
+						acc := make([]vec.V3, len(pos))
+						s.LongRange(pos, masses[c], acc)
+						for i := range acc {
+							for d := 0; d < 3; d++ {
+								if math.Float64bits(acc[i][d]) != math.Float64bits(want[c][i][d]) {
+									t.Fatalf("asmth=%g deconv=%v mesh=%d workers=%d call %d: particle %d component %d is %v, reference %v",
+										asmth, deconv, mesh, workers, c, i, d, acc[i][d], want[c][i][d])
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLongRangeSteadyAllocations pins that a steady long-range solve reuses
+// its grids, tables and buffers: a small constant number of allocations per
+// call (goroutine closures and per-range transform scratch), independent of
+// the particle count.  The per-call solve it replaced allocated one buffer per
+// transform line, tens of thousands per call.
+func TestLongRangeSteadyAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{4096, 32768} {
+		pos := randomPositions(rng, n, 64)
+		acc := make([]vec.V3, n)
+		s := NewSolver(Options{Mesh: 64, BoxSize: 64, DeconvolveCIC: true, Asmth: 1.25, Workers: 2})
+		s.LongRange(pos, 1, acc)
+		if allocs := testing.AllocsPerRun(2, func() { s.LongRange(pos, 1, acc) }); allocs > 256 {
+			t.Errorf("%d particles: a steady LongRange allocates %.0f times, want <= 256", n, allocs)
+		}
+	}
+}
+
+// BenchmarkLongRange times one steady long-range solve of the TreePM split
+// on a 64^3 mesh with 24^3 uniform particles.
+func BenchmarkLongRange(b *testing.B) {
+	pos := randomPositions(rand.New(rand.NewSource(3)), 24*24*24, 64)
+	acc := make([]vec.V3, len(pos))
+	s := NewSolver(Options{Mesh: 64, BoxSize: 64, DeconvolveCIC: true, Asmth: 1.25, Eps: 0.05})
+	s.LongRange(pos, 1, acc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.LongRange(pos, 1, acc)
 	}
 }
