@@ -1,9 +1,11 @@
 // Package fft provides the fast Fourier transforms required by the
 // simulation pipeline: initial-condition generation (2LPT), the particle-mesh
-// baseline solver, and power-spectrum measurement.  The paper links against
-// FFTW; this stdlib-only implementation supplies an iterative radix-2
-// Cooley–Tukey transform, a Bluestein fallback for arbitrary lengths, and
-// goroutine-parallel 3-D transforms.
+// solver, and power-spectrum measurement.  The paper links against FFTW;
+// this stdlib-only implementation supplies an iterative radix-2 Cooley–Tukey
+// transform, a Bluestein fallback for arbitrary lengths, goroutine-parallel
+// complex 3-D transforms (Grid3, used by the initial conditions and P(k)),
+// and FFTW's real-to-complex half-spectrum layout on top of them (Half,
+// used by the mesh solver), which does half the work for a real field.
 package fft
 
 import (
@@ -227,17 +229,23 @@ func (g *Grid3) Forward() { g.transform(false) }
 // place.
 func (g *Grid3) Inverse() { g.transform(true) }
 
+// transform runs the axis-2 pass, then the axis-1 and axis-0 passes.
 func (g *Grid3) transform(inverse bool) {
-	n0, n1, n2 := g.N[0], g.N[1], g.N[2]
-	workers := runtime.GOMAXPROCS(0)
-	// Transform along axis 2 (contiguous lines).
-	ParallelRanges(n0*n1, workers, func(lo, hi int) {
+	n2 := g.N[2]
+	ParallelRanges(g.N[0]*g.N[1], runtime.GOMAXPROCS(0), func(lo, hi int) {
 		scratch := g.plan[2].scratch()
 		for line := lo; line < hi; line++ {
 			start := line * n2
 			g.plan[2].apply(g.Data[start:start+n2], inverse, scratch)
 		}
 	})
+	g.columns(inverse)
+}
+
+// columns transforms every line along axis 1, then every line along axis 0.
+// The half spectrum runs them over its n x n x (n/2+1) storage.
+func (g *Grid3) columns(inverse bool) {
+	n0, n1, n2 := g.N[0], g.N[1], g.N[2]
 	// Axis 1: line (i, k) starts at (i, 0, k), stride n2.
 	g.strided(g.plan[1], n0*n2, n2, func(line int) int { return line/n2*n1*n2 + line%n2 }, inverse)
 	// Axis 0: line (j, k) starts at (0, j, k), stride n1*n2.
@@ -257,6 +265,90 @@ func (g *Grid3) strided(p *Plan, lines, stride int, start func(line int) int, in
 			p.apply(buf, inverse, scratch)
 			for x, v := range buf {
 				g.Data[first+x*stride] = v
+			}
+		}
+	})
+}
+
+// Half is the half spectrum of a real n^3 field, the real-to-complex layout
+// of FFTW: a Grid3 of n x n x (n/2+1) holding the last-axis frequencies
+// 0..n/2, the rest being the complex conjugates of these (X(-k) = conj X(k)).
+// Its axis-1 and axis-0 passes are Grid3's; its last-axis pass transforms
+// two real rows of the field as one complex line, with the length-n plan
+// the three axes share.  Call Half's Forward and Inverse, not the embedded
+// Grid3's.
+type Half struct{ Grid3 }
+
+// NewHalf allocates the half spectrum of a real field of side n (n >= 1).
+func NewHalf(n int) *Half {
+	p := NewPlan(n)
+	h := n/2 + 1
+	return &Half{Grid3{N: [3]int{n, n, h}, Data: make([]complex128, n*n*h), plan: [3]*Plan{p, p, p}}}
+}
+
+// Forward sets the spectrum to the 3-D forward transform of the real field
+// x (n^3 values in Grid3 order), which it leaves unchanged.
+func (h *Half) Forward(x []float64) {
+	h.rows(x, false)
+	h.columns(false)
+}
+
+// Inverse overwrites x with the real 3-D inverse transform (with 1/n^3
+// normalization) of the spectrum, which it consumes.  The last axis's DC
+// and, for even n, Nyquist bins are taken as real, so x is the real part of
+// the full complex inverse of the Hermitian spectrum the half describes.
+func (h *Half) Inverse(x []float64) {
+	h.columns(true)
+	h.rows(x, true)
+}
+
+// rows transforms the n^2 real rows of x along the last axis to (forward)
+// or from (inverse) the half rows of the spectrum.  Rows 2p and 2p+1 travel
+// as the real and imaginary parts of one complex line z = a + ib, whose
+// spectrum Z splits as A(k) = (Z(k) + conj Z(n-k))/2 and
+// B(k) = (Z(k) - conj Z(n-k))/2i; with an odd row count the last row is
+// transformed alone, b being a zero row.
+func (h *Half) rows(x []float64, inverse bool) {
+	n, nh, rows := h.N[0], h.N[2], h.N[0]*h.N[1]
+	if len(x) != rows*n {
+		panic("fft: real field length does not match half spectrum")
+	}
+	row := h.plan[2]
+	ParallelRanges((rows+1)/2, runtime.GOMAXPROCS(0), func(lo, hi int) {
+		z, scratch := make([]complex128, n), row.scratch()
+		for pair := lo; pair < hi; pair++ {
+			r := 2 * pair
+			a, sa := x[r*n:(r+1)*n], h.Data[r*nh:(r+1)*nh]
+			var b []float64
+			var sb []complex128
+			if r+1 == rows {
+				b, sb = make([]float64, n), make([]complex128, nh)
+			} else {
+				b, sb = x[(r+1)*n:(r+2)*n], h.Data[(r+1)*nh:(r+2)*nh]
+			}
+			if !inverse {
+				for i := range z {
+					z[i] = complex(a[i], b[i])
+				}
+				row.apply(z, false, scratch)
+				for k := range sa {
+					zk, zm := z[k], z[(n-k)%n]
+					sa[k] = complex((real(zk)+real(zm))/2, (imag(zk)-imag(zm))/2)
+					sb[k] = complex((imag(zk)+imag(zm))/2, (real(zm)-real(zk))/2)
+				}
+				continue
+			}
+			for k, ak := range sa {
+				bk := sb[k]
+				if k == 0 || 2*k == n {
+					ak, bk = complex(real(ak), 0), complex(real(bk), 0)
+				}
+				z[k] = complex(real(ak)-imag(bk), imag(ak)+real(bk))
+				z[(n-k)%n] = complex(real(ak)+imag(bk), real(bk)-imag(ak))
+			}
+			row.apply(z, true, scratch)
+			for i, v := range z {
+				a[i], b[i] = real(v), imag(v)
 			}
 		}
 	})

@@ -198,6 +198,141 @@ func TestGrid3MatchesLineTransforms(t *testing.T) {
 	}
 }
 
+// TestHalfMatchesGrid3 pins the half spectrum to the full complex cube:
+// the forward transform of a random real field against Grid3.Forward on the
+// same field, and the inverse of a -ik-style spectrum (odd in k along one
+// axis, Nyquist zeroed) and of an arbitrary half (its DC and Nyquist planes
+// not Hermitian) against the real part of Grid3.Inverse of the full
+// spectrum the half describes, on odd, even, Bluestein and radix-2 sides.
+// Both directions give the same bits at one and at three workers.
+func TestHalfMatchesGrid3(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(6))
+	for _, n := range []int{1, 2, 3, 5, 6, 12, 16} {
+		nh := n/2 + 1
+		x := make([]float64, n*n*n)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		full := NewCube(n)
+		for i, v := range x {
+			full.Data[i] = complex(v, 0)
+		}
+		full.Forward()
+		// The -ik derivative along each axis, then an arbitrary half with
+		// its mirror, as full spectra and as the real parts of their
+		// inverses.
+		var grads [4][]complex128
+		var wantGrad [4][]float64
+		for c := range grads {
+			g := NewCube(n)
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					for k := 0; k < n; k++ {
+						if c < 3 {
+							f := [3]int{i, j, k}[c]
+							kc := 0.0
+							if 2*f != n {
+								kc = float64(FreqIndex(f, n))
+							}
+							g.Set(i, j, k, complex(0, -kc)*full.At(i, j, k))
+						} else if k < nh {
+							v := complex(rng.NormFloat64(), rng.NormFloat64())
+							g.Set(i, j, k, v)
+							if k > 0 && 2*k != n {
+								g.Set((n-i)%n, (n-j)%n, n-k, cmplx.Conj(v))
+							}
+						}
+					}
+				}
+			}
+			grads[c] = append([]complex128(nil), g.Data...)
+			g.Inverse()
+			wantGrad[c] = make([]float64, len(g.Data))
+			for i, v := range g.Data {
+				wantGrad[c][i] = real(v)
+			}
+		}
+
+		var spec []complex128
+		var out [4][]float64
+		for _, procs := range []int{1, 3} {
+			runtime.GOMAXPROCS(procs)
+			h := NewHalf(n)
+			in := append([]float64(nil), x...)
+			h.Forward(in)
+			for i, v := range in {
+				if v != x[i] {
+					t.Fatalf("n=%d procs=%d: Forward changed its input at %d", n, procs, i)
+				}
+			}
+			if spec == nil {
+				spec = append([]complex128(nil), h.Data...)
+				tol := 1e-12 * math.Sqrt(float64(n*n*n))
+				for i := 0; i < n; i++ {
+					for j := 0; j < n; j++ {
+						for k := 0; k < nh; k++ {
+							if d := cmplx.Abs(h.At(i, j, k) - full.At(i, j, k)); d > tol {
+								t.Fatalf("n=%d: forward mode (%d,%d,%d) is %v, Grid3 %v", n, i, j, k, h.At(i, j, k), full.At(i, j, k))
+							}
+						}
+					}
+				}
+			} else {
+				for i, v := range h.Data {
+					if math.Float64bits(real(v)) != math.Float64bits(real(spec[i])) ||
+						math.Float64bits(imag(v)) != math.Float64bits(imag(spec[i])) {
+						t.Fatalf("n=%d procs=%d: forward element %d is %v, procs=1 gave %v", n, procs, i, v, spec[i])
+					}
+				}
+			}
+			for c, g := range grads {
+				for i := 0; i < n; i++ {
+					for j := 0; j < n; j++ {
+						for k := 0; k < nh; k++ {
+							h.Set(i, j, k, g[(i*n+j)*n+k])
+						}
+					}
+				}
+				got := make([]float64, n*n*n)
+				h.Inverse(got)
+				if out[c] == nil {
+					out[c] = got
+					tol := 1e-12 * float64(n)
+					for i, v := range got {
+						if math.Abs(v-wantGrad[c][i]) > tol {
+							t.Fatalf("n=%d axis %d: inverse element %d is %v, real(Grid3) %v", n, c, i, v, wantGrad[c][i])
+						}
+					}
+					continue
+				}
+				for i, v := range got {
+					if math.Float64bits(v) != math.Float64bits(out[c][i]) {
+						t.Fatalf("n=%d procs=%d axis %d: inverse element %d is %v, procs=1 gave %v", n, procs, c, i, v, out[c][i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkHalfCube times one real forward and inverse transform of a 64^3
+// field through the half spectrum.
+func BenchmarkHalfCube(b *testing.B) {
+	rng := rand.New(rand.NewSource(42))
+	x := make([]float64, 64*64*64)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	h := NewHalf(64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Forward(x)
+		h.Inverse(x)
+	}
+}
+
 func TestFreqIndex(t *testing.T) {
 	if FreqIndex(0, 8) != 0 || FreqIndex(1, 8) != 1 || FreqIndex(7, 8) != -1 || FreqIndex(5, 8) != -3 {
 		t.Error("FreqIndex mapping")

@@ -30,14 +30,11 @@ func NewMesh(n int, l float64) *Mesh {
 // Index returns the linear index of cell (i, j, k) with periodic wrapping.
 func (m *Mesh) Index(i, j, k int) int {
 	n := m.N
-	i = ((i % n) + n) % n
-	j = ((j % n) + n) % n
-	k = ((k % n) + n) % n
-	return (i*n+j)*n + k
+	return (wrap(i, n)*n+wrap(j, n))*n + wrap(k, n)
 }
 
-// At returns the value of cell (i,j,k).
-func (m *Mesh) At(i, j, k int) float64 { return m.Data[m.Index(i, j, k)] }
+// wrap maps a cell index onto [0, n) periodically.
+func wrap(i, n int) int { return ((i % n) + n) % n }
 
 // Total returns the sum over all cells.
 func (m *Mesh) Total() float64 {
@@ -48,10 +45,13 @@ func (m *Mesh) Total() float64 {
 	return s
 }
 
-// cicWeights returns the base cell and the per-dimension weights of the
-// cloud-in-cell assignment for a position.
-func (m *Mesh) cicWeights(p vec.V3) (base [3]int, w [3][2]float64) {
-	inv := float64(m.N) / m.L
+// cicCorners returns, per dimension, the offsets of the cloud-in-cell
+// assignment's two wrapped cells into the linear index (so corner (a, b, c)
+// is idx[0][a]+idx[1][b]+idx[2][c]) and their weights.
+func (m *Mesh) cicCorners(p vec.V3) (idx [3][2]int, w [3][2]float64) {
+	n := m.N
+	inv := float64(n) / m.L
+	stride := [3]int{n * n, n, 1}
 	for d := 0; d < 3; d++ {
 		x := p[d] * inv
 		// Center-of-cell convention: cell i covers [i, i+1); the CIC cloud
@@ -59,46 +59,50 @@ func (m *Mesh) cicWeights(p vec.V3) (base [3]int, w [3][2]float64) {
 		x -= 0.5
 		i := int(math.Floor(x))
 		f := x - float64(i)
-		base[d] = i
-		w[d][0] = 1 - f
-		w[d][1] = f
+		idx[d] = [2]int{wrap(i, n) * stride[d], wrap(i+1, n) * stride[d]}
+		w[d] = [2]float64{1 - f, f}
 	}
-	return base, w
+	return idx, w
 }
 
 // DepositCIC adds mass contributions from particles onto the mesh using
 // cloud-in-cell weights.  Positions must lie within [0, L).
 func (m *Mesh) DepositCIC(pos []vec.V3, mass []float64) {
-	for idx, p := range pos {
+	for i, p := range pos {
 		mm := 1.0
 		if mass != nil {
-			mm = mass[idx]
+			mm = mass[i]
 		}
-		base, w := m.cicWeights(p)
+		idx, w := m.cicCorners(p)
 		for a := 0; a < 2; a++ {
 			for b := 0; b < 2; b++ {
 				for c := 0; c < 2; c++ {
-					m.Data[m.Index(base[0]+a, base[1]+b, base[2]+c)] += mm * w[0][a] * w[1][b] * w[2][c]
+					m.Data[idx[0][a]+idx[1][b]+idx[2][c]] += mm * w[0][a] * w[1][b] * w[2][c]
 				}
 			}
 		}
 	}
 }
 
-// InterpolateCIC evaluates the mesh at the particle positions using the same
-// cloud-in-cell kernel used for deposit.
-func (m *Mesh) InterpolateCIC(pos []vec.V3, out []float64) {
-	for idx, p := range pos {
-		base, w := m.cicWeights(p)
-		v := 0.0
+// InterpolateCIC evaluates three meshes of one geometry at the particle
+// positions, out[i][d] from f[d], with the cloud-in-cell kernel used for
+// deposit: the weights and corners are computed once per particle, and each
+// field is summed over the corners in the same order.
+func InterpolateCIC(f [3]*Mesh, pos []vec.V3, out []vec.V3) {
+	for i, p := range pos {
+		idx, w := f[0].cicCorners(p)
+		var v vec.V3
 		for a := 0; a < 2; a++ {
 			for b := 0; b < 2; b++ {
 				for c := 0; c < 2; c++ {
-					v += m.At(base[0]+a, base[1]+b, base[2]+c) * w[0][a] * w[1][b] * w[2][c]
+					at := idx[0][a] + idx[1][b] + idx[2][c]
+					for d, m := range f {
+						v[d] += m.Data[at] * w[0][a] * w[1][b] * w[2][c]
+					}
 				}
 			}
 		}
-		out[idx] = v
+		out[i] = v
 	}
 }
 
@@ -122,13 +126,6 @@ func (m *Mesh) ToComplex() *fft.Grid3 {
 		g.Data[i] = complex(v, 0)
 	}
 	return g
-}
-
-// FromComplex copies the real part of a complex grid into the mesh.
-func (m *Mesh) FromComplex(g *fft.Grid3) {
-	for i := range m.Data {
-		m.Data[i] = real(g.Data[i])
-	}
 }
 
 // PowerSpectrumResult is one k bin of a measured spectrum.

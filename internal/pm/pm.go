@@ -41,24 +41,25 @@ type Options struct {
 
 // Solver computes gravitational accelerations with PM or TreePM.  It keeps
 // state across calls — the first long-range solve tabulates the Green's
-// function and allocates the meshes that later solves reuse — and must not
-// be used from multiple goroutines concurrently, the same contract as
-// twohot.ForceSolver.
+// function and allocates the meshes and half spectra that later solves
+// reuse — and must not be used from multiple goroutines concurrently, the
+// same contract as twohot.ForceSolver.  The mesh fields are real, so every
+// transform runs on the n x n x (n/2+1) half spectrum (fft.Half).
 type Solver struct {
 	opt  Options
 	mesh *meshState // nil until the first LongRange
 }
 
 // meshState is what a long-range solve reuses: the particle-independent
-// tables, the grids, and the particle-length buffers (grown on demand).
+// tables, the meshes and half spectra, and the deposit weights (grown on
+// demand).  Mode tables and spectra cover the n x n x (n/2+1) half.
 type meshState struct {
-	green  []float64  // Green's function per mode, split filter and CIC deconvolution applied (DC unused)
-	kv     []float64  // wavenumber per grid index along one axis
-	rho    *grid.Mesh // deposited mass, then the real part of one gradient component
-	pot    *fft.Grid3 // density contrast, then the potential, in k space
-	comp   *fft.Grid3 // one gradient component of the potential
-	masses []float64  // the deposit weights
-	vals   []float64  // one interpolated component per particle
+	green  []float64     // Green's function per mode, split filter and CIC deconvolution applied (DC unused)
+	kg     []float64     // gradient wavenumber per grid index along one axis, zero at the Nyquist index
+	acc    [3]*grid.Mesh // one force component each; acc[0] first holds the deposited mass
+	pot    *fft.Half     // density contrast, then the potential, in k space
+	grad   *fft.Half     // one gradient component of the potential
+	masses []float64     // the deposit weights
 }
 
 // NewSolver validates the options and returns a solver.  It allocates no
@@ -109,31 +110,32 @@ func (s *Solver) LongRange(pos []vec.V3, mass float64, acc []vec.V3) {
 	}
 	m := s.mesh
 	n, l := s.opt.Mesh, s.opt.BoxSize
+	nh := n/2 + 1
 	workers := s.workers()
 	acc = acc[:len(pos)]
 
 	if cap(m.masses) < len(pos) {
 		m.masses = make([]float64, len(pos))
-		m.vals = make([]float64, len(pos))
 	}
-	masses, vals := m.masses[:len(pos)], m.vals[:len(pos)]
+	masses := m.masses[:len(pos)]
 	for i := range masses {
 		masses[i] = mass
 	}
-	clear(m.rho.Data)
-	m.rho.DepositCIC(pos, masses)
+	rho := m.acc[0]
+	clear(rho.Data)
+	rho.DepositCIC(pos, masses)
 
 	// Convert to density contrast times mean density: rho - rho_mean, in
 	// mass per volume units.
 	cellVol := math.Pow(l/float64(n), 3)
-	mean := m.rho.Total() / float64(len(m.rho.Data))
-	for i, v := range m.rho.Data {
-		m.pot.Data[i] = complex((v-mean)/cellVol, 0)
+	mean := rho.Total() / float64(len(rho.Data))
+	for i, v := range rho.Data {
+		rho.Data[i] = (v - mean) / cellVol
 	}
-	m.pot.Forward()
+	m.pot.Forward(rho.Data)
 
 	// Potential: phi_k = green_k delta rho_k, one i-plane range per worker.
-	plane := n * n
+	plane := n * nh
 	fft.ParallelRanges(n, workers, func(lo, hi int) {
 		for idx := lo * plane; idx < hi*plane; idx++ {
 			m.pot.Data[idx] *= complex(m.green[idx], 0)
@@ -142,61 +144,58 @@ func (s *Solver) LongRange(pos []vec.V3, mass float64, acc []vec.V3) {
 	m.pot.Data[0] = 0 // the mean density exerts no force
 
 	// Spectral gradient for each force component: a = -grad phi, i.e.
-	// a_k = -i k phi_k.
+	// a_k = -i k phi_k, inverted into its own mesh.
 	for c := 0; c < 3; c++ {
 		fft.ParallelRanges(n, workers, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				for j := 0; j < n; j++ {
-					for k := 0; k < n; k++ {
-						idx := (i*n+j)*n + k
-						var kc float64
-						switch c {
-						case 0:
-							kc = m.kv[i]
-						case 1:
-							kc = m.kv[j]
-						default:
-							kc = m.kv[k]
-						}
-						m.comp.Data[idx] = complex(0, -kc) * m.pot.Data[idx]
+					for k := 0; k < nh; k++ {
+						idx := (i*n+j)*nh + k
+						kc := m.kg[[3]int{i, j, k}[c]]
+						m.grad.Data[idx] = complex(0, -kc) * m.pot.Data[idx]
 					}
 				}
 			}
 		})
-		m.comp.Inverse()
-		m.rho.FromComplex(m.comp)
-		fft.ParallelRanges(len(pos), workers, func(lo, hi int) {
-			m.rho.InterpolateCIC(pos[lo:hi], vals[lo:hi])
-			for i := lo; i < hi; i++ {
-				acc[i][c] = vals[i]
-			}
-		})
+		m.grad.Inverse(m.acc[c].Data)
 	}
+	fft.ParallelRanges(len(pos), workers, func(lo, hi int) {
+		grid.InterpolateCIC(m.acc, pos[lo:hi], acc[lo:hi])
+	})
 }
 
-// newMeshState allocates the grids and tabulates the wavenumbers and the
-// Green's function of the comoving Poisson equation for the peculiar
-// potential, phi_k = -4 pi G delta rho_k / k^2, times the split filter and
-// the CIC deconvolution.
+// newMeshState allocates the meshes and half spectra and tabulates the
+// gradient wavenumbers and the Green's function of the comoving Poisson
+// equation for the peculiar potential, phi_k = -4 pi G delta rho_k / k^2,
+// times the split filter and the CIC deconvolution.  The gradient zeroes the
+// Nyquist index: there -ik phi_k is not Hermitian, so the real force it
+// stands for has no component at that wavenumber.
 func (s *Solver) newMeshState() *meshState {
 	n, l := s.opt.Mesh, s.opt.BoxSize
+	nh := n/2 + 1
 	rs := s.SplitScale()
 	m := &meshState{
-		green: make([]float64, n*n*n),
-		kv:    make([]float64, n),
-		rho:   grid.NewMesh(n, l),
-		pot:   fft.NewCube(n),
-		comp:  fft.NewCube(n),
+		green: make([]float64, n*n*nh),
+		kg:    make([]float64, n),
+		pot:   fft.NewHalf(n),
+		grad:  fft.NewHalf(n),
+	}
+	for c := range m.acc {
+		m.acc[c] = grid.NewMesh(n, l)
 	}
 	kf := 2 * math.Pi / l
-	for i := range m.kv {
-		m.kv[i] = float64(fft.FreqIndex(i, n)) * kf
+	kv := make([]float64, n)
+	for i := range kv {
+		kv[i] = float64(fft.FreqIndex(i, n)) * kf
+		if 2*i != n {
+			m.kg[i] = kv[i]
+		}
 	}
 	fft.ParallelRanges(n, s.workers(), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			for j := 0; j < n; j++ {
-				for k := 0; k < n; k++ {
-					ki, kj, kk := m.kv[i], m.kv[j], m.kv[k]
+				for k := 0; k < nh; k++ {
+					ki, kj, kk := kv[i], kv[j], kv[k]
 					k2 := ki*ki + kj*kj + kk*kk
 					if k2 == 0 {
 						continue // the DC mode is zeroed, not multiplied
@@ -211,7 +210,7 @@ func (s *Solver) newMeshState() *meshState {
 							green /= w * w
 						}
 					}
-					m.green[(i*n+j)*n+k] = green
+					m.green[(i*n+j)*nh+k] = green
 				}
 			}
 		}
