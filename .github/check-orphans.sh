@@ -2,16 +2,21 @@
 # Checks that nothing in the repository is orphaned: every internal/*
 # package must be imported by at least one non-test Go file outside itself
 # (the bench/ module counts), every exported function, method and type an
-# internal/* file declares must be referenced somewhere besides its own
-# declaration (tests, examples and bench/ count), every unexported function
-# and method an internal/* non-test file declares must be referenced by a
-# non-test file of its package (one only tests reach is an oracle and belongs
-# in a _test.go; one nothing reaches is dead), and every cmd/* must be
-# mentioned in README.md.
-# A package only its own tests import, a symbol nobody calls, or a command
-# nobody documents, is dead weight that still pins every signature it
-# touches.  No dependencies
-# beyond POSIX sh + grep/sed/find, so it runs identically in CI and locally:
+# internal/* file declares must be used by a non-test Go file outside bench/
+# (production code is what production runs: a symbol only tests or bench/
+# reach moves beside its tests, or goes), every unexported function and method
+# an internal/* non-test file declares must be referenced by a non-test file
+# of its package (one only tests reach is an oracle and belongs in a
+# _test.go; one nothing reaches is dead), and every cmd/* must be mentioned in
+# README.md.
+# The exported symbols bench/ or another package's tests still need are
+# listed, each with the file that needs it and why, in
+# .github/orphan-allow.txt; a line there whose symbol is gone, has gained a
+# production caller, or is no longer named by its file fails the check too.
+# A package only its own tests import, a symbol production never calls, or a
+# command nobody documents, is dead weight that still pins every signature it
+# touches.  No dependencies beyond POSIX sh + grep/sed/find, so it runs
+# identically in CI and locally:
 #   sh .github/check-orphans.sh
 set -eu
 
@@ -29,28 +34,58 @@ for dir in internal/*/; do
         status=1
     fi
 done
-# Exported symbols: named, outside comments, in another .go file, or — for
-# the types a constructor returns and the helpers a file calls itself — at
-# least twice in the declaring file (once is the declaration).
-# Methods the runtime or the standard library calls through an interface are
-# named nowhere and are exempt.
+# The allow-list: "<pkg>.[<Type>.]<Name> <file> <reason>" lines, keyed as
+# <pkg>.<Name>.  Each line must name a file that mentions the symbol.
+allow=.github/orphan-allow.txt
+allowed=
+while read -r entry needer reason; do
+    case "$entry" in '' | '#'*) continue ;; esac
+    key=$(echo "$entry" | sed 's/^\([^.]*\)\..*\.\([^.]*\)$/\1.\2/')
+    if [ -z "$reason" ]; then
+        echo "$allow: $entry: want '<symbol> <file that needs it> <reason>'" >&2
+        status=1
+    elif ! [ -f "$needer" ] || ! grep -v '^[[:space:]]*//' "$needer" | grep -qw "${key##*.}"; then
+        echo "$allow: $entry: $needer does not use it" >&2
+        status=1
+    fi
+    allowed="$allowed $key"
+done <"$allow"
+# Exported symbols: named, outside comments, in a non-test Go file outside
+# bench/, or — for the types a constructor returns and the helpers a file
+# calls itself — at least twice in the declaring file (once is the
+# declaration).  Methods the runtime or the standard library calls through an
+# interface are named nowhere and are exempt.
 implicit='Error String Len Less Swap Unwrap MarshalJSON UnmarshalJSON ServeHTTP'
+orphans=
 for file in $(find internal -name '*.go' -not -name '*_test.go'); do
     symbols=$(sed -n \
         -e 's/^func ([^)]*) \([A-Z][A-Za-z0-9_]*\)[[(].*/\1/p' \
         -e 's/^func \([A-Z][A-Za-z0-9_]*\)[[(].*/\1/p' \
         -e 's/^type \([A-Z][A-Za-z0-9_]*\) .*/\1/p' "$file" | sort -u)
     [ -n "$symbols" ] || continue
-    elsewhere=$(find . -name '*.go' -not -path './.git/*' -not -path "./$file" \
+    elsewhere=$(find . -name '*.go' -not -name '*_test.go' -not -path './.git/*' \
+        -not -path './bench/*' -not -path "./$file" \
         -exec grep -hv '^[[:space:]]*//' {} + | grep -owF -e "$symbols" | sort -u)
     here=$(grep -v '^[[:space:]]*//' "$file" | grep -owF -e "$symbols" | sort | uniq -d)
+    pkg=$(dirname "${file#internal/}")
     for sym in $symbols; do
         case " $implicit " in *" $sym "*) continue ;; esac
         if ! printf '%s\n%s\n' "$elsewhere" "$here" | grep -qxF "$sym"; then
-            echo "$file: exported $sym is referenced nowhere" >&2
-            status=1
+            case " $allowed " in
+            *" $pkg.$sym "*) orphans="$orphans $pkg.$sym" ;;
+            *)
+                echo "$file: exported $sym has no non-test caller outside bench/" \
+                    "(move it beside its tests, delete it, or allow-list it in $allow)" >&2
+                status=1
+                ;;
+            esac
         fi
     done
+done
+for key in $allowed; do
+    case " $orphans " in *" $key "*) continue ;; esac
+    echo "$allow: $key is stale: it is gone or has a non-test caller outside bench/" >&2
+    status=1
 done
 # Unexported functions and methods: named, outside comments, in another
 # non-test file of the package, or at least twice in the declaring file.

@@ -1,7 +1,10 @@
 package twohot
 
-// This file regenerates every table and figure of the paper's evaluation
-// (see EXPERIMENTS.md for the index and for paper-vs-measured numbers).
+// This file regenerates the tables and figures of the paper's evaluation that
+// need a whole solver or simulation (see EXPERIMENTS.md for the index and for
+// paper-vs-measured numbers).  The harnesses of one package live beside it:
+// Table 3 and the blocking ablation in internal/multipole, Figure 6 in
+// internal/core, Section 3.1's Alltoall comparison in internal/comm.
 // Each benchmark prints the same rows/series the paper reports; absolute
 // hardware numbers differ from the authors' testbeds, but the shapes (who
 // wins, by what factor, where crossovers fall) are the reproduction target.
@@ -20,9 +23,7 @@ import (
 	"testing"
 	"time"
 
-	"twohot/internal/comm"
 	"twohot/internal/core"
-	"twohot/internal/multipole"
 	"twohot/internal/particle"
 	"twohot/internal/softening"
 	"twohot/internal/traverse"
@@ -37,171 +38,6 @@ func effectiveGflops(c traverse.Counters, elapsed time.Duration) float64 {
 		return 0
 	}
 	return float64(c.Flops()) / elapsed.Seconds() / 1e9
-}
-
-// ---------------------------------------------------------------------------
-// Table 3: gravitational micro-kernel performance (Gflop/s, 28 flops per
-// monopole interaction), scalar vs m x n blocked, float32.
-// ---------------------------------------------------------------------------
-
-func microKernelData(m, n int) (*multipole.Source32, *multipole.Sink32) {
-	rng := rand.New(rand.NewSource(1))
-	src := multipole.NewSource32(m)
-	for j := 0; j < m; j++ {
-		src.Append(rng.Float32(), rng.Float32(), rng.Float32(), rng.Float32()+0.5)
-	}
-	xs := make([]float32, n)
-	ys := make([]float32, n)
-	zs := make([]float32, n)
-	for i := 0; i < n; i++ {
-		xs[i], ys[i], zs[i] = rng.Float32(), rng.Float32(), rng.Float32()
-	}
-	return src, multipole.NewSink32(xs, ys, zs)
-}
-
-func reportGflops(b *testing.B, interactionsPerOp int64) {
-	b.ReportMetric(float64(interactionsPerOp*multipole.FlopsPerMonopole)*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop/s")
-	b.ReportMetric(float64(interactionsPerOp)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minter/s")
-}
-
-func BenchmarkTable3MicrokernelBlocked(b *testing.B) {
-	const m, n = 256, 64
-	src, snk := microKernelData(m, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		multipole.BlockedMonopole32(src, snk, 1e-6)
-	}
-	reportGflops(b, int64(m*n))
-}
-
-func BenchmarkTable3MicrokernelScalar(b *testing.B) {
-	const m, n = 256, 64
-	src, snk := microKernelData(m, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		multipole.ScalarMonopole32(src, snk, 1e-6)
-	}
-	reportGflops(b, int64(m*n))
-}
-
-func BenchmarkTable3MicrokernelAllCores(b *testing.B) {
-	const m, n = 256, 64
-	workers := runtime.GOMAXPROCS(0)
-	srcs := make([]*multipole.Source32, workers)
-	snks := make([]*multipole.Sink32, workers)
-	for w := range srcs {
-		srcs[w], snks[w] = microKernelData(m, n)
-	}
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		src, snk := microKernelData(m, n)
-		for pb.Next() {
-			multipole.BlockedMonopole32(src, snk, 1e-6)
-		}
-	})
-	reportGflops(b, int64(m*n))
-}
-
-// ---------------------------------------------------------------------------
-// Section 3.3 ablation: m x n blocking vs per-source scalar updates at
-// several block shapes.
-// ---------------------------------------------------------------------------
-
-func BenchmarkBlockingAblation(b *testing.B) {
-	for _, shape := range []struct{ m, n int }{{16, 16}, {64, 32}, {256, 64}, {1024, 64}} {
-		b.Run(fmt.Sprintf("m=%d/n=%d", shape.m, shape.n), func(b *testing.B) {
-			src, snk := microKernelData(shape.m, shape.n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				multipole.BlockedMonopole32(src, snk, 1e-6)
-			}
-			reportGflops(b, int64(shape.m*shape.n))
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Figure 6: multipole error vs distance for p = 0..8, with a float32 direct
-// sum for comparison, on 512 random particles in a unit cube.
-// ---------------------------------------------------------------------------
-
-func BenchmarkFigure6MultipoleError(b *testing.B) {
-	rng := rand.New(rand.NewSource(42))
-	const n = 512
-	pos := make([]vec.V3, n)
-	mass := make([]float64, n)
-	for i := range pos {
-		pos[i] = vec.V3{rng.Float64(), rng.Float64(), rng.Float64()}
-		mass[i] = 1.0 / n
-	}
-	center := vec.V3{0.5, 0.5, 0.5}
-	orders := []int{0, 2, 4, 6, 8}
-	exps := map[int]*multipole.Expansion{}
-	for _, p := range orders {
-		e := multipole.NewExpansion(p, center)
-		e.AddParticles(pos, mass)
-		e.FinalizeNorms()
-		exps[p] = e
-	}
-	direct := func(x vec.V3) vec.V3 {
-		var a vec.V3
-		for i := range pos {
-			d := pos[i].Sub(x)
-			r := d.Norm()
-			a = a.Add(d.Scale(mass[i] / (r * r * r)))
-		}
-		return a
-	}
-	b.ResetTimer()
-	for iter := 0; iter < b.N; iter++ {
-		if iter > 0 {
-			continue // the table only needs to be produced once
-		}
-		fmt.Println("\nFigure 6: relative acceleration error vs distance (512 particles, unit cube)")
-		fmt.Printf("%6s %12s %12s %12s %12s %12s %12s\n", "r", "p=0", "p=2", "p=4", "p=6", "p=8", "float32")
-		for _, r := range []float64{0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0} {
-			x := center.Add(vec.V3{r, 0, 0})
-			ref := direct(x)
-			row := fmt.Sprintf("%6.2f", r)
-			for _, p := range orders {
-				res := exps[p].Evaluate(x)
-				row += fmt.Sprintf(" %12.3e", res.Acc.Sub(ref).Norm()/ref.Norm())
-			}
-			a32, _ := core.Direct32Forces(pos, mass, x)
-			row += fmt.Sprintf(" %12.3e", a32.Sub(ref).Norm()/ref.Norm())
-			fmt.Println(row)
-		}
-		// Histogram of errors at r=4 over random directions (the lower panel).
-		fmt.Println("Figure 6 (lower): error distribution at r=4 (100 random directions), log10 median")
-		for _, p := range orders {
-			med := medianErrAtR(exps[p], pos, mass, center, 4.0, rng)
-			fmt.Printf("  p=%d: median rel err %.3e\n", p, med)
-		}
-	}
-}
-
-func medianErrAtR(e *multipole.Expansion, pos []vec.V3, mass []float64, center vec.V3, r float64, rng *rand.Rand) float64 {
-	var errs []float64
-	for k := 0; k < 100; k++ {
-		d := vec.V3{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-		d = d.Scale(r / d.Norm())
-		x := center.Add(d)
-		var ref vec.V3
-		for i := range pos {
-			dd := pos[i].Sub(x)
-			rr := dd.Norm()
-			ref = ref.Add(dd.Scale(mass[i] / (rr * rr * rr)))
-		}
-		res := e.Evaluate(x)
-		errs = append(errs, res.Acc.Sub(ref).Norm()/ref.Norm())
-	}
-	// median
-	for i := 1; i < len(errs); i++ {
-		for j := i; j > 0 && errs[j] < errs[j-1]; j-- {
-			errs[j], errs[j-1] = errs[j-1], errs[j]
-		}
-	}
-	return errs[len(errs)/2]
 }
 
 // ---------------------------------------------------------------------------
@@ -374,42 +210,6 @@ func BenchmarkTable2StageBreakdown(b *testing.B) {
 			fmt.Printf("  flops/particle: %d\n", c.Flops()/int64(n))
 			b.ReportMetric(float64(c.Flops()/int64(n)), "flops/particle")
 		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Section 3.1: Alltoall implementation comparison.
-// ---------------------------------------------------------------------------
-
-func BenchmarkAlltoallVariants(b *testing.B) {
-	payload := make([]byte, 16*1024)
-	for _, tc := range []struct {
-		name string
-		algo comm.AlltoallAlgorithm
-	}{
-		{"direct", comm.AlltoallDirect},
-		{"pairwise", comm.AlltoallPairwise},
-		{"hierarchical", comm.AlltoallHierarchical},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			ranks := 8
-			w := comm.NewWorld(ranks)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				err := w.Run(func(r *comm.Rank) error {
-					send := make([][]byte, ranks)
-					for d := range send {
-						send[d] = payload
-					}
-					_, err := r.AlltoallvBytes(send, tc.algo)
-					return err
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.SetBytes(int64(ranks * ranks * len(payload)))
-		})
 	}
 }
 

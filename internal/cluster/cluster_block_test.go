@@ -208,7 +208,7 @@ func TestClusterBlockSupervisedRecoveryBitIdentical(t *testing.T) {
 	fault.Chaos = &comm.ChaosOptions{
 		Seed:      3,
 		DropRate:  0.02,
-		KillAfter: 300, // a multi-rung block is several substep exchanges: dies mid-block after checkpoints exist
+		KillAfter: 60, // a multi-rung block is ~38 data frames: dies mid-block after checkpoints exist
 	}
 	fault.ChaosKillRank = 1
 	restarts, fromCheckpoint := 0, 0

@@ -227,7 +227,7 @@ func TestSupervisedRecoveryBitIdentical(t *testing.T) {
 	fault.Chaos = &comm.ChaosOptions{
 		Seed:      3,
 		DropRate:  0.02,
-		KillAfter: 200, // one step is ~100 data frames: dies mid-step-2, after checkpoints exist
+		KillAfter: 30, // one step is ~19 data frames: dies mid-step-2, after checkpoints exist
 	}
 	fault.ChaosKillRank = 1
 	restarts, fromCheckpoint := 0, 0

@@ -197,43 +197,26 @@ func (r *Rank) AllgatherUint64(v []uint64) ([]uint64, error) {
 	return out, nil
 }
 
-// AlltoallAlgorithm selects the data-exchange implementation.
+// AlltoallAlgorithm names an Alltoallv message schedule.  AlltoallDirect is
+// the only one: the pairwise and hierarchical schedules the paper compares
+// (Section 3.1) live beside BenchmarkAlltoallVariants in alltoall_test.go.
 type AlltoallAlgorithm int
 
-const (
-	// AlltoallDirect posts every outgoing block eagerly, then receives in
-	// source order (the idealized library implementation).
-	AlltoallDirect AlltoallAlgorithm = iota
-	// AlltoallPairwise loops over all pairs of processes exchanging data,
-	// the "trivial implementation" that outperformed the system MPI at
-	// 32k+ processes in the paper.
-	AlltoallPairwise
-	// AlltoallHierarchical relays messages through one leader per node
-	// group, the rewrite that fixed the buffer blow-up in OpenMPI.
-	AlltoallHierarchical
-)
+// AlltoallDirect posts every outgoing block eagerly, then receives in source
+// order (the idealized library implementation).
+const AlltoallDirect AlltoallAlgorithm = 0
 
 // AlltoallvBytes exchanges send[dst] with every destination and returns
-// recv[src].  All ranks must call it with the same algorithm.
+// recv[src] by the direct schedule.  algo must be AlltoallDirect; the
+// argument has one value and stays because the benchmark module
+// (bench/layers.go) passes it.
 func (r *Rank) AlltoallvBytes(send [][]byte, algo AlltoallAlgorithm) ([][]byte, error) {
 	if len(send) != r.N() {
 		return nil, fmt.Errorf("comm: Alltoallv send length %d must equal world size %d", len(send), r.N())
 	}
 	r.stats.countCollective(true, 0)
-	seq := r.nextSeq()
-	switch algo {
-	case AlltoallPairwise:
-		return r.alltoallPairwise(seq, send)
-	case AlltoallHierarchical:
-		return r.alltoallHierarchical(seq, send)
-	default:
-		return r.alltoallDirect(seq, send)
-	}
-}
-
-func (r *Rank) alltoallDirect(seq int64, send [][]byte) ([][]byte, error) {
 	n := r.N()
-	tag := collTag(seq, 0)
+	tag := collTag(r.nextSeq(), 0)
 	for dst := 0; dst < n; dst++ {
 		if dst == r.ID {
 			continue
@@ -255,136 +238,4 @@ func (r *Rank) alltoallDirect(seq int64, send [][]byte) ([][]byte, error) {
 		recv[src] = p
 	}
 	return recv, nil
-}
-
-func (r *Rank) alltoallPairwise(seq int64, send [][]byte) ([][]byte, error) {
-	n := r.N()
-	recv := make([][]byte, n)
-	recv[r.ID] = send[r.ID]
-	// Loop over all pairs: at step s exchange with dst = (rank + s) mod n and
-	// src = (rank - s) mod n; the step index keys the sub-channel.
-	for s := 1; s < n; s++ {
-		dst := (r.ID + s) % n
-		src := (r.ID - s + n) % n
-		tag := collTag(seq, s)
-		if err := r.isend(dst, tag, send[dst]); err != nil {
-			return nil, fmt.Errorf("alltoall pairwise step %d send: %w", s, err)
-		}
-		p, err := r.irecv(src, tag)
-		if err != nil {
-			return nil, fmt.Errorf("alltoall pairwise step %d recv: %w", s, err)
-		}
-		recv[src] = p
-	}
-	return recv, nil
-}
-
-// alltoallHierarchical relays all traffic through group leaders: ranks are
-// grouped into "nodes" of size g; only leaders exchange inter-node traffic.
-// Sub-channels: [0,n) member->leader uploads by destination, [n,2n)
-// leader->leader bundles by sending leader, [2n,3n) leader->member
-// deliveries by original source.  A bundle is the blocks from every source in
-// the sending group to every destination in the receiving one as one
-// appendBlocks payload, source-major; both leaders know the two groups, so
-// the order alone says whose block is whose.
-func (r *Rank) alltoallHierarchical(seq int64, send [][]byte) ([][]byte, error) {
-	n := r.N()
-	g := nodeGroupSize(n)
-	leader := (r.ID / g) * g
-	groupHi := min(leader+g, n)
-
-	if r.ID != leader {
-		// Send all outgoing blocks to the leader, then receive all incoming.
-		for dst := 0; dst < n; dst++ {
-			if err := r.isend(leader, collTag(seq, dst), send[dst]); err != nil {
-				return nil, fmt.Errorf("alltoall hierarchical upload: %w", err)
-			}
-		}
-		recv := make([][]byte, n)
-		for src := 0; src < n; src++ {
-			p, err := r.irecv(leader, collTag(seq, 2*n+src))
-			if err != nil {
-				return nil, fmt.Errorf("alltoall hierarchical delivery: %w", err)
-			}
-			recv[src] = p
-		}
-		return recv, nil
-	}
-
-	// Leader: gather the group's outgoing blocks, out[src-leader][dst].
-	out := make([][][]byte, groupHi-leader)
-	out[0] = send
-	for m := leader + 1; m < groupHi; m++ {
-		out[m-leader] = make([][]byte, n)
-		for dst := 0; dst < n; dst++ {
-			p, err := r.irecv(m, collTag(seq, dst))
-			if err != nil {
-				return nil, fmt.Errorf("alltoall hierarchical gather from member %d: %w", m, err)
-			}
-			out[m-leader][dst] = p
-		}
-	}
-	// Send every other leader its bundle.
-	for other := 0; other < n; other += g {
-		if other == leader {
-			continue
-		}
-		var bundle [][]byte
-		for _, blocks := range out {
-			bundle = append(bundle, blocks[other:min(other+g, n)]...)
-		}
-		if err := r.isend(other, collTag(seq, n+leader), appendBlocks(nil, bundle)); err != nil {
-			return nil, fmt.Errorf("alltoall hierarchical inter-leader send: %w", err)
-		}
-	}
-	// Collect the group's incoming blocks, in[dst-leader][src]: intra-group
-	// traffic directly, the rest from the other leaders' bundles.
-	in := make([][][]byte, groupHi-leader)
-	for d := range in {
-		in[d] = make([][]byte, n)
-		for src := leader; src < groupHi; src++ {
-			in[d][src] = out[src-leader][leader+d]
-		}
-	}
-	for other := 0; other < n; other += g {
-		if other == leader {
-			continue
-		}
-		otherHi := min(other+g, n)
-		p, err := r.irecv(other, collTag(seq, n+other))
-		if err != nil {
-			return nil, fmt.Errorf("alltoall hierarchical inter-leader recv: %w", err)
-		}
-		bundle, err := parseBlocks(p)
-		if err == nil && len(bundle) != (otherHi-other)*len(in) {
-			err = fmt.Errorf("%d blocks for %d sources x %d destinations", len(bundle), otherHi-other, len(in))
-		}
-		if err != nil {
-			return nil, fmt.Errorf("alltoall hierarchical bundle from leader %d: %w", other, err)
-		}
-		for src := other; src < otherHi; src++ {
-			for d := range in {
-				in[d][src] = bundle[0]
-				bundle = bundle[1:]
-			}
-		}
-	}
-	// Deliver to members.
-	for m := leader + 1; m < groupHi; m++ {
-		for src := 0; src < n; src++ {
-			if err := r.isend(m, collTag(seq, 2*n+src), in[m-leader][src]); err != nil {
-				return nil, fmt.Errorf("alltoall hierarchical deliver to member %d: %w", m, err)
-			}
-		}
-	}
-	return in[0], nil
-}
-
-// nodeGroupSize picks the "node" size for the hierarchical relay.
-func nodeGroupSize(n int) int {
-	g := 1
-	for g*g < n {
-		g++
-	}
-	return g
 }

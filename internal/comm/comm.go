@@ -70,12 +70,6 @@ func (ss *statsSink) snapshot() Stats {
 	return ss.s
 }
 
-func (ss *statsSink) reset() {
-	ss.mu.Lock()
-	ss.s = Stats{}
-	ss.mu.Unlock()
-}
-
 // NewWorld creates an in-process communicator with n ranks.
 func NewWorld(n int) *World {
 	if n < 1 {
@@ -88,9 +82,6 @@ func NewWorld(n int) *World {
 
 // Statistics returns a snapshot of the communication counters.
 func (w *World) Statistics() Stats { return w.stats.snapshot() }
-
-// ResetStatistics zeroes the counters.
-func (w *World) ResetStatistics() { w.stats.reset() }
 
 // Run executes fn on every rank concurrently and waits for all ranks to
 // finish, returning the joined errors of the ranks that failed (nil when

@@ -93,7 +93,7 @@ func TestCollectives(t *testing.T) {
 }
 
 func TestAlltoallVariantsAgree(t *testing.T) {
-	for _, algo := range []AlltoallAlgorithm{AlltoallDirect, AlltoallPairwise, AlltoallHierarchical} {
+	for _, algo := range alltoallAlgos {
 		for _, n := range []int{1, 2, 3, 4, 7} {
 			w := NewWorld(n)
 			err := w.Run(func(r *Rank) error {
@@ -101,7 +101,7 @@ func TestAlltoallVariantsAgree(t *testing.T) {
 				for dst := 0; dst < n; dst++ {
 					send[dst] = []byte(fmt.Sprintf("from %d to %d", r.ID, dst))
 				}
-				recv, err := r.AlltoallvBytes(send, algo)
+				recv, err := r.alltoallv(send, algo)
 				must(t, err)
 				for src := 0; src < n; src++ {
 					want := fmt.Sprintf("from %d to %d", src, r.ID)
@@ -171,10 +171,6 @@ func TestWorldStatistics(t *testing.T) {
 	if s.CollectiveCalls != 2 || s.CollectiveMsgs == 0 {
 		t.Errorf("collective stats %+v", s)
 	}
-	w.ResetStatistics()
-	if w.Statistics().PointToPointMsgs != 0 {
-		t.Error("reset failed")
-	}
 }
 
 // TestRecvFromDeadPeer is the regression for the mailbox hanging forever: a
@@ -187,7 +183,7 @@ func TestRecvFromDeadPeer(t *testing.T) {
 			return nil // dies immediately without sending
 		}
 		_, _, err := r.Recv(1, 42)
-		if !IsPeerDead(err) {
+		if !errors.As(err, new(*PeerDeadError)) {
 			t.Errorf("recv from dead peer: got %v, want PeerDeadError", err)
 		}
 		return nil
@@ -206,7 +202,7 @@ func TestCollectiveFailsOnDeadPeer(t *testing.T) {
 		}
 		if err := r.Barrier(); err == nil {
 			t.Error("barrier with dead rank succeeded")
-		} else if !IsPeerDead(err) {
+		} else if !errors.As(err, new(*PeerDeadError)) {
 			t.Errorf("barrier error %v, want PeerDeadError", err)
 		}
 		return nil
@@ -245,7 +241,7 @@ func TestRunReportsPanic(t *testing.T) {
 			panic("boom")
 		}
 		_, _, err := r.Recv(0, 1)
-		if !IsPeerDead(err) {
+		if !errors.As(err, new(*PeerDeadError)) {
 			t.Errorf("survivor recv: got %v, want PeerDeadError", err)
 		}
 		return nil

@@ -19,8 +19,9 @@
 //     in a reserved internal tag space, so collectives cannot be confused
 //     with application traffic or with each other, and reductions combine
 //     contributions in rank order — bitwise reproducible for a fixed rank
-//     count.  AlltoallvBytes implements the direct, pairwise and
-//     hierarchical algorithms the paper compares.
+//     count.  AlltoallvBytes runs the direct schedule; the pairwise and
+//     hierarchical schedules the paper compares it with are a test-side
+//     harness (alltoall_test.go, BenchmarkAlltoallVariants).
 //   - ABM: the asynchronous batched messaging service of the HOT codes
 //     (NewABM) — a background request/reply engine for remote tree-node
 //     fetches during traversal, multiplexed over the same transport via a
@@ -72,7 +73,7 @@
 //
 // All operations return errors rather than panicking or blocking forever:
 // closed transports yield ErrClosed, timeouts DeadlineError, dead peers
-// PeerDeadError (test with IsPeerDead).  Callers treat peer death as fatal
+// PeerDeadError (test with errors.As).  Callers treat peer death as fatal
 // for the world — recovery is by restart from a checkpoint, orchestrated
 // one level up by internal/cluster's supervisor — so no transport attempts
 // to reintegrate a lost rank.

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -100,12 +101,12 @@ func tcpExercise(t *testing.T, r *Rank) error {
 		}
 	}
 	// Alltoall, all three algorithms.
-	for _, algo := range []AlltoallAlgorithm{AlltoallDirect, AlltoallPairwise, AlltoallHierarchical} {
+	for _, algo := range alltoallAlgos {
 		send := make([][]byte, n)
 		for dst := 0; dst < n; dst++ {
 			send[dst] = []byte(fmt.Sprintf("%d->%d", r.ID, dst))
 		}
-		recv, err := r.AlltoallvBytes(send, algo)
+		recv, err := r.alltoallv(send, algo)
 		if err != nil {
 			return err
 		}
@@ -197,7 +198,7 @@ func TestTCPPeerDeathDetected(t *testing.T) {
 			return r.Transport().Close()
 		}
 		_, _, err := r.Recv(1, 5)
-		if !IsPeerDead(err) {
+		if !errors.As(err, new(*PeerDeadError)) {
 			return fmt.Errorf("recv from killed peer: got %v, want PeerDeadError", err)
 		}
 		return nil
@@ -224,7 +225,7 @@ func TestTCPSendToDeadPeerFails(t *testing.T) {
 		deadline := time.Now().Add(5 * time.Second)
 		for time.Now().Before(deadline) {
 			if err := r.Send(1, 9, []byte("x")); err != nil {
-				if !IsPeerDead(err) {
+				if !errors.As(err, new(*PeerDeadError)) {
 					return fmt.Errorf("send error %v, want PeerDeadError", err)
 				}
 				return nil

@@ -80,12 +80,6 @@ func (e *PeerDeadError) Error() string {
 	return fmt.Sprintf("comm: rank %d is gone (%s)", e.Rank, e.Reason)
 }
 
-// IsPeerDead reports whether err wraps a PeerDeadError.
-func IsPeerDead(err error) bool {
-	var pd *PeerDeadError
-	return errors.As(err, &pd)
-}
-
 // internalTagBase is the start of the tag space reserved for the
 // collectives' sequenced messages.  A wildcard-tag Recv never matches an
 // internal tag, so a concurrently running service goroutine (the ABM) cannot

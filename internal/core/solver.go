@@ -437,30 +437,6 @@ func (s *DirectSolver) Forces(pos []vec.V3, mass []float64) (*Result, error) {
 	}, nil
 }
 
-// Direct32Forces computes accelerations in single precision (no softening),
-// reproducing the "direct sum (float32)" reference of Figure 6.
-func Direct32Forces(pos []vec.V3, mass []float64, at vec.V3) (vec.V3, float64) {
-	var ax, ay, az, p float32
-	x := [3]float32{float32(at[0]), float32(at[1]), float32(at[2])}
-	for j := range pos {
-		dx := float32(pos[j][0]) - x[0]
-		dy := float32(pos[j][1]) - x[1]
-		dz := float32(pos[j][2]) - x[2]
-		r2 := dx*dx + dy*dy + dz*dz
-		if r2 == 0 {
-			continue
-		}
-		inv := 1 / float32(math.Sqrt(float64(r2)))
-		m := float32(mass[j])
-		p += m * inv
-		mInv3 := m * inv * inv * inv
-		ax += dx * mInv3
-		ay += dy * mInv3
-		az += dz * mInv3
-	}
-	return vec.V3{float64(ax), float64(ay), float64(az)}, float64(p)
-}
-
 // AccuracyStats summarizes the per-particle relative acceleration error of a
 // solver against a reference.
 type AccuracyStats struct {

@@ -255,23 +255,6 @@ func integrate(f func(float64) float64, a, b float64) float64 {
 	return sum * h / 3
 }
 
-// Age returns the age of the universe at scale factor a in internal time
-// units; multiply by GyrPerTimeUnit/h for Gyr.
-func (p Params) Age(a float64) float64 {
-	f := func(x float64) float64 {
-		if x <= 0 {
-			return 0
-		}
-		return 1 / (x * p.Hubble(x))
-	}
-	return integrate(f, 1e-9, a)
-}
-
-// AgeGyr returns the age at scale factor a in Gyr (not Gyr/h).
-func (p Params) AgeGyr(a float64) float64 {
-	return p.Age(a) * GyrPerTimeUnit / p.H
-}
-
 // DriftFactor returns the symplectic drift integral int_{a1}^{a2} da /
 // (a^3 H(a)) used to advance comoving positions with the canonical momentum
 // p = a^2 dx/dt (Quinn et al. 1997).
@@ -341,29 +324,4 @@ func (p Params) growthODE(a float64) (float64, float64) {
 func (p Params) dlnHdlna(a float64) float64 {
 	const eps = 1e-5
 	return (math.Log(p.E(a*(1+eps))) - math.Log(p.E(a*(1-eps)))) / (2 * eps)
-}
-
-// GrowthFactorAnalytic returns the classic integral expression for the growth
-// factor, valid for LambdaCDM without radiation:
-//
-//	D(a) proportional to H(a) int_0^a da' / (a' H(a'))^3
-//
-// normalized to D(1) = 1.  2HOT keeps this analytic path so it can be
-// compared against codes that do not model radiation.
-func (p Params) GrowthFactorAnalytic(a float64) float64 {
-	noRad := p
-	noRad.IncludeRadiation = false
-	noRad.OmegaG, noRad.OmegaNu = 0, 0
-	noRad.OmegaK = 1 - noRad.OmegaM - noRad.OmegaL
-	g := func(a float64) float64 {
-		f := func(x float64) float64 {
-			if x < 1e-9 {
-				return 0
-			}
-			e := noRad.E(x)
-			return 1 / (x * x * x * e * e * e)
-		}
-		return noRad.E(a) * integrate(f, 1e-9, a)
-	}
-	return g(a) / g(1)
 }

@@ -32,7 +32,7 @@ func TestCriticalDensityValue(t *testing.T) {
 
 func TestAgeOfUniverse(t *testing.T) {
 	p := Planck2013()
-	age := p.AgeGyr(1)
+	age := ageGyr(p, 1)
 	if age < 13.5 || age > 14.2 {
 		t.Errorf("Planck 2013 age of the universe = %.2f Gyr, expected about 13.8", age)
 	}
@@ -41,7 +41,7 @@ func TestAgeOfUniverse(t *testing.T) {
 	noRad.IncludeRadiation = false
 	noRad.OmegaG, noRad.OmegaNu = 0, 0
 	noRad.OmegaK = 1 - noRad.OmegaM - noRad.OmegaL
-	diffMyr := math.Abs(noRad.AgeGyr(1)-age) * 1000
+	diffMyr := math.Abs(ageGyr(noRad, 1)-age) * 1000
 	if diffMyr < 1 || diffMyr > 20 {
 		t.Errorf("age difference without radiation = %.1f Myr, expected a few Myr", diffMyr)
 	}
@@ -102,7 +102,7 @@ func TestGrowthAnalyticMatchesODE(t *testing.T) {
 	p.OmegaK = 1 - p.OmegaM - p.OmegaL
 	for _, a := range []float64{0.1, 0.3, 0.7, 1.0} {
 		ode := p.GrowthFactor(a)
-		ana := p.GrowthFactorAnalytic(a)
+		ana := growthFactorAnalytic(p, a)
 		if math.Abs(ode-ana)/ana > 5e-3 {
 			t.Errorf("a=%g: ODE growth %g vs analytic %g", a, ode, ana)
 		}
@@ -152,4 +152,40 @@ func TestGrowthRatePositive(t *testing.T) {
 	if f < 0.4 || f > 0.7 {
 		t.Errorf("growth rate today = %g", f)
 	}
+}
+
+// growthFactorAnalytic returns the classic integral expression for the growth
+// factor, valid for LambdaCDM without radiation:
+//
+//	D(a) proportional to H(a) int_0^a da' / (a' H(a'))^3
+//
+// normalized to D(1) = 1: the oracle GrowthFactor's ODE is pinned to.
+func growthFactorAnalytic(p Params, a float64) float64 {
+	noRad := p
+	noRad.IncludeRadiation = false
+	noRad.OmegaG, noRad.OmegaNu = 0, 0
+	noRad.OmegaK = 1 - noRad.OmegaM - noRad.OmegaL
+	g := func(a float64) float64 {
+		f := func(x float64) float64 {
+			if x < 1e-9 {
+				return 0
+			}
+			e := noRad.E(x)
+			return 1 / (x * x * x * e * e * e)
+		}
+		return noRad.E(a) * integrate(f, 1e-9, a)
+	}
+	return g(a) / g(1)
+}
+
+// ageGyr returns the age of the universe at scale factor a in Gyr (not
+// Gyr/h): the integral of da / (a H(a)) in internal time units, converted.
+func ageGyr(p Params, a float64) float64 {
+	f := func(x float64) float64 {
+		if x <= 0 {
+			return 0
+		}
+		return 1 / (x * p.Hubble(x))
+	}
+	return integrate(f, 1e-9, a) * GyrPerTimeUnit / p.H
 }

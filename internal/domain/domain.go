@@ -25,10 +25,6 @@ func (d *Decomposition) OwnerOfPosition(p vec.V3) int {
 	return d.Owner(uint64(keys.FromPosition(p, d.Box, d.Curve)))
 }
 
-// samplesPerRank is how many evenly spaced keys each rank contributes to the
-// splitter sample.
-const samplesPerRank = 64
-
 // Options configures the decomposition.
 type Options struct {
 	Curve keys.Curve
@@ -47,7 +43,7 @@ func Decompose(r *comm.Rank, set *particle.Set, box vec.Box, opt Options) (*Deco
 	if opt.UseWork {
 		weights = set.Work
 	}
-	splitters, err := parsort.ChooseSplitters(r, ks, weights, samplesPerRank)
+	splitters, err := parsort.ChooseSplitters(r, ks, weights)
 	if err != nil {
 		return nil, err
 	}

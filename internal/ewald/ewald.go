@@ -119,24 +119,6 @@ func Potential(dx vec.V3, L float64, opt Options) float64 {
 	return sum
 }
 
-// ReferenceForces computes the exact periodic accelerations (G=1, unit box
-// scale handled by the caller) for a small particle set by direct Ewald
-// summation over all pairs.  Cost is O(N^2) with a large constant; intended
-// only for verification.
-func ReferenceForces(pos []vec.V3, mass []float64, L float64, opt Options) []vec.V3 {
-	acc := make([]vec.V3, len(pos))
-	for i := range pos {
-		for j := range pos {
-			if i == j {
-				continue
-			}
-			d := pos[i].Sub(pos[j])
-			acc[i] = acc[i].Add(Accel(d, L, opt).Scale(mass[j]))
-		}
-	}
-	return acc
-}
-
 // Lattice holds the cached lattice-sum derivative tensors for the production
 // periodic-boundary method.  T_alpha = sum over replica offsets n (with
 // max_i |n_i| > WS) of D_alpha(n L), where D_alpha are the derivative

@@ -268,16 +268,3 @@ func secondOrderSource(deltaK *fft.Grid3, n int, l float64) *grid.Mesh {
 	}
 	return src
 }
-
-// LinearDelta returns the real-space linear density contrast at z=0 for the
-// same random realization, useful for tests and for the Zel'dovich plane-wave
-// validation.
-func LinearDelta(spec *transfer.Spectrum, n int, l float64, opt Options) *grid.Mesh {
-	g := gaussianFieldK(spec, n, l, opt)
-	g.Inverse()
-	m := grid.NewMesh(n, l)
-	for i := range m.Data {
-		m.Data[i] = real(g.Data[i])
-	}
-	return m
-}

@@ -64,7 +64,7 @@ func TestRealizationMatchesInputSpectrum(t *testing.T) {
 	n := 32
 	l := 500.0
 	opt := Options{NGrid: n, BoxSize: l, ZInit: 0, Seed: 3}
-	delta := LinearDelta(spec, n, l, opt)
+	delta := linearDelta(spec, n, l, opt)
 	ps := delta.MeasurePower(grid.PowerSpectrumOptions{NBins: 8})
 	// Compare the measured band powers with the input spectrum (cosmic
 	// variance per bin is ~1/sqrt(modes)).
@@ -109,4 +109,16 @@ func Test2LPTChangesDisplacements(t *testing.T) {
 	if maxShift > 100.0/16 {
 		t.Errorf("2LPT correction %g larger than a grid cell", maxShift)
 	}
+}
+
+// linearDelta returns the real-space linear density contrast at z=0 for the
+// same random realization, for the Zel'dovich validation.
+func linearDelta(spec *transfer.Spectrum, n int, l float64, opt Options) *grid.Mesh {
+	g := gaussianFieldK(spec, n, l, opt)
+	g.Inverse()
+	m := grid.NewMesh(n, l)
+	for i := range m.Data {
+		m.Data[i] = real(g.Data[i])
+	}
+	return m
 }

@@ -113,16 +113,6 @@ func FromCoords(c Coords, curve Curve) Key {
 	return Key(k) | Key(1)<<(3*MaxDepth)
 }
 
-// ToCoords recovers lattice coordinates from a body key.
-func ToCoords(k Key, curve Curve) Coords {
-	v := uint64(k) &^ (uint64(1) << (3 * MaxDepth))
-	c := Coords{compact3(v >> 2), compact3(v >> 1), compact3(v)}
-	if curve == Hilbert {
-		c = TransposeToAxes(c, MaxDepth)
-	}
-	return c
-}
-
 // FromPosition maps a position inside box to a body key.
 func FromPosition(p vec.V3, box vec.Box, curve Curve) Key {
 	return FromCoords(Quantize(p, box), curve)
@@ -154,15 +144,6 @@ func (k Key) AncestorAt(level int) Key {
 		panic("keys: AncestorAt level deeper than key")
 	}
 	return k >> uint(3*(l-level))
-}
-
-// IsAncestorOf reports whether k is an ancestor of (or equal to) other.
-func (k Key) IsAncestorOf(other Key) bool {
-	lk, lo := k.Level(), other.Level()
-	if lk > lo {
-		return false
-	}
-	return other>>uint(3*(lo-lk)) == k
 }
 
 // BodyRange returns the closed range [lo, hi] of body keys covered by cell
@@ -198,23 +179,6 @@ func (k Key) CellBox(root vec.Box) vec.Box {
 		lo[2] + size[2]/n,
 	}
 	return vec.Box{Lo: lo, Hi: hi}
-}
-
-// CommonAncestor returns the deepest cell key that is an ancestor of both a
-// and b (both must be valid keys).
-func CommonAncestor(a, b Key) Key {
-	la, lb := a.Level(), b.Level()
-	if la > lb {
-		a = a.AncestorAt(lb)
-		la = lb
-	} else if lb > la {
-		b = b.AncestorAt(la)
-	}
-	for a != b {
-		a >>= 3
-		b >>= 3
-	}
-	return a
 }
 
 // Hash mixes a key into a 64-bit hash value (splitmix64 finalizer).  The
@@ -258,31 +222,6 @@ func AxesToTranspose(x Coords, b int) Coords {
 	}
 	for i := 0; i < 3; i++ {
 		x[i] ^= t
-	}
-	return x
-}
-
-// TransposeToAxes is the inverse of AxesToTranspose.
-func TransposeToAxes(x Coords, b int) Coords {
-	n := uint32(2) << (b - 1)
-	// Gray decode by H ^ (H/2).
-	t := x[2] >> 1
-	for i := 2; i > 0; i-- {
-		x[i] ^= x[i-1]
-	}
-	x[0] ^= t
-	// Undo excess work.
-	for q := uint32(2); q != n; q <<= 1 {
-		p := q - 1
-		for i := 2; i >= 0; i-- {
-			if x[i]&q != 0 {
-				x[0] ^= p
-			} else {
-				t := (x[0] ^ x[i]) & p
-				x[0] ^= t
-				x[i] ^= t
-			}
-		}
 	}
 	return x
 }

@@ -137,22 +137,3 @@ func (p *Predictor) DnDlnM(fit Fit, m float64) float64 {
 	rhoM := p.par.MeanMatterDensity()
 	return f * rhoM / m * p.dlnSigmaInvdlnM(m)
 }
-
-// RatioToFit divides a measured mass function by the analytic prediction,
-// returning (mass, ratio, poisson error) triples — the quantity plotted in
-// Figure 8.
-func (p *Predictor) RatioToFit(fit Fit, bins []Bin) (m, ratio, errp []float64) {
-	for _, b := range bins {
-		if b.Count == 0 {
-			continue
-		}
-		pred := p.DnDlnM(fit, b.MCenter)
-		if pred <= 0 {
-			continue
-		}
-		m = append(m, b.MCenter)
-		ratio = append(ratio, b.NDensity/pred)
-		errp = append(errp, b.Poisson/pred)
-	}
-	return
-}

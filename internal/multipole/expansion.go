@@ -74,13 +74,6 @@ func (e *Expansion) AddParticle(pos vec.V3, m float64) {
 	e.Mass += m
 }
 
-// AddParticles accumulates a set of point masses (P2M over a slice).
-func (e *Expansion) AddParticles(pos []vec.V3, m []float64) {
-	for i := range pos {
-		e.AddParticle(pos[i], m[i])
-	}
-}
-
 // powers returns per-dimension power tables pow[dim][k] = d[dim]^k for
 // k = 0..p, by value so the P2M / M2M / L2P operators stay off the heap.
 func powers(p int, d vec.V3) (pow [3][MaxTableOrder + 1]float64) {

@@ -189,9 +189,6 @@ func newTable(p int) *IndexTable {
 // (p+1)(p+2)(p+3)/6.
 func NumTerms(p int) int { return (p + 1) * (p + 2) * (p + 3) / 6 }
 
-// NumTermsOfOrder returns the number of multi-indices with |alpha| == n.
-func NumTermsOfOrder(n int) int { return (n + 1) * (n + 2) / 2 }
-
 func factorial(n int) float64 {
 	f := 1.0
 	for i := 2; i <= n; i++ {

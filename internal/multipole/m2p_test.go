@@ -61,7 +61,7 @@ func TestGeneratedKernelsMatchTable(t *testing.T) {
 	// from q alone when the expansion stores more than they read.
 	for _, p := range []int{4, 6} {
 		particles := NewExpansion(p, center)
-		particles.AddParticles(randomSources(30, rng))
+		particles.addParticles(randomSources(30, rng))
 		zero := NewExpansion(p, center)
 		for q := 0; q <= MaxGeneratedOrder; q++ {
 			for trial := 0; trial < 200; trial++ {
@@ -98,7 +98,7 @@ func TestEvaluateTruncatedBlockMixedPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	center := vec.V3{0.5, 0.5, 0.5}
 	e := NewExpansion(6, center)
-	e.AddParticles(randomSources(40, rng))
+	e.addParticles(randomSources(40, rng))
 	xs := make([]vec.V3, 64)
 	qs := make([]uint8, len(xs))
 	for i := range xs {
@@ -182,7 +182,7 @@ func BenchmarkM2P(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	const block = 64
 	e := NewExpansion(4, vec.V3{0.5, 0.5, 0.5})
-	e.AddParticles(randomSources(64, rng))
+	e.addParticles(randomSources(64, rng))
 	xs := make([]vec.V3, block)
 	for i := range xs {
 		xs[i] = vec.V3{3 + rng.Float64(), 3 + rng.Float64(), 3 + rng.Float64()}
@@ -212,7 +212,7 @@ func TestSmallOperatorsDoNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	center := vec.V3{0.5, 0.5, 0.5}
 	child := NewExpansion(4, center)
-	child.AddParticles(randomSources(8, rng))
+	child.addParticles(randomSources(8, rng))
 	parent := NewExpansion(4, vec.V3{1, 1, 1})
 	high := NewExpansion(MaxOrder, center) // table path, stack scratch
 	loc := NewLocal(6, center)

@@ -37,7 +37,7 @@ func TestTableSizes(t *testing.T) {
 			t.Errorf("p=%d: %d terms, want %d", p, len(tab.Idx), NumTerms(p))
 		}
 		for n := 0; n <= p; n++ {
-			if tab.Offset[n+1]-tab.Offset[n] != NumTermsOfOrder(n) {
+			if tab.Offset[n+1]-tab.Offset[n] != numTermsOfOrder(n) {
 				t.Errorf("p=%d order %d count wrong", p, n)
 			}
 		}
@@ -113,7 +113,7 @@ func TestExpansionConvergesWithOrder(t *testing.T) {
 	prevErr := math.Inf(1)
 	for _, p := range []int{0, 2, 4, 6, 8} {
 		e := NewExpansion(p, center)
-		e.AddParticles(pos, mass)
+		e.addParticles(pos, mass)
 		e.FinalizeNorms()
 		res := e.Evaluate(x)
 		err := res.Acc.Sub(ref.Acc).Norm() / ref.Acc.Norm()
@@ -134,7 +134,7 @@ func TestErrorBoundIsConservative(t *testing.T) {
 		center := vec.V3{0.5, 0.5, 0.5}
 		for _, p := range []int{0, 2, 4} {
 			e := NewExpansion(p, center)
-			e.AddParticles(pos, mass)
+			e.addParticles(pos, mass)
 			e.FinalizeNorms()
 			d := 1.5 + 3*rng.Float64()
 			dir := vec.V3{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
@@ -143,7 +143,7 @@ func TestErrorBoundIsConservative(t *testing.T) {
 			ref := directField(pos, mass, x)
 			res := e.Evaluate(x)
 			actual := res.Acc.Sub(ref.Acc).Norm()
-			bound := e.AccelErrorBound(d)
+			bound := e.accelErrorBound(d)
 			if actual > bound*1.0001 {
 				t.Errorf("p=%d d=%.2f: actual error %g exceeds Salmon-Warren bound %g", p, d, actual, bound)
 			}
@@ -161,7 +161,7 @@ func TestErrorEstimateTracksActualError(t *testing.T) {
 		pos, mass := randomSources(48, rng)
 		center := vec.V3{0.5, 0.5, 0.5}
 		e := NewExpansion(4, center)
-		e.AddParticles(pos, mass)
+		e.addParticles(pos, mass)
 		e.FinalizeNorms()
 		d := 2 + 3*rng.Float64()
 		x := center.Add(vec.V3{d, 0, 0})
@@ -188,12 +188,12 @@ func TestM2MShiftPreservesField(t *testing.T) {
 	x := vec.V3{4, 3, 5}
 
 	child := NewExpansion(4, childCenter)
-	child.AddParticles(pos, mass)
+	child.addParticles(pos, mass)
 	parent := NewExpansion(4, parentCenter)
 	parent.AddShifted(child)
 
 	directParent := NewExpansion(4, parentCenter)
-	directParent.AddParticles(pos, mass)
+	directParent.addParticles(pos, mass)
 
 	a := parent.Evaluate(x)
 	b := directParent.Evaluate(x)
@@ -213,7 +213,7 @@ func TestM2LAndL2P(t *testing.T) {
 	locCenter := vec.V3{6, 5, 4}
 
 	src := NewExpansion(4, srcCenter)
-	src.AddParticles(pos, mass)
+	src.addParticles(pos, mass)
 
 	T := Derivatives(locCenter.Sub(srcCenter), 8)
 	loc := NewLocal(4, locCenter)
@@ -234,42 +234,15 @@ func TestEvaluateTruncatedMatchesLowerOrderExpansion(t *testing.T) {
 	pos, mass := randomSources(20, rng)
 	center := vec.V3{0.5, 0.5, 0.5}
 	full := NewExpansion(4, center)
-	full.AddParticles(pos, mass)
+	full.addParticles(pos, mass)
 	quad := NewExpansion(2, center)
-	quad.AddParticles(pos, mass)
+	quad.addParticles(pos, mass)
 	x := vec.V3{3, 2, 4}
 	scratch := make([]float64, ScratchSize(4))
 	a := full.EvaluateTruncated(x, 2, scratch)
 	b := quad.Evaluate(x)
 	if a.Acc.Sub(b.Acc).Norm() > 1e-13 {
 		t.Errorf("truncated evaluation differs from genuine low-order expansion")
-	}
-}
-
-func TestBlockedMonopoleMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	m, n := 64, 32
-	src := NewSource32(m)
-	for j := 0; j < m; j++ {
-		src.Append(rng.Float32(), rng.Float32(), rng.Float32(), rng.Float32()+0.5)
-	}
-	xs := make([]float32, n)
-	ys := make([]float32, n)
-	zs := make([]float32, n)
-	for i := 0; i < n; i++ {
-		xs[i], ys[i], zs[i] = rng.Float32()+2, rng.Float32()+2, rng.Float32()+2
-	}
-	a := NewSink32(xs, ys, zs)
-	b := NewSink32(xs, ys, zs)
-	BlockedMonopole32(src, a, 1e-6)
-	ScalarMonopole32(src, b, 1e-6)
-	for i := 0; i < n; i++ {
-		if math.Abs(float64(a.Ax[i]-b.Ax[i])) > 1e-5 || math.Abs(float64(a.Pot[i]-b.Pot[i])) > 1e-4 {
-			t.Fatalf("blocked and scalar kernels disagree at sink %d", i)
-		}
-	}
-	if a.Interactions() != int64(m*n) {
-		t.Errorf("interaction count %d, want %d", a.Interactions(), m*n)
 	}
 }
 
@@ -287,7 +260,7 @@ func TestEvaluateTruncatedBlockMatchesScalar(t *testing.T) {
 	pos, mass := randomSources(40, rng)
 	center := vec.V3{0.5, 0.5, 0.5}
 	e := NewExpansion(4, center)
-	e.AddParticles(pos, mass)
+	e.addParticles(pos, mass)
 	e.FinalizeNorms()
 	var xs []vec.V3
 	var qs []uint8
@@ -305,4 +278,42 @@ func TestEvaluateTruncatedBlockMatchesScalar(t *testing.T) {
 			t.Errorf("block eval %d (q=%d): %+v want %+v", i, qs[i], out[i], want)
 		}
 	}
+}
+
+// addParticles accumulates a set of point masses (P2M over a slice).
+func (e *Expansion) addParticles(pos []vec.V3, m []float64) {
+	for i := range pos {
+		e.AddParticle(pos[i], m[i])
+	}
+}
+
+// numTermsOfOrder returns the number of multi-indices with |alpha| == n.
+func numTermsOfOrder(n int) int { return (n + 1) * (n + 2) / 2 }
+
+// accelErrorBound returns the Salmon–Warren style upper bound on the
+// acceleration error committed by truncating the multipole expansion of this
+// source at order P, when evaluated at distance d from the expansion center
+// (d must exceed Bmax).
+//
+// The bound follows Warren & Salmon (1995), eq. (24) specialised to
+// multipole-only (Delta = 0) interactions:
+//
+//	|da| <= 1/(d - bmax)^2 * ( (p+2) B_{p+1}/d^{p+1} - (p+1) B_{p+2}/d^{p+2} )
+//
+// where B_n = sum_j |m_j| |d_j|^n.  Since the expansion only stores B up to
+// order P+1, the second term uses B_{p+2} <= bmax * B_{p+1}; dropping a
+// positive correction keeps the bound conservative.
+func (e *Expansion) accelErrorBound(d float64) float64 {
+	if d <= e.Bmax {
+		return math.Inf(1)
+	}
+	p := float64(e.P)
+	bNext := e.B[e.P+1]
+	bNext2 := e.Bmax * bNext
+	dp1 := math.Pow(d, p+1)
+	bound := ((p+2)*bNext/dp1 - (p+1)*bNext2/(dp1*d)) / ((d - e.Bmax) * (d - e.Bmax))
+	if bound < 0 {
+		bound = 0
+	}
+	return bound
 }

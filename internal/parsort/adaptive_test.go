@@ -116,7 +116,7 @@ func TestSortKVAdaptiveQuickProperty(t *testing.T) {
 		recs := adaptiveInput(n, frac, 1+rng.Intn(16), rng.Int63())
 		orig := append([]KV(nil), recs...)
 		SortKVAdaptive(recs, 1+rng.Intn(4))
-		if !KVIsSorted(recs) {
+		if !kvIsSorted(recs) {
 			t.Fatalf("trial %d (n=%d frac=%.3f): output not sorted", trial, n, frac)
 		}
 		sortKVRefEqual(t, "quick", recs, orig)

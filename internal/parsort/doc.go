@@ -4,22 +4,23 @@
 //
 // # Contract
 //
-// Three layers share one total order:
+// Two layers:
 //
-//   - AmericanFlagSort: an in-place MSD radix sort over raw uint64 keys
-//     (McIlroy, Bostic & McIlroy), optionally permuting a parallel index
-//     array, used for the on-node portion of the distributed sample sort.
 //   - SortKV / SortKVAdaptive: a worker-parallel sort of packed (key, index)
-//     records — the tree build's sort stage.  The order is total: ties on
-//     the key are broken by the original index, so the sorted sequence is a
-//     pure function of the multiset of records, never of scheduling.
+//     records — the tree build's sort stage, finishing each bucket with an
+//     in-place MSD radix sort (McIlroy, Bostic & McIlroy's American flag
+//     sort).  The order is total: ties on the key are broken by the original
+//     index, so the sorted sequence is a pure function of the multiset of
+//     records, never of scheduling.
 //     SortKVAdaptive additionally detects a near-sorted input (the previous
 //     step's order re-keyed) and merges the displaced records into the
 //     sorted spine instead of re-running the radix passes; its Stats report
 //     whether the fast path ran and how many records had moved.
 //   - ChooseSplitters / OwnerOf: the distributed sample sort over the comm
 //     runtime, picking processor-domain splitter keys (optionally weighted
-//     by per-particle work) and routing keys to owning ranks.
+//     by per-particle work) and routing keys to owning ranks.  The weights
+//     below every candidate splitter cross ranks in one allgather and are
+//     summed in rank order on every rank.
 //
 // # Bit-identity invariants
 //

@@ -197,8 +197,12 @@ func parallelSortKV(recs []KV, workers, digit int) {
 	}
 }
 
-// americanFlagKV is the serial in-place MSD radix sort over the composite
-// (Key, Idx) digits, the record twin of americanFlag.
+// afsCutoff is the run length at and below which americanFlagKV finishes
+// with an insertion sort.
+const afsCutoff = 32
+
+// americanFlagKV is the serial in-place MSD radix sort ("American flag sort",
+// McIlroy, Bostic & McIlroy) over the composite (Key, Idx) digits.
 func americanFlagKV(recs []KV, digit int) {
 	n := len(recs)
 	if n < 2 {
@@ -251,14 +255,4 @@ func insertionSortKV(recs []KV) {
 		}
 		recs[j+1] = r
 	}
-}
-
-// KVIsSorted reports whether recs are in (Key, Idx) order.
-func KVIsSorted(recs []KV) bool {
-	for i := 1; i < len(recs); i++ {
-		if kvLess(recs[i], recs[i-1]) {
-			return false
-		}
-	}
-	return true
 }

@@ -2,6 +2,7 @@ package parsort
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -56,7 +57,7 @@ func TestSortKVMatchesReferenceAcrossWorkerCounts(t *testing.T) {
 			for _, workers := range []int{1, 2, 3, 8} {
 				got := append([]KV(nil), input...)
 				SortKV(got, workers)
-				if !KVIsSorted(got) {
+				if !kvIsSorted(got) {
 					t.Fatalf("n=%d %s workers=%d: output not sorted", n, name, workers)
 				}
 				for i := range ref {
@@ -95,37 +96,15 @@ func TestSortKVQuickProperty(t *testing.T) {
 	}
 }
 
-// TestAmericanFlagSortDuplicatesAndSortedInput extends the key-array sort's
-// coverage to the shapes the tree build produces: heavily duplicated keys
-// (equal-position particles) and already-sorted input (rebuilds of an
-// unchanged snapshot).
-func TestAmericanFlagSortDuplicatesAndSortedInput(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for _, n := range []int{100, 5000} {
-		dup := make([]uint64, n)
-		perm := make([]int32, n)
-		for i := range dup {
-			dup[i] = uint64(rng.Intn(3)) * 0x1111111111111111
-			perm[i] = int32(i)
+// kvIsSorted reports whether recs are in (Key, Idx) order.
+func kvIsSorted(recs []KV) bool {
+	return slices.IsSortedFunc(recs, func(a, b KV) int {
+		if kvLess(a, b) {
+			return -1
 		}
-		orig := append([]uint64(nil), dup...)
-		AmericanFlagSort(dup, perm)
-		if !IsSorted(dup) {
-			t.Fatalf("n=%d: duplicated keys not sorted", n)
+		if kvLess(b, a) {
+			return 1
 		}
-		for i := range dup {
-			if orig[perm[i]] != dup[i] {
-				t.Fatalf("n=%d: permutation does not carry duplicated keys", n)
-			}
-		}
-
-		asc := make([]uint64, n)
-		for i := range asc {
-			asc[i] = uint64(i) * 7
-		}
-		AmericanFlagSort(asc, nil)
-		if !IsSorted(asc) {
-			t.Fatalf("n=%d: already-sorted input scrambled", n)
-		}
-	}
+		return 0
+	})
 }

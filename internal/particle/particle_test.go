@@ -3,10 +3,10 @@ package particle
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"twohot/internal/keys"
-	"twohot/internal/parsort"
 	"twohot/internal/vec"
 )
 
@@ -61,7 +61,7 @@ func TestSortByKeyOrdersAlongCurve(t *testing.T) {
 	s := randomSet(500, 2)
 	box := vec.CubeBox(vec.V3{}, 1)
 	ks := s.SortByKey(box, keys.Morton)
-	if !parsort.IsSorted(ks) {
+	if !slices.IsSorted(ks) {
 		t.Fatal("keys not sorted")
 	}
 	// Sorted keys must correspond to the (reordered) positions.

@@ -1,10 +1,11 @@
 // Package pm implements a particle-mesh Poisson solver and a TreePM-style
 // force split.  It plays the role of the GADGET-2 comparison code of
 // Figure 7: the PM long-range force is computed on a mesh with a k-space
-// Gaussian split, and the short-range force is summed directly over
-// neighbors with the complementary erfc cutoff.  The characteristic
-// "TreePM transition region" feature the paper discusses arises exactly from
-// this split.
+// Gaussian split (LongRange; with no split it is the whole pure-PM force),
+// and the tree walks the short-range force with the complementary erfc
+// cutoff.  ShortRange sums that short range directly over neighbors, the
+// oracle the tree walk is pinned to.  The characteristic "TreePM transition
+// region" feature the paper discusses arises exactly from this split.
 package pm
 
 import (
@@ -88,22 +89,13 @@ func (s *Solver) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Accelerations returns the comoving accelerations (G=cosmo.G) of all
-// particles, i.e. the same quantity the 2HOT tree solver produces, computed
-// from the density contrast (the mean density exerts no force, as the
-// periodic Poisson solve discards the DC mode).
-func (s *Solver) Accelerations(pos []vec.V3, mass float64, acc []vec.V3) {
-	s.LongRange(pos, mass, acc)
-	if s.opt.Asmth > 0 {
-		s.ShortRange(pos, mass, acc)
-	}
-}
-
-// LongRange overwrites acc[:len(pos)] with the mesh force alone.  With
-// Asmth > 0 the Green's function carries the Gaussian long-range filter
-// exp(-k^2 rs^2), and the result is exactly the long-range half of the TreePM
-// split — the entry point the tree-short-range composite pairs with its
-// rcut-truncated walk.
+// LongRange overwrites acc[:len(pos)] with the mesh force: the comoving
+// accelerations (G = cosmo.G) from the density contrast (the periodic Poisson
+// solve discards the DC mode, so the mean density exerts no force).  With
+// Asmth = 0 that is the whole pure-PM force.  With Asmth > 0 the Green's
+// function carries the Gaussian long-range filter exp(-k^2 rs^2), and the
+// result is exactly the long-range half of the TreePM split — the entry point
+// the tree-short-range composite pairs with its rcut-truncated walk.
 func (s *Solver) LongRange(pos []vec.V3, mass float64, acc []vec.V3) {
 	if s.mesh == nil {
 		s.mesh = s.newMeshState()

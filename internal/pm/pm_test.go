@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"twohot/internal/core"
 	"twohot/internal/cosmo"
 	"twohot/internal/ewald"
 	"twohot/internal/fft"
@@ -28,13 +29,18 @@ func TestPMForcesAgainstEwald(t *testing.T) {
 
 	s := NewSolver(Options{Mesh: 64, BoxSize: l, DeconvolveCIC: true})
 	acc := make([]vec.V3, n)
-	s.Accelerations(pos, mass, acc)
+	s.LongRange(pos, mass, acc)
 
 	masses := make([]float64, n)
 	for i := range masses {
 		masses[i] = mass
 	}
-	ref := ewald.ReferenceForces(pos, masses, l, ewald.Options{RealShell: 3, KShell: 6})
+	direct := core.DirectSolver{Periodic: true, BoxSize: l, Ewald: ewald.Options{RealShell: 3, KShell: 6}}
+	res, err := direct.Forces(pos, masses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := res.Acc
 	// Scale reference by G to match the PM output.
 	rms, refRMS := 0.0, 0.0
 	for i := range ref {
@@ -57,7 +63,8 @@ func TestPMForcesAgainstEwald(t *testing.T) {
 	// PM for the same mesh -- the whole point of the split.
 	tp := NewSolver(Options{Mesh: 64, BoxSize: l, DeconvolveCIC: true, Asmth: 1.25, Eps: 0.05})
 	acc2 := make([]vec.V3, n)
-	tp.Accelerations(pos, mass, acc2)
+	tp.LongRange(pos, mass, acc2)
+	tp.ShortRange(pos, mass, acc2)
 	rms2 := 0.0
 	for i := range ref {
 		rms2 += acc2[i].Sub(ref[i]).Norm2()
@@ -82,7 +89,8 @@ func TestMomentumConservation(t *testing.T) {
 	}
 	s := NewSolver(Options{Mesh: 32, BoxSize: l, DeconvolveCIC: true, Asmth: 1.25, Eps: 0.1})
 	acc := make([]vec.V3, n)
-	s.Accelerations(pos, 2.0, acc)
+	s.LongRange(pos, 2.0, acc)
+	s.ShortRange(pos, 2.0, acc)
 	var net vec.V3
 	var scale float64
 	for _, a := range acc {

@@ -400,51 +400,3 @@ func ReadFrom(br *bufio.Reader) (*Snapshot, error) {
 	}
 	return s, nil
 }
-
-// WriteStriped writes the snapshot across nFiles files (path.0, path.1, ...)
-// to mimic the multi-file I/O used to bypass filesystem striping limits
-// (Section 3.4.2).  File k receives particles k, k+nFiles, k+2*nFiles, ...
-func WriteStriped(path string, s *Snapshot, nFiles int) error {
-	if nFiles <= 1 {
-		return Write(path, s)
-	}
-	for k := 0; k < nFiles; k++ {
-		sub := &Snapshot{
-			ScaleFac:         s.ScaleFac,
-			MomentumScaleFac: s.MomentumScaleFac,
-			BoxSize:          s.BoxSize,
-			Cosmology:        s.Cosmology,
-			Extra:            map[string]string{"stripe": fmt.Sprintf("%d/%d", k, nFiles)},
-			Particles:        particle.New(s.Particles.Len()/nFiles + 1),
-		}
-		for i := k; i < s.Particles.Len(); i += nFiles {
-			sub.Particles.AppendFrom(s.Particles, i)
-		}
-		if err := Write(fmt.Sprintf("%s.%d", path, k), sub); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadStriped reads a snapshot written by WriteStriped.
-func ReadStriped(path string, nFiles int) (*Snapshot, error) {
-	if nFiles <= 1 {
-		return Read(path)
-	}
-	var out *Snapshot
-	for k := 0; k < nFiles; k++ {
-		s, err := Read(fmt.Sprintf("%s.%d", path, k))
-		if err != nil {
-			return nil, err
-		}
-		if out == nil {
-			out = s
-			continue
-		}
-		for i := 0; i < s.Particles.Len(); i++ {
-			out.Particles.AppendFrom(s.Particles, i)
-		}
-	}
-	return out, nil
-}

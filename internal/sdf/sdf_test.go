@@ -101,25 +101,6 @@ func TestWriteRejectsMissingParticles(t *testing.T) {
 	}
 }
 
-func TestStripedRoundTrip(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "striped.sdf")
-	s := sampleSnapshot(101)
-	if err := WriteStriped(base, s, 4); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadStriped(base, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Particles.Len() != 101 {
-		t.Fatalf("striped read lost particles: %d", got.Particles.Len())
-	}
-	// Total mass is preserved regardless of the interleaving order.
-	if math.Abs(got.Particles.TotalMass()-s.Particles.TotalMass()) > 1e-9 {
-		t.Error("striped mass not conserved")
-	}
-}
-
 func TestReadRejectsCorruptHeader(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.sdf")
 	if err := Write(path, sampleSnapshot(3)); err != nil {

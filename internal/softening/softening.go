@@ -251,18 +251,3 @@ func compensatingPotentialFactor(r, h float64) float64 {
 	}
 	return (compEnclosed(u)/u + compOuterPotential(u)) / compNorm / h
 }
-
-// MaxForceRatio returns the maximum of (kernel force)/(Newtonian force)
-// inside the support, a diagnostic of the compensation property (> 1 for
-// compensating kernels, <= 1 for Plummer and spline).
-func MaxForceRatio(k Kernel, h float64) float64 {
-	maxR := 0.0
-	for i := 1; i <= 1000; i++ {
-		r := h * float64(i) / 1000
-		ratio := ForceFactor(k, r, h) * (r * r * r)
-		if ratio > maxR {
-			maxR = ratio
-		}
-	}
-	return maxR
-}

@@ -54,10 +54,11 @@ func (w *Walker) forcesForAllLegacy(nWorkers int) ([]vec.V3, []float64, Counters
 		nWorkers = runtime.GOMAXPROCS(0)
 	}
 
-	leaves := t.Leaves()
-	groups := make([]sinkGroup, 0, len(leaves))
-	for _, li := range leaves {
-		c := t.Cell[li]
+	var groups []sinkGroup
+	for _, c := range t.Cell {
+		if !c.Leaf || c.Remote {
+			continue
+		}
 		groups = append(groups, sinkGroup{
 			center: c.Center,
 			radius: sinkRadius(t, c),

@@ -82,14 +82,3 @@ func (h *HashTable) grow() {
 		}
 	}
 }
-
-// Range calls fn for every (key, value) pair; iteration order is unspecified.
-func (h *HashTable) Range(fn func(k keys.Key, v int32) bool) {
-	for i, k := range h.keys {
-		if k != 0 {
-			if !fn(keys.Key(k), h.vals[i]) {
-				return
-			}
-		}
-	}
-}

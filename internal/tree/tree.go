@@ -259,15 +259,6 @@ func (t *Tree) buildBackgroundMoments() {
 	}
 }
 
-// BackgroundMomentsForLevel exposes the cached background moments (nil when
-// background subtraction is off).
-func (t *Tree) BackgroundMomentsForLevel(level int) *multipole.Expansion {
-	if t.bgByLevel == nil || level < 0 || level >= len(t.bgByLevel) {
-		return nil
-	}
-	return t.bgByLevel[level]
-}
-
 // RhoBar returns the background density (0 when subtraction is off).
 func (t *Tree) RhoBar() float64 { return t.Opt.RhoBar }
 
@@ -440,17 +431,6 @@ func (t *Tree) LeafParticles(c *Cell) ([]vec.V3, []float64) {
 		return c.RemotePos, c.RemoteMass
 	}
 	return t.Pos[c.First : c.First+c.NBodies], t.Mass[c.First : c.First+c.NBodies]
-}
-
-// Leaves returns the indices of all local leaf cells.
-func (t *Tree) Leaves() []int32 {
-	var out []int32
-	for i := range t.Cell {
-		if t.Cell[i].Leaf && !t.Cell[i].Remote {
-			out = append(out, int32(i))
-		}
-	}
-	return out
 }
 
 // NumCells returns the number of cells currently held (including fetched

@@ -74,8 +74,10 @@ func TestTreeStructureInvariants(t *testing.T) {
 	// Every particle is inside exactly one leaf, and leaves respect LeafSize
 	// (or are at max depth).
 	covered := 0
-	for _, li := range tr.Leaves() {
-		c := tr.Cell[li]
+	for _, c := range tr.Cell {
+		if !c.Leaf || c.Remote {
+			continue
+		}
 		covered += c.NBodies
 		if c.NBodies > 10 && c.Level < keys.MaxDepth {
 			t.Errorf("leaf with %d bodies exceeds LeafSize", c.NBodies)
@@ -84,7 +86,7 @@ func TestTreeStructureInvariants(t *testing.T) {
 		cb := c.Box()
 		p, _ := tr.LeafParticles(c)
 		for _, x := range p {
-			if !cb.ContainsClosed(x) {
+			if cb.Expand(x) != cb { // x outside the closed box
 				t.Fatalf("particle %v outside its leaf box %v", x, cb)
 			}
 		}
@@ -151,7 +153,7 @@ func TestBackgroundSubtractedRootIsNearlyNeutral(t *testing.T) {
 	if math.Abs(tr.Root().Exp.Mass) > 1e-9*rho {
 		t.Errorf("delta monopole of the root = %g, want ~0", tr.Root().Exp.Mass)
 	}
-	if tr.BackgroundMomentsForLevel(3) == nil {
+	if tr.bgByLevel[3] == nil {
 		t.Error("background moments for level 3 missing")
 	}
 }
@@ -213,10 +215,12 @@ func TestBranchKeysCoverRangeDisjointly(t *testing.T) {
 		}
 		seen[k] = true
 	}
-	// No branch on one side may be an ancestor of a branch on the other.
+	// No branch on one side may be an ancestor of a branch on the other:
+	// their body-key ranges are disjoint.
 	for _, a := range left {
+		alo, ahi := a.BodyRange()
 		for _, b := range right {
-			if a.IsAncestorOf(b) || b.IsAncestorOf(a) {
+			if blo, bhi := b.BodyRange(); alo <= bhi && blo <= ahi {
 				t.Fatalf("overlapping branches %x and %x", uint64(a), uint64(b))
 			}
 		}
@@ -275,6 +279,18 @@ func TestDistributedMatchesLocalTreeMoments(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			if math.Abs(d.Root().Exp.M[i]-shared.Root().Exp.M[i]) > 1e-6*(1+math.Abs(shared.Root().Exp.M[i])) {
 				t.Errorf("root moment %d differs: %g vs %g", i, d.Root().Exp.M[i], shared.Root().Exp.M[i])
+			}
+		}
+	}
+}
+
+// Range calls fn for every (key, value) pair; iteration order is
+// unspecified.
+func (h *HashTable) Range(fn func(k keys.Key, v int32) bool) {
+	for i, k := range h.keys {
+		if k != 0 {
+			if !fn(keys.Key(k), h.vals[i]) {
+				return
 			}
 		}
 	}

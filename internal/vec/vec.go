@@ -30,15 +30,6 @@ func (a V3) Scale(s float64) V3 { return V3{s * a[0], s * a[1], s * a[2]} }
 // Dot returns the dot product a·b.
 func (a V3) Dot(b V3) float64 { return a[0]*b[0] + a[1]*b[1] + a[2]*b[2] }
 
-// Cross returns the cross product a×b.
-func (a V3) Cross(b V3) V3 {
-	return V3{
-		a[1]*b[2] - a[2]*b[1],
-		a[2]*b[0] - a[0]*b[2],
-		a[0]*b[1] - a[1]*b[0],
-	}
-}
-
 // Norm2 returns |a|^2.
 func (a V3) Norm2() float64 { return a.Dot(a) }
 
@@ -47,9 +38,6 @@ func (a V3) Norm() float64 { return math.Sqrt(a.Norm2()) }
 
 // Dist returns |a-b|.
 func (a V3) Dist(b V3) float64 { return a.Sub(b).Norm() }
-
-// Neg returns -a.
-func (a V3) Neg() V3 { return V3{-a[0], -a[1], -a[2]} }
 
 // MaxAbs returns the maximum absolute component (infinity norm).
 func (a V3) MaxAbs() float64 {
@@ -66,16 +54,6 @@ func (a V3) MaxAbs() float64 {
 // String implements fmt.Stringer.
 func (a V3) String() string {
 	return fmt.Sprintf("(%g, %g, %g)", a[0], a[1], a[2])
-}
-
-// IsFinite reports whether all components are finite.
-func (a V3) IsFinite() bool {
-	for _, v := range a {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // Min returns the component-wise minimum.
@@ -120,16 +98,6 @@ func (b Box) Volume() float64 {
 func (b Box) Contains(p V3) bool {
 	for i := 0; i < 3; i++ {
 		if p[i] < b.Lo[i] || p[i] >= b.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ContainsClosed reports whether p lies in the closed box [Lo, Hi].
-func (b Box) ContainsClosed(p V3) bool {
-	for i := 0; i < 3; i++ {
-		if p[i] < b.Lo[i] || p[i] > b.Hi[i] {
 			return false
 		}
 	}

@@ -146,7 +146,7 @@ func NewForceSolver(cfg Config) (ForceSolver, error) {
 				return &core.Result{}, nil
 			}
 			acc := make([]vec.V3, p.Len())
-			ps.Accelerations(p.Pos, p.Mass[0], acc)
+			ps.LongRange(p.Pos, p.Mass[0], acc)
 			return &core.Result{Acc: acc}, nil
 		}}, nil
 	case SolverDirect:

@@ -257,7 +257,9 @@ func TestTreePMShortRangeOracle(t *testing.T) {
 	// The oracle: the mesh long range plus the brute-force cell-list short
 	// range of the same split.
 	oracle := make([]vec.V3, sim.P.Len())
-	pm.NewSolver(cfg.pmOptions()).Accelerations(sim.P.Pos, sim.P.Mass[0], oracle)
+	ps := pm.NewSolver(cfg.pmOptions())
+	ps.LongRange(sim.P.Pos, sim.P.Mass[0], oracle)
+	ps.ShortRange(sim.P.Pos, sim.P.Mass[0], oracle)
 
 	scale := 0.0
 	for i := range acc {
