@@ -1,14 +1,14 @@
 #!/bin/sh
 # Checks that nothing in the repository is orphaned: every internal/*
 # package must be imported by at least one non-test Go file outside itself
-# (the bench/ module counts), every exported function, method and type an
-# internal/* file declares must be used by a non-test Go file outside bench/
-# (production code is what production runs: a symbol only tests or bench/
-# reach moves beside its tests, or goes), every unexported function and method
-# an internal/* non-test file declares must be referenced by a non-test file
-# of its package (one only tests reach is an oracle and belongs in a
-# _test.go; one nothing reaches is dead), and every cmd/* must be mentioned in
-# README.md.
+# (the bench/ module counts), every exported function, method, type, const
+# and var an internal/* file declares must be used by a non-test Go file
+# outside bench/ (production code is what production runs: a symbol only
+# tests or bench/ reach moves beside its tests, or goes), every unexported
+# function and method an internal/* non-test file declares must be
+# referenced by a non-test file of its package (one only tests reach is an
+# oracle and belongs in a _test.go; one nothing reaches is dead), and every
+# cmd/* must be mentioned in README.md.
 # The exported symbols bench/ or another package's tests still need are
 # listed, each with the file that needs it and why, in
 # .github/orphan-allow.txt; a line there whose symbol is gone, has gained a
@@ -51,26 +51,44 @@ while read -r entry needer reason; do
     allowed="$allowed $key"
 done <"$allow"
 # Exported symbols: named, outside comments, in a non-test Go file outside
-# bench/, or — for the types a constructor returns and the helpers a file
-# calls itself — at least twice in the declaring file (once is the
-# declaration).  Methods the runtime or the standard library calls through an
+# bench/ (qualified as pkg.Name outside the package, for all but methods),
+# or — for the types a constructor returns and the helpers a file calls
+# itself — at least twice in the declaring file (once is the declaration).  Methods the runtime or the standard library calls through an
 # interface are named nowhere and are exempt.
 implicit='Error String Len Less Swap Unwrap MarshalJSON UnmarshalJSON ServeHTTP'
 orphans=
 for file in $(find internal -name '*.go' -not -name '*_test.go'); do
-    symbols=$(sed -n \
-        -e 's/^func ([^)]*) \([A-Z][A-Za-z0-9_]*\)[[(].*/\1/p' \
+    dir=$(dirname "$file")
+    methods=$(sed -n -e 's/^func ([^)]*) \([A-Z][A-Za-z0-9_]*\)[[(].*/\1/p' "$file" | sort -u)
+    names=$(sed -n \
         -e 's/^func \([A-Z][A-Za-z0-9_]*\)[[(].*/\1/p' \
-        -e 's/^type \([A-Z][A-Za-z0-9_]*\) .*/\1/p' "$file" | sort -u)
+        -e 's/^type \([A-Z][A-Za-z0-9_]*\) .*/\1/p' \
+        -e 's/^const \([A-Z][A-Za-z0-9_]*\)[ =].*/\1/p' \
+        -e 's/^var \([A-Z][A-Za-z0-9_]*\)[ =].*/\1/p' \
+        -e '/^const (/,/^)/s/^[[:space:]][[:space:]]*\([A-Z][A-Za-z0-9_]*\).*/\1/p' \
+        -e '/^var (/,/^)/s/^[[:space:]][[:space:]]*\([A-Z][A-Za-z0-9_]*\).*/\1/p' "$file" | sort -u)
+    symbols=$(printf '%s\n%s\n' "$methods" "$names" | sed '/^$/d' | sort -u)
     [ -n "$symbols" ] || continue
-    elsewhere=$(find . -name '*.go' -not -name '*_test.go' -not -path './.git/*' \
-        -not -path './bench/*' -not -path "./$file" \
-        -exec grep -hv '^[[:space:]]*//' {} + | grep -owF -e "$symbols" | sort -u)
-    here=$(grep -v '^[[:space:]]*//' "$file" | grep -owF -e "$symbols" | sort | uniq -d)
+    # A method counts as used where its name appears outside this file; a
+    # package-level name where another file of its package names it, or a
+    # file outside the package names it qualified (pkg.Name), so a namesake
+    # in another package vouches for nothing.
+    used=$( {
+        set +e # a grep that finds nothing is not an error here
+        [ -z "$methods" ] || find . -name '*.go' -not -name '*_test.go' -not -path './.git/*' \
+            -not -path './bench/*' -not -path "./$file" \
+            -exec grep -hv '^[[:space:]]*//' {} + | grep -owF -e "$methods"
+        [ -z "$names" ] || find "$dir" -maxdepth 1 -name '*.go' -not -name '*_test.go' \
+            -not -path "$file" -exec grep -hv '^[[:space:]]*//' {} + | grep -owF -e "$names"
+        find . -name '*.go' -not -name '*_test.go' -not -path './.git/*' -not -path './bench/*' \
+            -not -path "./$dir/*" -exec grep -hv '^[[:space:]]*//' {} + |
+            grep -ow "${dir##*/}\.[A-Z][A-Za-z0-9_]*" | sed "s/^${dir##*/}\.//"
+        grep -v '^[[:space:]]*//' "$file" | grep -owF -e "$symbols" | sort | uniq -d
+    } | sort -u)
     pkg=$(dirname "${file#internal/}")
     for sym in $symbols; do
         case " $implicit " in *" $sym "*) continue ;; esac
-        if ! printf '%s\n%s\n' "$elsewhere" "$here" | grep -qxF "$sym"; then
+        if ! printf '%s\n' "$used" | grep -qxF "$sym"; then
             case " $allowed " in
             *" $pkg.$sym "*) orphans="$orphans $pkg.$sym" ;;
             *)

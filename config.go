@@ -67,7 +67,11 @@ type Config struct {
 	PMGrid                int        `json:"pm_grid"`        // mesh for pm/treepm
 	Asmth                 float64    `json:"asmth"`          // treepm split in mesh cells
 	RCut                  float64    `json:"rcut,omitempty"` // treepm short-range cutoff in units of the split scale (0 = 4.5)
-	Workers               int        `json:"workers"`        // goroutines for tree build + traversal (0 = GOMAXPROCS)
+	// Workers bounds the goroutines of every parallel loop a run makes: tree
+	// build, walk, mesh and its transforms, initial conditions and analysis
+	// (0 = GOMAXPROCS).  Ranks > 1 in one process split it between them.
+	// No result bit depends on it.
+	Workers int `json:"workers"`
 	// Incremental reuses each step's sorted particle order to seed the next
 	// step's tree build (bit-identical to a from-scratch build; near-static
 	// steps skip the full radix sort).
@@ -347,8 +351,9 @@ func (c *Config) Validate() error {
 
 // analysisOptions derives the analyzer options the scheduled analysis runs
 // with: box, worker count and halo-finder parameters inherited from the
-// run's own, the P(k) mesh defaulting to 2*NGrid, and an empty analyzer
-// selection reading as all three.
+// run's own (the finders take box and worker count from analysis.Options),
+// the P(k) mesh defaulting to 2*NGrid, and an empty analyzer selection
+// reading as all three.
 func (c *Config) analysisOptions() analysis.Options {
 	a := c.Analysis
 	halos, mf, pk := a.Halos, a.MassFunction, a.PowerSpectrum
@@ -366,10 +371,8 @@ func (c *Config) analysisOptions() analysis.Options {
 		MassFunction:  mf,
 		PowerSpectrum: pk,
 		Halo: halo.Options{
-			BoxSize:       c.BoxSize,
 			LinkingLength: a.LinkingLength,
 			MinMembers:    a.MinMembers,
-			Workers:       c.Workers,
 		},
 		MassBins: a.MassBins,
 		Mesh:     mesh,

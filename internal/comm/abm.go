@@ -78,10 +78,6 @@ func matchABM(tag int) bool {
 	return tag == tagABMRequest || tag == tagABMReply || tag == tagABMStop
 }
 
-// DefaultBatchSize is the number of keys accumulated per destination before
-// a request batch is flushed automatically.
-const DefaultBatchSize = 64
-
 // NewABM opens the active-message layer on this rank with the given handler.
 // Every rank in the world must open an ABM (with its own handler) before any
 // rank issues requests, which is guaranteed by the internal barrier.

@@ -29,7 +29,7 @@ func (r *Rank) alltoallv(send [][]byte, algo AlltoallAlgorithm) ([][]byte, error
 	if algo == AlltoallDirect {
 		return r.AlltoallvBytes(send, algo)
 	}
-	r.stats.countCollective(true, 0)
+	r.stats.countCollective(1, 0, 0)
 	seq := r.nextSeq()
 	if algo == alltoallPairwiseAlgo {
 		return r.alltoallPairwise(seq, send)

@@ -34,7 +34,7 @@ func (r *Rank) nextSeq() int64 {
 // isend sends an internal (collective) message, counted separately from the
 // application point-to-point statistics.
 func (r *Rank) isend(dst, tag int, payload []byte) error {
-	r.stats.countCollective(false, 1)
+	r.stats.countCollective(0, 1, len(payload))
 	return r.t.Send(dst, tag, payload)
 }
 
@@ -51,7 +51,7 @@ func (r *Rank) irecv(src, tag int) ([]byte, error) {
 // Barrier blocks until all ranks reach it.  It fails (instead of hanging)
 // when a participating rank is gone.
 func (r *Rank) Barrier() error {
-	r.stats.countCollective(true, 0)
+	r.stats.countCollective(1, 0, 0)
 	n := r.N()
 	if n == 1 {
 		return nil
@@ -80,7 +80,7 @@ func (r *Rank) Barrier() error {
 // reference — and sends the result to every rank (sub-channel 2).  Every rank
 // returns the result.
 func (r *Rank) viaRoot(v []byte, combine func(parts [][]byte) ([]byte, error)) ([]byte, error) {
-	r.stats.countCollective(true, 0)
+	r.stats.countCollective(1, 0, 0)
 	seq := r.nextSeq()
 	up, down := collTag(seq, 1), collTag(seq, 2)
 	if r.ID != 0 {
@@ -214,7 +214,7 @@ func (r *Rank) AlltoallvBytes(send [][]byte, algo AlltoallAlgorithm) ([][]byte, 
 	if len(send) != r.N() {
 		return nil, fmt.Errorf("comm: Alltoallv send length %d must equal world size %d", len(send), r.N())
 	}
-	r.stats.countCollective(true, 0)
+	r.stats.countCollective(1, 0, 0)
 	n := r.N()
 	tag := collTag(r.nextSeq(), 0)
 	for dst := 0; dst < n; dst++ {

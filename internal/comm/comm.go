@@ -21,15 +21,16 @@ type World struct {
 
 // Stats counts messages and bytes moved through a communicator, used by the
 // Table 2 style breakdowns and the Alltoall benchmarks.  Point-to-point
-// counters cover application sends (including the ABM and the alltoall
-// algorithms built on them); collective counters cover the sequenced
-// messages of Barrier/Allreduce/Allgather/Alltoallv.  Bytes are payload
-// lengths as sent — a measurement, identical on every fabric.
+// counters cover application sends (including the ABM built on them);
+// collective counters cover the sequenced messages of Barrier, Allreduce,
+// Allgather and Alltoallv.  Bytes are payload lengths as sent — a
+// measurement, identical on every fabric.
 type Stats struct {
 	PointToPointMsgs  int64
 	PointToPointBytes int64
 	CollectiveCalls   int64
 	CollectiveMsgs    int64
+	CollectiveBytes   int64
 	ABMRequests       int64
 	ABMBatches        int64
 }
@@ -48,12 +49,11 @@ func (ss *statsSink) countMsg(bytes int) {
 	ss.mu.Unlock()
 }
 
-func (ss *statsSink) countCollective(call bool, msgs int64) {
+func (ss *statsSink) countCollective(calls, msgs, bytes int) {
 	ss.mu.Lock()
-	if call {
-		ss.s.CollectiveCalls++
-	}
-	ss.s.CollectiveMsgs += msgs
+	ss.s.CollectiveCalls += int64(calls)
+	ss.s.CollectiveMsgs += int64(msgs)
+	ss.s.CollectiveBytes += int64(bytes)
 	ss.mu.Unlock()
 }
 

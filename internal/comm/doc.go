@@ -31,7 +31,8 @@
 //
 // A message is a tag and a []byte, and a transport moves the bytes unchanged:
 // no fabric knows a payload's type, a zero-length payload is a nil one, and
-// Stats.PointToPointBytes is the sum of payload lengths on every fabric.  The
+// Stats.PointToPointBytes and Stats.CollectiveBytes are sums of payload
+// lengths on every fabric.  The
 // record that crosses the rank boundary owns its one encoding, as an
 // append/parse pair beside its type:
 //

@@ -252,6 +252,8 @@ func bothFabrics(t *testing.T, n int, body func(r *Rank) error) (chanStats, tcpS
 		mu.Lock()
 		tcpStats.PointToPointMsgs += s.PointToPointMsgs
 		tcpStats.PointToPointBytes += s.PointToPointBytes
+		tcpStats.CollectiveMsgs += s.CollectiveMsgs
+		tcpStats.CollectiveBytes += s.CollectiveBytes
 		mu.Unlock()
 		return nil
 	}))
@@ -315,6 +317,34 @@ func TestABMBytesAreMeasured(t *testing.T) {
 	for fabric, s := range map[string]Stats{"chan": chanStats, "tcp": tcpStats} {
 		if s.PointToPointBytes != wantBytes || s.PointToPointMsgs != wantMsgs {
 			t.Errorf("%s: %d bytes in %d messages, want %d in %d", fabric, s.PointToPointBytes, s.PointToPointMsgs, wantBytes, wantMsgs)
+		}
+	}
+}
+
+// TestCollectiveBytesAreMeasured pins CollectiveBytes as a measurement: a
+// 2-rank AlltoallvBytes and AllgatherBytes of known block sizes count
+// exactly the payloads they send, on the channel world and on TCP loopback
+// alike.  Alltoallv sends each rank's one off-diagonal block; Allgather
+// sends rank 1's block up to rank 0 and the packed pair back down.
+func TestCollectiveBytesAreMeasured(t *testing.T) {
+	if testing.Short() {
+		t.Skip("TCP loopback test skipped in -short")
+	}
+	block := func(n int) []byte { return make([]byte, n) }
+	// send[src][dst]: the diagonal never travels.
+	send := [2][][]byte{{block(100), block(7)}, {block(11), block(200)}}
+	gather := [2][]byte{block(5), block(13)}
+	wantBytes := int64(7 + 11 + 13 + len(appendBlocks(nil, gather[:])))
+	chanStats, tcpStats := bothFabrics(t, 2, func(r *Rank) error {
+		if _, err := r.AlltoallvBytes(send[r.ID], AlltoallDirect); err != nil {
+			return err
+		}
+		_, err := r.AllgatherBytes(gather[r.ID])
+		return err
+	})
+	for fabric, s := range map[string]Stats{"chan": chanStats, "tcp": tcpStats} {
+		if s.CollectiveBytes != wantBytes || s.CollectiveMsgs != 4 {
+			t.Errorf("%s: %d collective bytes in %d messages, want %d in 4", fabric, s.CollectiveBytes, s.CollectiveMsgs, wantBytes)
 		}
 	}
 }

@@ -12,11 +12,11 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"time"
 
 	"twohot/internal/ewald"
+	"twohot/internal/par"
 	"twohot/internal/particle"
 	"twohot/internal/softening"
 	"twohot/internal/traverse"
@@ -109,9 +109,7 @@ func (c *TreeConfig) defaults() {
 	if c.G == 0 {
 		c.G = 1
 	}
-	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
+	c.Workers = par.Workers(c.Workers)
 	if c.Periodic && c.WS == 0 {
 		c.WS = 1
 	}
@@ -389,15 +387,12 @@ func (s *DirectSolver) Forces(pos []vec.V3, mass []float64) (*Result, error) {
 	acc := make([]vec.V3, n)
 	pot := make([]float64, n)
 
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := par.Workers(s.Workers)
 	if s.Periodic {
 		// Peculiar accelerations from Ewald images plus neutralizing
 		// background.  Each sink's image sums are independent, so the rows
 		// parallelize without changing a bit of the result.
-		traverse.ParallelRange(n, workers, func(lo, hi int) {
+		par.For(n, workers, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				for j := 0; j < n; j++ {
 					if i == j {
@@ -411,7 +406,7 @@ func (s *DirectSolver) Forces(pos []vec.V3, mass []float64) (*Result, error) {
 			}
 		})
 	} else {
-		traverse.ParallelRange(n, workers, func(lo, hi int) {
+		par.For(n, workers, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				var a vec.V3
 				var p float64

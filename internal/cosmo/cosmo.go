@@ -32,10 +32,6 @@ const (
 	// RhoCrit0 is the critical density today in internal units,
 	// 3 H0^2 / (8 pi G).
 	RhoCrit0 = 3 * H0 * H0 / (8 * math.Pi * G)
-	// HubbleTime is 1/H0 in internal time units ((Mpc/h)/(km/s)).
-	HubbleTime = 1.0 / H0
-	// GyrPerTimeUnit converts internal time units ((Mpc/h)/(km/s)) to Gyr/h.
-	GyrPerTimeUnit = 977.8139
 )
 
 // Params holds the parameters of a Friedmann background plus the primordial

@@ -178,6 +178,9 @@ func growthFactorAnalytic(p Params, a float64) float64 {
 	return g(a) / g(1)
 }
 
+// gyrPerTimeUnit converts internal time units ((Mpc/h)/(km/s)) to Gyr/h.
+const gyrPerTimeUnit = 977.8139
+
 // ageGyr returns the age of the universe at scale factor a in Gyr (not
 // Gyr/h): the integral of da / (a H(a)) in internal time units, converted.
 func ageGyr(p Params, a float64) float64 {
@@ -187,5 +190,5 @@ func ageGyr(p Params, a float64) float64 {
 		}
 		return 1 / (x * p.Hubble(x))
 	}
-	return integrate(f, 1e-9, a) * GyrPerTimeUnit / p.H
+	return integrate(f, 1e-9, a) * gyrPerTimeUnit / p.H
 }

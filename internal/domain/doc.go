@@ -18,21 +18,22 @@
 // The tree traversal uses it to shard its sink-subtree tasks across worker
 // goroutines; MaskWeights adapts the inputs to partially-active substeps by
 // zeroing the weights of items that will not run, so block-timestep solves
-// balance only the work that actually executes.  ShardImbalance and
-// Imbalance report the max/mean balance quality the benchmarks track.
+// balance only the work that actually executes (missing weights read as one
+// unit per item).  ShardImbalance reports the max/mean balance quality of a
+// split.
 //
 // # Bit-identity invariants
 //
 // Every function in this package steers scheduling — which rank or worker
 // computes what — and must never influence a result bit.  Splitter choice,
 // shard boundaries and weight masks are deterministic functions of their
-// inputs; the traversal's workshard suite pins that the static shard
-// schedule produces bits identical to the dynamic one, and the distributed
+// inputs; the traversal's workshard suite pins that any shard weights
+// produce identical bits, and the distributed
 // equivalence suite pins the decomposed solve against the serial solver.
 //
 // # Concurrency model
 //
-// Decompose, ExchangeParticles and Imbalance are collectives: every rank of
+// Decompose and ExchangeParticles are collectives: every rank of
 // the communicator must call them together.  SplitWeighted, MaskWeights and
 // ShardImbalance are pure functions, safe from any goroutine as long as the
 // caller owns the slices.

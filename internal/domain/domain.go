@@ -146,25 +146,29 @@ func SplitWeighted(weights []float64, parts int) []int {
 	return bounds
 }
 
-// MaskWeights writes into dst the weights of the active items, zero for the
-// rest, and returns the destination (grown when dst is too small, so callers
-// can pool it).  It adapts SplitWeighted's inputs to partially-active solves:
-// a block-timestep substep only computes forces for the sink groups holding
-// active particles, so the carried per-particle work of everything else must
-// not attract shard boundaries — a shard full of inactive particles predicts
+// MaskWeights writes into dst the weights of the active items (one unit each
+// when weights is nil), zero for the rest, and returns the destination
+// (grown when dst is too small, so callers can pool it).  It adapts
+// SplitWeighted's inputs to partially-active solves: a block-timestep
+// substep only computes forces for the sink groups holding active
+// particles, so the carried per-particle work of everything else must not
+// attract shard boundaries — a shard full of inactive particles predicts
 // zero cost, and the quantile walk then spends the workers on the work that
 // actually runs.  Like the weights themselves, the mask steers only the
 // schedule, never a result bit.
 func MaskWeights(dst, weights []float64, active []bool) []float64 {
-	if cap(dst) < len(weights) {
-		dst = make([]float64, len(weights))
+	if cap(dst) < len(active) {
+		dst = make([]float64, len(active))
 	}
-	dst = dst[:len(weights)]
-	for i, w := range weights {
-		if active[i] {
-			dst[i] = w
-		} else {
+	dst = dst[:len(active)]
+	for i, a := range active {
+		switch {
+		case !a:
 			dst[i] = 0
+		case weights == nil:
+			dst[i] = 1
+		default:
+			dst[i] = weights[i]
 		}
 	}
 	return dst
@@ -201,22 +205,4 @@ func ShardImbalance(weights []float64, bounds []int) float64 {
 		return 1
 	}
 	return maxW / (total / float64(parts))
-}
-
-// Imbalance returns the ratio of the largest to the mean particle count
-// across ranks (1.0 is perfect balance).
-func Imbalance(r *comm.Rank, localCount int) (float64, error) {
-	maxC, err := r.AllreduceFloat64(float64(localCount), "max")
-	if err != nil {
-		return 0, err
-	}
-	sum, err := r.AllreduceFloat64(float64(localCount), "sum")
-	if err != nil {
-		return 0, err
-	}
-	mean := sum / float64(r.N())
-	if mean == 0 {
-		return 1, nil
-	}
-	return maxC / mean, nil
 }

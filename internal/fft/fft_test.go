@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
-	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -121,7 +120,7 @@ func TestGrid3PlaneWave(t *testing.T) {
 
 func TestGrid3RoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	g := NewGrid3(8, 4, 16)
+	g := NewGrid3(8, 4, 16, 0)
 	orig := make([]complex128, len(g.Data))
 	for i := range g.Data {
 		g.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
@@ -172,12 +171,10 @@ func lineTransforms(n [3]int, data []complex128, inverse bool) {
 // per-line oracle on a grid with Bluestein (6, 12) and radix-2 (8) axes, at
 // one and at three workers.
 func TestGrid3MatchesLineTransforms(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(4))
 	for _, procs := range []int{1, 3} {
-		runtime.GOMAXPROCS(procs)
 		for _, inverse := range []bool{false, true} {
-			g := NewGrid3(6, 8, 12)
+			g := NewGrid3(6, 8, 12, procs)
 			for i := range g.Data {
 				g.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 			}
@@ -206,7 +203,6 @@ func TestGrid3MatchesLineTransforms(t *testing.T) {
 // spectrum the half describes, on odd, even, Bluestein and radix-2 sides.
 // Both directions give the same bits at one and at three workers.
 func TestHalfMatchesGrid3(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(6))
 	for _, n := range []int{1, 2, 3, 5, 6, 12, 16} {
 		nh := n/2 + 1
@@ -257,8 +253,7 @@ func TestHalfMatchesGrid3(t *testing.T) {
 		var spec []complex128
 		var out [4][]float64
 		for _, procs := range []int{1, 3} {
-			runtime.GOMAXPROCS(procs)
-			h := NewHalf(n)
+			h := NewHalf(n, procs)
 			in := append([]float64(nil), x...)
 			h.Forward(in)
 			for i, v := range in {
@@ -324,7 +319,7 @@ func BenchmarkHalfCube(b *testing.B) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	h := NewHalf(64)
+	h := NewHalf(64, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -7,10 +7,9 @@ package grid
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"twohot/internal/fft"
+	"twohot/internal/par"
 	"twohot/internal/vec"
 )
 
@@ -119,9 +118,10 @@ func (m *Mesh) Overdensity() float64 {
 	return mean
 }
 
-// ToComplex copies the mesh into a complex FFT grid.
-func (m *Mesh) ToComplex() *fft.Grid3 {
-	g := fft.NewCube(m.N)
+// ToComplex copies the mesh into a complex FFT grid whose transforms run on
+// workers goroutines (0 = GOMAXPROCS).
+func (m *Mesh) ToComplex(workers int) *fft.Grid3 {
+	g := fft.NewGrid3(m.N, m.N, m.N, workers)
 	for i, v := range m.Data {
 		g.Data[i] = complex(v, 0)
 	}
@@ -143,11 +143,11 @@ type PowerSpectrumOptions struct {
 	NumParticles  int     // needed when SubtractShot is set
 	LogarithmicK  bool    // logarithmic binning (default linear in k)
 	KMin, KMax    float64 // bin range; defaults to fundamental..Nyquist
-	// Workers bounds the goroutines of the mode-binning sweep (0 =
-	// GOMAXPROCS).  Each i-plane of k space is accumulated into its own
-	// partial bins and the partials are reduced in plane order, so the
-	// floating-point sums — and therefore the emitted spectra — are
-	// bit-identical for every worker count.
+	// Workers bounds the goroutines of the transform and of the
+	// mode-binning sweep (0 = GOMAXPROCS).  Each i-plane of k space is
+	// accumulated into its own partial bins and the partials are reduced in
+	// plane order, so the floating-point sums — and therefore the emitted
+	// spectra — are bit-identical for every worker count.
 	Workers int
 }
 
@@ -168,7 +168,8 @@ func (m *Mesh) MeasurePower(opt PowerSpectrumOptions) []PowerSpectrumResult {
 		opt.NBins = n / 2
 	}
 
-	g := m.ToComplex()
+	workers := par.Workers(opt.Workers)
+	g := m.ToComplex(workers)
 	g.Forward()
 
 	binOf := func(k float64) int {
@@ -191,61 +192,43 @@ func (m *Mesh) MeasurePower(opt PowerSpectrumOptions) []PowerSpectrumResult {
 	planeP := make([][]float64, n)
 	planeK := make([][]float64, n)
 	planeCnt := make([][]int, n)
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	planes := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range planes {
-				sumP := make([]float64, opt.NBins)
-				sumK := make([]float64, opt.NBins)
-				cnt := make([]int, opt.NBins)
-				ki := float64(fft.FreqIndex(i, n)) * kf
-				for j := 0; j < n; j++ {
-					kj := float64(fft.FreqIndex(j, n)) * kf
-					for k := 0; k < n; k++ {
-						if i == 0 && j == 0 && k == 0 {
-							continue
-						}
-						kk := float64(fft.FreqIndex(k, n)) * kf
-						kmag := math.Sqrt(ki*ki + kj*kj + kk*kk)
-						b := binOf(kmag)
-						if b < 0 || b >= opt.NBins {
-							continue
-						}
-						c := g.At(i, j, k)
-						p := (real(c)*real(c) + imag(c)*imag(c)) * norm
-						if opt.DeconvolveCIC {
-							w := cicWindow(ki, kj, kk, l, n)
-							if w > 1e-8 {
-								p /= w * w
-							}
-						}
-						if opt.SubtractShot && opt.NumParticles > 0 {
-							p -= vol / float64(opt.NumParticles)
-						}
-						sumP[b] += p
-						sumK[b] += kmag
-						cnt[b]++
+	par.For(n, workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			sumP := make([]float64, opt.NBins)
+			sumK := make([]float64, opt.NBins)
+			cnt := make([]int, opt.NBins)
+			ki := float64(fft.FreqIndex(i, n)) * kf
+			for j := 0; j < n; j++ {
+				kj := float64(fft.FreqIndex(j, n)) * kf
+				for k := 0; k < n; k++ {
+					if i == 0 && j == 0 && k == 0 {
+						continue
 					}
+					kk := float64(fft.FreqIndex(k, n)) * kf
+					kmag := math.Sqrt(ki*ki + kj*kj + kk*kk)
+					b := binOf(kmag)
+					if b < 0 || b >= opt.NBins {
+						continue
+					}
+					c := g.At(i, j, k)
+					p := (real(c)*real(c) + imag(c)*imag(c)) * norm
+					if opt.DeconvolveCIC {
+						w := cicWindow(ki, kj, kk, l, n)
+						if w > 1e-8 {
+							p /= w * w
+						}
+					}
+					if opt.SubtractShot && opt.NumParticles > 0 {
+						p -= vol / float64(opt.NumParticles)
+					}
+					sumP[b] += p
+					sumK[b] += kmag
+					cnt[b]++
 				}
-				planeP[i], planeK[i], planeCnt[i] = sumP, sumK, cnt
 			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		planes <- i
-	}
-	close(planes)
-	wg.Wait()
+			planeP[i], planeK[i], planeCnt[i] = sumP, sumK, cnt
+		}
+	})
 
 	sumP := make([]float64, opt.NBins)
 	sumK := make([]float64, opt.NBins)

@@ -8,10 +8,10 @@ package halo
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 
+	"twohot/internal/par"
 	"twohot/internal/vec"
 )
 
@@ -83,9 +83,6 @@ func (o *Options) defaults(n int) {
 	if o.OverdensityB == 0 {
 		o.OverdensityB = 200
 	}
-	if o.Workers == 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 	// Out-of-range values degrade to the defaults as well, so the finders
 	// (which cannot return an error) stay total; callers that want the
 	// failure surfaced run Validate first — the simulation's configuration
@@ -99,9 +96,7 @@ func (o *Options) defaults(n int) {
 	if o.OverdensityB < 0 || math.IsNaN(o.OverdensityB) {
 		o.OverdensityB = 200
 	}
-	if o.Workers < 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
+	o.Workers = par.Workers(o.Workers)
 }
 
 // unionFind is a standard disjoint-set structure.
@@ -398,13 +393,9 @@ func SphericalOverdensity(pos []vec.V3, mass []float64, halos []Halo, opt Option
 	}
 	cellSide := l / float64(nc)
 
-	workers := opt.Workers
-	if workers > len(halos) {
-		workers = len(halos)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	// The pass's dynamic pool: halo masses span decades, so equal chunks of
+	// the mass-sorted halos would hand one worker all the big spheres.
+	workers := min(opt.Workers, len(halos))
 	var wg sync.WaitGroup
 	work := make(chan int)
 	for w := 0; w < workers; w++ {

@@ -30,6 +30,7 @@ type Options struct {
 	UseDEC   bool    // discreteness (CIC-deconvolution-like) correction
 	Sphere   bool    // zero modes beyond the Nyquist sphere ("SphereMode 1")
 	MeshOver int     // displacement mesh oversampling factor (1 = same as particle grid)
+	Workers  int     // goroutines of the field transforms (0 = GOMAXPROCS)
 }
 
 // Particles is the output of the generator, in internal code units
@@ -79,14 +80,14 @@ func Generate(par cosmo.Params, spec *transfer.Spectrum, opt Options) (*Particle
 	deltaK := gaussianFieldK(spec, n, l, opt)
 
 	// First-order displacement potential: psi1_k = i k / k^2 * delta_k.
-	psi1 := displacementFromDelta(deltaK, n, l)
+	psi1 := displacementFromDelta(deltaK, n, l, opt.Workers)
 
 	var psi2 [3]*grid.Mesh
 	if opt.Use2LPT {
-		src := secondOrderSource(deltaK, n, l)
-		src2k := src.ToComplex()
+		src := secondOrderSource(deltaK, n, l, opt.Workers)
+		src2k := src.ToComplex(opt.Workers)
 		src2k.Forward()
-		psi2 = displacementFromDelta(src2k, n, l)
+		psi2 = displacementFromDelta(src2k, n, l, opt.Workers)
 	}
 
 	// Build particles on the Lagrangian grid.
@@ -133,7 +134,7 @@ func gaussianFieldK(spec *transfer.Spectrum, n int, l float64, opt Options) *fft
 	rng := rand.New(rand.NewSource(opt.Seed))
 	// White Gaussian noise in real space guarantees Hermitian symmetry of
 	// the transform and unit variance per mode after FFT normalization.
-	g := fft.NewCube(n)
+	g := fft.NewGrid3(n, n, n, opt.Workers)
 	for i := range g.Data {
 		g.Data[i] = complex(rng.NormFloat64(), 0)
 	}
@@ -178,12 +179,12 @@ func gaussianFieldK(spec *transfer.Spectrum, n int, l float64, opt Options) *fft
 
 // displacementFromDelta computes the (first-order form of the) displacement
 // field psi_k = i k / k^2 * delta_k and returns its three real-space
-// components.
-func displacementFromDelta(deltaK *fft.Grid3, n int, l float64) [3]*grid.Mesh {
+// components, transforming on workers goroutines.
+func displacementFromDelta(deltaK *fft.Grid3, n int, l float64, workers int) [3]*grid.Mesh {
 	kf := 2 * math.Pi / l
 	var out [3]*grid.Mesh
 	for c := 0; c < 3; c++ {
-		comp := fft.NewCube(n)
+		comp := fft.NewGrid3(n, n, n, workers)
 		for i := 0; i < n; i++ {
 			ki := float64(fft.FreqIndex(i, n)) * kf
 			for j := 0; j < n; j++ {
@@ -226,14 +227,14 @@ func displacementFromDelta(deltaK *fft.Grid3, n int, l float64) [3]*grid.Mesh {
 //	delta2(x) = sum_{i<j} [phi_,ii phi_,jj - (phi_,ij)^2]
 //
 // in real space, where phi is the first-order displacement potential
-// (phi_k = -delta_k / k^2).
-func secondOrderSource(deltaK *fft.Grid3, n int, l float64) *grid.Mesh {
+// (phi_k = -delta_k / k^2), transforming on workers goroutines.
+func secondOrderSource(deltaK *fft.Grid3, n int, l float64, workers int) *grid.Mesh {
 	kf := 2 * math.Pi / l
 	// Compute the six independent second derivatives phi_,ij.
 	derivs := make([]*grid.Mesh, 6)
 	pairs := [6][2]int{{0, 0}, {1, 1}, {2, 2}, {0, 1}, {0, 2}, {1, 2}}
 	for d, pr := range pairs {
-		comp := fft.NewCube(n)
+		comp := fft.NewGrid3(n, n, n, workers)
 		for i := 0; i < n; i++ {
 			kvec0 := float64(fft.FreqIndex(i, n)) * kf
 			for j := 0; j < n; j++ {

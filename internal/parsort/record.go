@@ -1,9 +1,10 @@
 package parsort
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"twohot/internal/par"
 )
 
 // KV is a packed (key, index) sort record: the Morton/Hilbert key of a
@@ -47,9 +48,7 @@ func kvByte(r KV, d int) int {
 // of worker goroutines (workers <= 1 sorts serially).  Because the order is
 // total, the output is identical for every worker count.
 func SortKV(recs []KV, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = par.Workers(workers)
 	n := len(recs)
 	if workers <= 1 || n < parallelSortCutoff {
 		americanFlagKV(recs, 0)
@@ -85,23 +84,16 @@ func parallelSortKV(recs []KV, workers, digit int) {
 	chunk := (n + workers - 1) / workers
 	nChunks := (n + chunk - 1) / chunk
 
-	// Phase 1: per-chunk histograms of the current byte.
+	// Phase 1: per-chunk histograms of the current byte, one goroutine per
+	// chunk.
 	counts := make([][256]int, nChunks)
-	var wg sync.WaitGroup
-	for c := 0; c < nChunks; c++ {
-		lo, hi := c*chunk, (c+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				counts[c][kvByte(recs[i], digit)]++
+	par.For(nChunks, nChunks, func(first, last int) {
+		for c := first; c < last; c++ {
+			for _, r := range recs[c*chunk : min((c+1)*chunk, n)] {
+				counts[c][kvByte(r, digit)]++
 			}
-		}(c, lo, hi)
-	}
-	wg.Wait()
+		}
+	})
 
 	var total [256]int
 	for c := 0; c < nChunks; c++ {
@@ -144,32 +136,28 @@ func parallelSortKV(recs []KV, workers, digit int) {
 
 	// Phase 2: parallel scatter into scratch.
 	scratch := make([]KV, n)
-	for c := 0; c < nChunks; c++ {
-		lo, hi := c*chunk, (c+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
+	par.For(nChunks, nChunks, func(first, last int) {
+		for c := first; c < last; c++ {
 			cur := offsets[c]
-			for i := lo; i < hi; i++ {
-				b := kvByte(recs[i], digit)
-				scratch[cur[b]] = recs[i]
+			for _, r := range recs[c*chunk : min((c+1)*chunk, n)] {
+				b := kvByte(r, digit)
+				scratch[cur[b]] = r
 				cur[b]++
 			}
-		}(c, lo, hi)
-	}
-	wg.Wait()
+		}
+	})
 
-	// Phase 3: buckets small enough for one goroutine go to a worker pool;
-	// oversized buckets are sorted afterwards with the full worker set, one
-	// at a time, by recursing on the next digit.
+	// Phase 3: buckets small enough for one goroutine go to the sort's
+	// dynamic pool (bucket sizes follow the key distribution, so equal
+	// chunks of buckets would not balance); oversized buckets are sorted
+	// afterwards with the full worker set, one at a time, by recursing on the
+	// next digit.
 	bigCut := n / (2 * workers)
 	if bigCut < parallelSortCutoff {
 		bigCut = parallelSortCutoff
 	}
 	var next atomic.Int64
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {

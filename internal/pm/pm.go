@@ -10,11 +10,11 @@ package pm
 
 import (
 	"math"
-	"runtime"
 
 	"twohot/internal/cosmo"
 	"twohot/internal/fft"
 	"twohot/internal/grid"
+	"twohot/internal/par"
 	"twohot/internal/softening"
 	"twohot/internal/vec"
 )
@@ -33,7 +33,8 @@ type Options struct {
 	// Eps is the short-range Plummer-equivalent softening length.
 	Eps float64
 	// Workers caps the goroutines of the short-range sum and of the mesh
-	// solve's per-mode and per-particle loops; <= 0 means GOMAXPROCS.  The
+	// solve's per-mode and per-particle loops and transforms; <= 0 means
+	// GOMAXPROCS.  The
 	// result is bit-identical for every worker count (each particle's
 	// neighbor sum, each mode and each interpolation is computed independently
 	// in a fixed order; the deposit stays serial).
@@ -69,6 +70,7 @@ func NewSolver(opt Options) *Solver {
 	if opt.RCut == 0 {
 		opt.RCut = 4.5
 	}
+	opt.Workers = par.Workers(opt.Workers)
 	return &Solver{opt: opt}
 }
 
@@ -79,14 +81,6 @@ func (s *Solver) SplitScale() float64 {
 		return 0
 	}
 	return s.opt.Asmth * s.opt.BoxSize / float64(s.opt.Mesh)
-}
-
-// workers resolves Options.Workers.
-func (s *Solver) workers() int {
-	if s.opt.Workers > 0 {
-		return s.opt.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // LongRange overwrites acc[:len(pos)] with the mesh force: the comoving
@@ -103,7 +97,7 @@ func (s *Solver) LongRange(pos []vec.V3, mass float64, acc []vec.V3) {
 	m := s.mesh
 	n, l := s.opt.Mesh, s.opt.BoxSize
 	nh := n/2 + 1
-	workers := s.workers()
+	workers := s.opt.Workers
 	acc = acc[:len(pos)]
 
 	if cap(m.masses) < len(pos) {
@@ -128,7 +122,7 @@ func (s *Solver) LongRange(pos []vec.V3, mass float64, acc []vec.V3) {
 
 	// Potential: phi_k = green_k delta rho_k, one i-plane range per worker.
 	plane := n * nh
-	fft.ParallelRanges(n, workers, func(lo, hi int) {
+	par.For(n, workers, func(lo, hi int) {
 		for idx := lo * plane; idx < hi*plane; idx++ {
 			m.pot.Data[idx] *= complex(m.green[idx], 0)
 		}
@@ -138,7 +132,7 @@ func (s *Solver) LongRange(pos []vec.V3, mass float64, acc []vec.V3) {
 	// Spectral gradient for each force component: a = -grad phi, i.e.
 	// a_k = -i k phi_k, inverted into its own mesh.
 	for c := 0; c < 3; c++ {
-		fft.ParallelRanges(n, workers, func(lo, hi int) {
+		par.For(n, workers, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				for j := 0; j < n; j++ {
 					for k := 0; k < nh; k++ {
@@ -151,7 +145,7 @@ func (s *Solver) LongRange(pos []vec.V3, mass float64, acc []vec.V3) {
 		})
 		m.grad.Inverse(m.acc[c].Data)
 	}
-	fft.ParallelRanges(len(pos), workers, func(lo, hi int) {
+	par.For(len(pos), workers, func(lo, hi int) {
 		grid.InterpolateCIC(m.acc, pos[lo:hi], acc[lo:hi])
 	})
 }
@@ -169,8 +163,8 @@ func (s *Solver) newMeshState() *meshState {
 	m := &meshState{
 		green: make([]float64, n*n*nh),
 		kg:    make([]float64, n),
-		pot:   fft.NewHalf(n),
-		grad:  fft.NewHalf(n),
+		pot:   fft.NewHalf(n, s.opt.Workers),
+		grad:  fft.NewHalf(n, s.opt.Workers),
 	}
 	for c := range m.acc {
 		m.acc[c] = grid.NewMesh(n, l)
@@ -183,7 +177,7 @@ func (s *Solver) newMeshState() *meshState {
 			m.kg[i] = kv[i]
 		}
 	}
-	fft.ParallelRanges(n, s.workers(), func(lo, hi int) {
+	par.For(n, s.opt.Workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			for j := 0; j < n; j++ {
 				for k := 0; k < nh; k++ {
@@ -271,7 +265,7 @@ func (s *Solver) ShortRange(pos []vec.V3, mass float64, acc []vec.V3) {
 		heads[idx] = i
 	}
 
-	fft.ParallelRanges(len(pos), s.workers(), func(lo, hi int) {
+	par.For(len(pos), s.opt.Workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			pi := pos[i]
 			ci, cj, ck := cellOf(pi)

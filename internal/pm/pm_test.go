@@ -226,7 +226,7 @@ func longRangeReference(s *Solver, pos []vec.V3, mass float64) []vec.V3 {
 		mesh.Data[i] = (mesh.Data[i] - mean) / cellVol
 	}
 
-	g := mesh.ToComplex()
+	g := mesh.ToComplex(0)
 	g.Forward()
 
 	kf := 2 * math.Pi / l

@@ -31,11 +31,15 @@
 //
 // # Scheduling and isolation
 //
-// Each job costs max(1, Config.Workers) slots of a global pool
-// (Options.PoolWorkers).  A per-tenant budget (Options.TenantWorkers) caps
-// the slots any one tenant holds, and admission is fair-share: tenants with
-// queued work are served round-robin (FIFO within a tenant), so a tenant
-// with a deep queue cannot starve the others.  The queue itself is bounded
+// Each job costs max(1, Config.Workers, Config.Ranks) slots of a global
+// pool (Options.PoolWorkers), and runs on exactly that many: the runner
+// builds the job with Config.Workers set to its cost, so a job that leaves
+// workers unset runs on one goroutine, not on GOMAXPROCS, and a ranks: N
+// job's N in-process ranks split its slots between them.  A per-tenant
+// budget (Options.TenantWorkers) caps the slots any one tenant holds, and
+// admission is fair-share: tenants with queued work are served round-robin
+// (FIFO within a tenant), so a tenant with a deep queue cannot starve the
+// others.  The queue itself is bounded
 // (Options.QueueCap); a full queue answers HTTP 429 with a Retry-After
 // header — backpressure, not buffering.  Every simulation writes exclusively
 // under Dir/<tenant>/<id>/, so identically-named configs from different

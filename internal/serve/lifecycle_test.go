@@ -42,9 +42,10 @@ func lifecycleSuspendResume(t *testing.T, cfg twohot.Config, suspendAt int) {
 
 	refPath := referenceFinal(t, cfg)
 
-	// Served run with a mid-flight suspend/resume cycle.
+	// Served run with a mid-flight suspend/resume cycle, on a pool wide
+	// enough for the ranks=2 leg's two slots.
 	root := t.TempDir()
-	s := newTestServer(t, Options{Dir: root, PoolWorkers: 1, QueueCap: 4})
+	s := newTestServer(t, Options{Dir: root, PoolWorkers: 2, QueueCap: 4})
 	ts := httpServer(t, s)
 	info := submitHTTP(t, ts, "alice", cfg)
 

@@ -70,7 +70,9 @@ func (s *Server) drive(sm *sim, ctx context.Context, ckpt string) (err error) {
 	if err := os.MkdirAll(sm.dir, 0o755); err != nil {
 		return err
 	}
-	tw, err := s.newSim(sm.cfg)
+	cfg := sm.cfg
+	cfg.Workers = sm.cost
+	tw, err := s.newSim(cfg)
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	twohot "twohot"
 )
 
 // TestSchedulerFairShare pins the admission rotation: with a one-slot pool
@@ -105,6 +107,38 @@ func TestSchedulerRejectsOversizedJobs(t *testing.T) {
 	cfg.Workers = 5 // exceeds the pool outright
 	if _, err := s.Submit("alfa", cfg); err == nil {
 		t.Fatal("job wider than the pool was accepted")
+	}
+}
+
+// TestSubmitChargesWhatItRuns pins the cost rule: a job is charged
+// max(1, workers, ranks) slots, and the Config the runner builds carries
+// that count as its Workers, so a job with workers unset runs on one
+// goroutine rather than GOMAXPROCS, and a ranks: 2 job's two in-process ranks
+// get a slot each.
+func TestSubmitChargesWhatItRuns(t *testing.T) {
+	s := newTestServer(t, Options{PoolWorkers: 4, QueueCap: 4})
+	built := make(chan twohot.Config, 1)
+	s.newSim = func(cfg twohot.Config, opts ...twohot.Option) (*twohot.Simulation, error) {
+		built <- cfg
+		return nil, errors.New("built, not run")
+	}
+	for _, tc := range []struct{ workers, ranks, want int }{{0, 0, 1}, {1, 2, 2}, {0, 2, 2}, {3, 2, 3}} {
+		cfg := testConfig("cost", 2)
+		cfg.Workers, cfg.Ranks = tc.workers, tc.ranks
+		if tc.ranks > 1 {
+			cfg.Transport = "chan"
+		}
+		info, err := s.Submit("alfa", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Workers != tc.want {
+			t.Errorf("workers %d ranks %d: charged %d slots, want %d", tc.workers, tc.ranks, info.Workers, tc.want)
+		}
+		if got := (<-built).Workers; got != tc.want {
+			t.Errorf("workers %d ranks %d: the runner built a Config with Workers %d, want %d", tc.workers, tc.ranks, got, tc.want)
+		}
+		waitState(t, s, info.ID, StateFailed, 10*time.Second)
 	}
 }
 

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"time"
 
 	twohot "twohot"
+	"twohot/internal/par"
 )
 
 // Options configures a Server.  The zero value of every field means the
@@ -37,9 +37,7 @@ func (o *Options) defaults() {
 	if o.Dir == "" {
 		o.Dir = "2hot-serve-data"
 	}
-	if o.PoolWorkers <= 0 {
-		o.PoolWorkers = runtime.GOMAXPROCS(0)
-	}
+	o.PoolWorkers = par.Workers(o.PoolWorkers)
 	if o.TenantWorkers <= 0 || o.TenantWorkers > o.PoolWorkers {
 		o.TenantWorkers = o.PoolWorkers
 	}
@@ -115,10 +113,10 @@ func (s *Server) Submit(tenant string, cfg twohot.Config) (Info, error) {
 		// the server hosts in-process runs only.
 		return Info{}, fmt.Errorf("serve: transport \"tcp\" is not servable; use ranks over the in-process \"chan\" fabric")
 	}
-	cost := cfg.Workers
-	if cost < 1 {
-		cost = 1
-	}
+	// The job runs on exactly the slots it is charged (drive builds it with
+	// Workers = cost): an unset worker count runs on one, and each
+	// in-process rank needs a goroutine.
+	cost := max(1, cfg.Workers, cfg.Ranks)
 	if cost > s.opt.PoolWorkers || cost > s.opt.TenantWorkers {
 		return Info{}, fmt.Errorf("serve: job needs %d workers but the budget is min(pool %d, tenant %d)",
 			cost, s.opt.PoolWorkers, s.opt.TenantWorkers)

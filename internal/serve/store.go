@@ -67,7 +67,7 @@ type sim struct {
 	id     string
 	tenant string
 	cfg    twohot.Config
-	cost   int    // pool slots: max(1, cfg.Workers)
+	cost   int    // pool slots, and the Workers the job runs on: max(1, cfg.Workers, cfg.Ranks)
 	dir    string // Dir/<tenant>/<id>; all artifacts live here
 
 	state    State

@@ -93,10 +93,10 @@ func NewGlobal(par cosmo.Params, boxSize float64) *Block {
 	return NewBlock(par, boxSize, 0, 1, 0)
 }
 
-// DefaultWorkDecay is the rate at which Block pulls the stale work weights of
+// workDecay is the rate at which Block pulls the stale work weights of
 // long-inactive particles back toward the mean at the end of each block (see
 // decayStaleWork).
-const DefaultWorkDecay = 0.5
+const workDecay = 0.5
 
 // Block is the hierarchical block-timestep engine: each Advance runs one
 // block of 2^maxUsedRung substeps, with rungs assigned at the block start
@@ -129,9 +129,6 @@ type Block struct {
 	// Sep is the mean interparticle separation the criterion is measured
 	// against.
 	Sep float64
-	// WorkDecay is the rate of the between-block work-weight decay
-	// (decayStaleWork); 0 disables it.  NewBlock sets DefaultWorkDecay.
-	WorkDecay float64
 
 	// AgreeRungs, when set, merges the per-rank rung histograms at the start
 	// of each block of a multi-level engine (a one-level schedule has
@@ -158,7 +155,6 @@ func NewBlock(par cosmo.Params, boxSize, sep float64, levels int, frac float64) 
 	return &Block{
 		Par: par, BoxSize: boxSize,
 		Levels: levels, DisplacementFrac: frac, Sep: sep,
-		WorkDecay: DefaultWorkDecay,
 	}
 }
 
@@ -398,12 +394,12 @@ func (b *Block) Advance(f Forcer, p *particle.Set, clk *Clock, dlnA float64) (*c
 // last refreshed Span(r) substeps before the block boundary, so coarse-rung
 // weights describe a progressively older force solve; left alone they make
 // domain.SplitWeighted chase hot spots that have since cooled.  The blend
-// factor WorkDecay*(1 - 1/Span(r)) grows with staleness and vanishes for the
+// factor workDecay*(1 - 1/Span(r)) grows with staleness and vanishes for the
 // finest rung and for single-rung blocks — weights steer only the worker
 // shards, never a result bit, so the all-rung-0 bit-identity with the
 // one-level engine is untouched (and so is every force of a multi-rung block).
 func (b *Block) decayStaleWork(p *particle.Set, sched Schedule) {
-	if b.WorkDecay == 0 || sched.MaxRung == 0 || p.Len() == 0 {
+	if sched.MaxRung == 0 || p.Len() == 0 {
 		return
 	}
 	mean := 0.0
@@ -416,7 +412,7 @@ func (b *Block) decayStaleWork(p *particle.Set, sched Schedule) {
 		if span <= 1 {
 			continue
 		}
-		alpha := b.WorkDecay * (1 - 1/float64(span))
+		alpha := workDecay * (1 - 1/float64(span))
 		p.Work[i] += alpha * (mean - p.Work[i])
 	}
 }

@@ -71,20 +71,19 @@ func testSet(n int) *particle.Set {
 	return set
 }
 
-// TestBlockWorkDecay pins the rung-aware work-decay satellite: after a
+// TestBlockWorkDecay pins the rung-aware work decay's arithmetic: after a
 // multi-rung block, the work weights of particles on coarse rungs (long
 // inactive, stale weights) are pulled toward the mean by
-// WorkDecay*(1-1/Span(r)), while finest-rung weights are untouched; with
-// WorkDecay 0 or a single-rung block, no weight changes at all.
+// 0.5*(1-1/Span(r)), while finest-rung weights are untouched; after a
+// single-rung block no weight changes at all.
 func TestBlockWorkDecay(t *testing.T) {
 	par := testParams(t)
 	const n = 32
 	const dlnA = 0.05
 
-	run := func(decay float64, frac float64, spread bool) (*particle.Set, *fakeForcer) {
+	run := func(frac float64, spread bool) (*particle.Set, *fakeForcer) {
 		set := testSet(n)
 		b := NewBlock(par, 1e6, 1.0, 4, frac)
-		b.WorkDecay = decay
 		clk := &Clock{A: 0.05, AMom: 0.05}
 		if spread {
 			// Momenta engineered so particle i lands exactly on rung i%4:
@@ -105,7 +104,7 @@ func TestBlockWorkDecay(t *testing.T) {
 	// Momenta spread over four rungs; the forcer's work output is 100*(i+1),
 	// so the post-scatter weights are known exactly and the decay's pull is
 	// directly checkable.
-	set, f := run(0.5, 1.0, true)
+	set, f := run(1.0, true)
 	if maxRung(set) == 0 {
 		t.Fatalf("criterion produced a single rung; momenta spread %v", set.Mom[:4])
 	}
@@ -140,20 +139,9 @@ func TestBlockWorkDecay(t *testing.T) {
 		t.Fatal("no coarse-rung weight was decayed")
 	}
 
-	// WorkDecay 0: weights stay exactly what the last scatter left.
-	set0, _ := run(0, 1.0, true)
-	if maxRung(set0) == 0 {
-		t.Fatal("criterion produced a single rung in the no-decay run")
-	}
-	for i := range raw {
-		if set0.Work[i] != raw[i] {
-			t.Fatalf("WorkDecay=0 changed particle %d work: %g vs %g", i, set0.Work[i], raw[i])
-		}
-	}
-
-	// Single-rung block (loose criterion): decay must be a no-op even when
-	// enabled — this is part of the all-rung-0 bit-identity contract.
-	set1, _ := run(0.5, 1e12, false)
+	// Single-rung block (loose criterion): decay must be a no-op — this is
+	// part of the all-rung-0 bit-identity contract.
+	set1, _ := run(1e12, false)
 	if maxRung(set1) != 0 {
 		t.Fatal("loose criterion still assigned rungs")
 	}

@@ -27,10 +27,11 @@
 //     least one active particle (a block-timestep substep).  Because every
 //     group's interaction list is independent of all other groups, the
 //     subset solve is exact, not approximate.
-//   - Walker.SinkWork cuts the sink-subtree tasks into contiguous
-//     per-worker shards of near-equal predicted weight (work feedback from
-//     the previous step); under SinkActive the weights of pruned groups are
-//     masked out first (domain.MaskWeights).
+//   - Walker.SinkWork weighs the sink-subtree tasks, which are cut into
+//     contiguous per-worker shards of near-equal predicted weight (work
+//     feedback from the previous step; one unit per particle without it);
+//     under SinkActive the weights of pruned groups are masked out first
+//     (domain.MaskWeights).
 //
 // # Bit-identity invariants
 //
@@ -40,8 +41,8 @@
 //     group traversal, the reference oracle in legacy_test.go) — per
 //     particle and per interaction counter, across MACs, kernels, periodic
 //     settings and worker counts (equiv_test.go);
-//   - every worker count and both schedules (dynamic task pull vs static
-//     work-weighted shards) produce identical bits (workshard_test.go);
+//   - every worker count and every set of shard weights, uniform, skewed or
+//     junk, produce identical bits (workshard_test.go);
 //   - a SinkActive subset solve equals the full solve on every active
 //     particle (active_test.go);
 //   - a walker whose sink-distance bounds were transplanted across a

@@ -44,13 +44,12 @@ package traverse
 
 import (
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"twohot/internal/cube"
 	"twohot/internal/domain"
 	"twohot/internal/multipole"
+	"twohot/internal/par"
 	"twohot/internal/softening"
 	"twohot/internal/tree"
 	"twohot/internal/vec"
@@ -77,9 +76,10 @@ type TraversalStats struct {
 	// InheritedItems counts decided work-list entries that sink leaves
 	// consumed without any acceptance test.
 	InheritedItems int64
-	// ShardImbalance is the max/mean predicted shard weight of the static
-	// work-weighted schedule (1.0 is perfect); 0 when the dynamic schedule
-	// ran (no SinkWork, or a single worker).
+	// ShardImbalance is the max/mean predicted shard weight of the
+	// work-weighted schedule (1.0 is perfect); 0 when there was no SinkWork
+	// to predict from (the shards then split particle counts) or a single
+	// worker ran.
 	ShardImbalance float64
 	// BoundsReusedCells counts the cells whose sink-distance bounds were
 	// transplanted from the previous tree's bounds via the clean-subtree
@@ -344,9 +344,7 @@ func (w *Walker) ForcesForAll(nWorkers int) ([]vec.V3, []float64, Counters) {
 	n := len(t.Pos)
 	acc := make([]vec.V3, n)
 	pot := make([]float64, n)
-	if nWorkers <= 0 {
-		nWorkers = runtime.GOMAXPROCS(0)
-	}
+	nWorkers = par.Workers(nWorkers)
 
 	if w.SinkActive != nil && len(w.SinkActive) != n {
 		panic("traverse: SinkActive length does not match the tree's particle count")
@@ -380,60 +378,28 @@ func (w *Walker) ForcesForAll(nWorkers int) ([]vec.V3, []float64, Counters) {
 		stats = ws.stats
 	} else {
 		tasks := w.collectTasks(init, nWorkers, &stats)
-		// Schedule: with per-particle work weights the tasks are cut into
-		// contiguous per-worker shards of near-equal predicted weight (the
-		// work-feedback rebalance); otherwise workers pull tasks
-		// dynamically.  Either way every task runs exactly once and writes
-		// a disjoint particle range, so the two schedules produce the same
-		// bits.
-		var shard func(wk int) (int, int)
-		var next chan int
-		if bounds := w.shardBounds(tasks, nWorkers, &stats); bounds != nil {
-			shard = func(wk int) (int, int) {
-				lo, hi := 0, len(tasks)
-				if wk > 0 {
-					lo = bounds[wk-1]
-				}
-				if wk < len(bounds) {
-					hi = bounds[wk]
-				}
-				return lo, hi
-			}
-		} else {
-			next = make(chan int, len(tasks))
-			for i := range tasks {
-				next <- i
-			}
-			close(next)
-		}
-		var mu sync.Mutex
-		var wg sync.WaitGroup
+		// Schedule: the tasks are cut into contiguous per-worker shards of
+		// near-equal predicted weight (the work-feedback rebalance), one
+		// goroutine each.  Every task runs exactly once and writes a
+		// disjoint particle range, so where the cuts fall changes no bit.
+		cuts := append(append([]int{0}, w.shardBounds(tasks, nWorkers, &stats)...), len(tasks))
 		for wk := 0; wk < nWorkers; wk++ {
 			ws := w.workspace(wk)
 			ws.counters = Counters{}
 			ws.stats = TraversalStats{}
-			wg.Add(1)
-			go func(wk int, ws *inheritWS) {
-				defer wg.Done()
-				if shard != nil {
-					lo, hi := shard(wk)
-					for ti := lo; ti < hi; ti++ {
-						tk := &tasks[ti]
-						w.descend(tk.sink, tk.depth, &tk.wl, ws, acc, pot)
-					}
-				} else {
-					for ti := range next {
-						tk := &tasks[ti]
-						w.descend(tk.sink, tk.depth, &tk.wl, ws, acc, pot)
-					}
-				}
-				mu.Lock()
-				total.Add(ws.counters)
-				stats.add(ws.stats)
-				mu.Unlock()
-			}(wk, ws)
 		}
-		wg.Wait()
+		par.For(nWorkers, nWorkers, func(lo, hi int) {
+			for wk := lo; wk < hi; wk++ {
+				for ti := cuts[wk]; ti < cuts[wk+1]; ti++ {
+					tk := &tasks[ti]
+					w.descend(tk.sink, tk.depth, &tk.wl, w.pool[wk], acc, pot)
+				}
+			}
+		})
+		for wk := 0; wk < nWorkers; wk++ {
+			total.Add(w.pool[wk].counters)
+			stats.add(w.pool[wk].stats)
+		}
 	}
 
 	w.postProcess(acc, pot, nWorkers)
@@ -442,17 +408,18 @@ func (w *Walker) ForcesForAll(nWorkers int) ([]vec.V3, []float64, Counters) {
 	return acc, pot, total
 }
 
-// shardBounds computes the static work-weighted task partition: each task is
-// weighted by the summed SinkWork of the particles under its sink subtree and
-// the task sequence (which is in sink-tree DFS order, i.e. contiguous in the
-// sorted particle arrays) is split into nWorkers contiguous shards of
-// near-equal weight.  It returns nil — meaning "use the dynamic schedule" —
-// when no usable weights are present.
+// shardBounds computes the work-weighted task partition: each task is
+// weighted by the summed SinkWork of the particles under its sink subtree
+// (one unit per particle when SinkWork is missing, as the uniform weights a
+// fresh particle.Set carries) and the task sequence (which is in sink-tree
+// DFS order, i.e. contiguous in the sorted particle arrays) is split into
+// nWorkers contiguous shards of near-equal weight.
 func (w *Walker) shardBounds(tasks []inheritTask, nWorkers int, stats *TraversalStats) []int {
-	if w.SinkWork == nil || len(w.SinkWork) != len(w.Tree.Pos) || len(tasks) < 2 {
-		return nil
-	}
 	work := w.SinkWork
+	weighted := len(work) == len(w.Tree.Pos)
+	if !weighted {
+		work = nil
+	}
 	if w.SinkActive != nil {
 		// Partially-active solve: particles of pruned groups cost nothing,
 		// so their carried work must not attract shard boundaries.  The
@@ -464,6 +431,10 @@ func (w *Walker) shardBounds(tasks []inheritTask, nWorkers int, stats *Traversal
 	weights := make([]float64, len(tasks))
 	for i := range tasks {
 		c := w.Tree.Cell[tasks[i].sink]
+		if work == nil {
+			weights[i] = float64(c.NBodies)
+			continue
+		}
 		sum := 0.0
 		for p := c.First; p < c.First+c.NBodies; p++ {
 			sum += work[p]
@@ -471,7 +442,9 @@ func (w *Walker) shardBounds(tasks []inheritTask, nWorkers int, stats *Traversal
 		weights[i] = sum
 	}
 	bounds := domain.SplitWeighted(weights, nWorkers)
-	stats.ShardImbalance = domain.ShardImbalance(weights, bounds)
+	if weighted {
+		stats.ShardImbalance = domain.ShardImbalance(weights, bounds)
+	}
 	return bounds
 }
 

@@ -3,6 +3,7 @@ package traverse
 import (
 	"twohot/internal/ewald"
 	"twohot/internal/multipole"
+	"twohot/internal/par"
 	"twohot/internal/softening"
 	"twohot/internal/tree"
 	"twohot/internal/vec"
@@ -125,14 +126,14 @@ type Walker struct {
 	Tree *tree.Tree
 	Cfg  Config
 
-	// SinkWork, when non-nil with one weight per (sorted) particle, makes
-	// ForcesForAll partition its sink subtree tasks into contiguous
-	// per-worker shards of near-equal predicted weight using
-	// domain.SplitWeighted — the shared-memory analogue of the paper's
-	// work-weighted domain decomposition, fed by the previous step's
-	// per-particle interaction counts.  Tasks write disjoint particle
-	// ranges, so the results are bit-identical to the dynamic schedule;
-	// only which goroutine computes what changes.
+	// SinkWork, with one weight per (sorted) particle, steers how
+	// ForcesForAll cuts its sink subtree tasks into contiguous per-worker
+	// shards of near-equal predicted weight (domain.SplitWeighted) — the
+	// shared-memory analogue of the paper's work-weighted domain
+	// decomposition, fed by the previous step's per-particle interaction
+	// counts.  Without it every particle weighs one unit.  Tasks write
+	// disjoint particle ranges, so the results are bit-identical for any
+	// weights; only which goroutine computes what changes.
 	SinkWork []float64
 	// WorkOut, when non-nil with one slot per (sorted) particle, receives
 	// each particle's interaction count (far cells + direct pairs +
@@ -256,7 +257,7 @@ type sinkGroup struct {
 func (w *Walker) postProcess(acc []vec.V3, pot []float64, nWorkers int) {
 	t := w.Tree
 	active := w.SinkActive
-	ParallelRange(len(acc), nWorkers, func(lo, hi int) {
+	par.For(len(acc), nWorkers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if active != nil && !active[i] {
 				continue
@@ -270,37 +271,6 @@ func (w *Walker) postProcess(acc []vec.V3, pot []float64, nWorkers int) {
 			pot[i] *= w.Cfg.G
 		}
 	})
-}
-
-// ParallelRange splits [0,n) into contiguous chunks executed concurrently on
-// up to `workers` goroutines (inline when workers <= 1 or n is small).  It is
-// shared by the traversal post-pass and core's direct solvers for
-// embarrassingly-parallel per-particle loops.
-func ParallelRange(n, workers int, body func(lo, hi int)) {
-	if workers <= 1 || n < 2*workers {
-		body(0, n)
-		return
-	}
-	done := make(chan struct{}, workers)
-	chunk := (n + workers - 1) / workers
-	launched := 0
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		launched++
-		go func(lo, hi int) {
-			body(lo, hi)
-			done <- struct{}{}
-		}(lo, hi)
-	}
-	for i := 0; i < launched; i++ {
-		<-done
-	}
 }
 
 // checkSplitConfig rejects short-range-mode configurations that silently

@@ -6,6 +6,7 @@ import (
 
 	"twohot/internal/keys"
 	"twohot/internal/multipole"
+	"twohot/internal/par"
 	"twohot/internal/vec"
 )
 
@@ -134,7 +135,7 @@ func (d *Distributed) AddRemoteCell(c Cell) {
 // the regression suite in dtree_upper_test.go, which pins the two to each
 // other.
 func (d *Distributed) BuildUpper() {
-	workers := d.Opt.workerCount()
+	workers := par.Workers(d.Opt.Workers)
 	maxLevel := 0
 	for _, c := range d.Cell {
 		if c.Level > maxLevel {
@@ -153,7 +154,7 @@ func (d *Distributed) BuildUpper() {
 		// Parallel scan: resolve each cell's parent in the hash table
 		// (read-only; all writes happen below on the calling goroutine).
 		parentIdx := make([]int32, len(cells))
-		parallelChunks(len(cells), workers, func(lo, hi int) {
+		par.For(len(cells), workers, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				c := d.Cell[cells[i]]
 				if pi, ok := d.Hash.Get(c.Key.Parent()); ok {
@@ -205,7 +206,7 @@ func (d *Distributed) BuildUpper() {
 		// Parallel: the new parents' moments.  Children are finished — they
 		// are either original cells or parents created (and summed) one
 		// level deeper — and each computation writes only its own cell.
-		parallelChunks(len(groups), workers, func(lo, hi int) {
+		par.For(len(groups), workers, func(lo, hi int) {
 			for gi := lo; gi < hi; gi++ {
 				d.upperMoments(d.Cell[created[gi]], groups[gi].children)
 			}

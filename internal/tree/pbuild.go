@@ -1,12 +1,12 @@
 package tree
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"twohot/internal/keys"
+	"twohot/internal/par"
 	"twohot/internal/parsort"
 )
 
@@ -45,37 +45,6 @@ func GrowSlice[T any](s *[]T, n int) []T {
 	return *s
 }
 
-// workerCount resolves Options.Workers (0 = GOMAXPROCS).
-func (o *Options) workerCount() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// parallelChunks runs body over contiguous chunks of [0, n) on up to workers
-// goroutines and waits for completion.
-func parallelChunks(n, workers int, body func(lo, hi int)) {
-	if workers <= 1 || n < 2*workers {
-		body(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // sortParticles computes body keys for t.Pos and reorders t.Pos/t.Mass in
 // place into canonical (key, original index) order, filling t.Keys and
 // t.SortIndex.  All stages run over parallel chunks.
@@ -110,7 +79,7 @@ func (t *Tree) sortParticles(workers int) {
 		// borrows this build's retained key array — every record holds its
 		// own key copy by the time the gather below overwrites it.
 		keyTmp := GrowSlice(&sc.keys[side], n)
-		parallelChunks(n, workers, func(lo, hi int) {
+		par.For(n, workers, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				keyTmp[i] = uint64(keys.FromPosition(t.Pos[i], t.Box, keys.Morton))
 			}
@@ -120,7 +89,7 @@ func (t *Tree) sortParticles(workers int) {
 		if dirty != nil && len(dirty) == n {
 			t.prepareDirty(prev, dirty, keyTmp, sc)
 		}
-		parallelChunks(n, workers, func(lo, hi int) {
+		par.For(n, workers, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				j := order[i]
 				recs[i] = parsort.KV{Key: keyTmp[j], Idx: int32(j)}
@@ -131,7 +100,7 @@ func (t *Tree) sortParticles(workers int) {
 		t.Stats = BuildStats{Reused: true, FastPath: st.FastPath, Displaced: st.Displaced,
 			SortTime: time.Since(t0)}
 	} else {
-		parallelChunks(n, workers, func(lo, hi int) {
+		par.For(n, workers, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				recs[i] = parsort.KV{
 					Key: uint64(keys.FromPosition(t.Pos[i], t.Box, keys.Morton)),
@@ -148,7 +117,7 @@ func (t *Tree) sortParticles(workers int) {
 	newMass := GrowSlice(&sc.gmass, n)
 	newKeys := GrowSlice(&sc.keys[side], n)
 	idx := GrowSlice(&sc.idx[side], n)
-	parallelChunks(n, workers, func(lo, hi int) {
+	par.For(n, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			r := recs[i]
 			newPos[i] = t.Pos[r.Idx]
@@ -157,7 +126,7 @@ func (t *Tree) sortParticles(workers int) {
 			idx[i] = int(r.Idx)
 		}
 	})
-	parallelChunks(n, workers, func(lo, hi int) {
+	par.For(n, workers, func(lo, hi int) {
 		copy(t.Pos[lo:hi], newPos[lo:hi])
 		copy(t.Mass[lo:hi], newMass[lo:hi])
 	})
@@ -280,7 +249,9 @@ func (t *Tree) buildRange(root keys.Key, first, count, workers int) int32 {
 	plan(root, first, count)
 
 	// Phase 2: build every task's subtree into its own arena, workers
-	// pulling tasks from an atomic cursor.
+	// pulling tasks from an atomic cursor — the build's dynamic pool, kept
+	// because subtree sizes follow the clustering, so equal chunks of tasks
+	// would idle every worker but the one holding the dense region.
 	arenas := make([][]*Cell, len(tasks))
 	arenaReuse := make([]arenaReuseInfo, len(tasks))
 	nw := workers
@@ -381,7 +352,7 @@ func (t *Tree) buildRange(root keys.Key, first, count, workers int) int32 {
 			if len(cells) == 0 {
 				continue
 			}
-			parallelChunks(len(cells), workers, func(lo, hi int) {
+			par.For(len(cells), workers, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					t.computeInternalMoments(cells[i])
 				}

@@ -16,6 +16,7 @@ import (
 	"twohot/internal/cube"
 	"twohot/internal/keys"
 	"twohot/internal/multipole"
+	"twohot/internal/par"
 	"twohot/internal/parsort"
 	"twohot/internal/vec"
 )
@@ -240,7 +241,7 @@ func newTree(pos []vec.V3, mass []float64, box vec.Box, opt Options, hashSlack i
 		Pos:  pos,
 		Mass: mass,
 	}
-	workers := opt.workerCount()
+	workers := par.Workers(opt.Workers)
 	t.sortParticles(workers)
 	if opt.RhoBar > 0 {
 		t.buildBackgroundMoments()

@@ -12,12 +12,6 @@ import (
 // V3 is a 3-vector of float64.
 type V3 [3]float64
 
-// Zero is the zero vector.
-var Zero = V3{}
-
-// New builds a V3 from components.
-func New(x, y, z float64) V3 { return V3{x, y, z} }
-
 // Add returns a + b.
 func (a V3) Add(b V3) V3 { return V3{a[0] + b[0], a[1] + b[1], a[2] + b[2]} }
 

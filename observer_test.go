@@ -1,10 +1,13 @@
 package twohot
 
 // Observer and Stepper seam tests: hook firing semantics, progress
-// callbacks, custom-engine injection, and the pin that the rung-aware work
-// decay steers only schedules — never a trajectory bit.
+// callbacks, custom-engine injection, and the pin that work weights, the
+// rung-aware decay's among them, steer only schedules — never a trajectory
+// bit.
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"twohot/internal/core"
@@ -121,11 +124,12 @@ func TestWithStepperInjection(t *testing.T) {
 	}
 }
 
-// TestWorkDecayNeverChangesTrajectory pins the satellite's safety contract:
-// the between-block work decay adjusts only the scheduling weights, so a
-// multi-rung block-stepped run with decay on and off must produce
-// bit-identical positions and momenta (the weights feed domain.SplitWeighted
-// shard cuts, which are schedule-only by the PR 3 equivalence guarantee).
+// TestWorkDecayNeverChangesTrajectory pins that the work weights — the
+// between-block decay's output among them — steer only the worker shards: a
+// multi-rung block-stepped run whose Set.Work is overwritten with arbitrary
+// weights (zeros included) before every step ends in the same position and
+// momentum bits as an untouched run.  The decay's arithmetic is pinned by
+// internal/step's TestBlockWorkDecay.
 func TestWorkDecayNeverChangesTrajectory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-rung integration run")
@@ -133,50 +137,35 @@ func TestWorkDecayNeverChangesTrajectory(t *testing.T) {
 	cfg := conformanceConfig(SolverTree)
 	cfg.BlockSteps = 3
 	cfg.RungDisplacementFrac = 0.01
+	cfg.Workers = 3 // the weights cut the walk into shards only with several workers
 
-	// The decayed weights live between a block's end and the next solve
-	// (which consumes them for shard balancing, then refreshes them), so the
-	// comparison snapshots them per step through an observer.
-	run := func(decay float64) (*Simulation, [][]float64) {
-		sim, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
+	run := func(scramble bool) *Simulation {
+		sim := conformanceSim(t, cfg)
+		if scramble {
+			rng := rand.New(rand.NewSource(5))
+			overwrite := func() {
+				for i := range sim.P.Work {
+					sim.P.Work[i] = float64(rng.Intn(3)) * rng.ExpFloat64()
+				}
+			}
+			overwrite()
+			sim.AddObserver(ObserverFuncs{Step: func(StepInfo) { overwrite() }})
 		}
-		sep := cfg.BoxSize / float64(cfg.NGrid)
-		eng := step.NewBlock(sim.Par, cfg.BoxSize, sep, cfg.BlockSteps, cfg.RungDisplacementFrac)
-		eng.WorkDecay = decay
-		WithStepper(eng)(sim)
-		var snaps [][]float64
-		sim.AddObserver(ObserverFuncs{Step: func(StepInfo) {
-			snaps = append(snaps, append([]float64(nil), sim.P.Work...))
-		}})
 		if err := sim.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if eng.RungHistogram() == nil {
-			t.Fatal("block engine kept no state")
-		}
-		return sim, snaps
+		return sim
 	}
-	on, onW := run(step.DefaultWorkDecay)
-	off, offW := run(0)
-	if maxRung(on) == 0 {
+	ref, got := run(false), run(true)
+	if maxRung(ref) == 0 {
 		t.Skip("criterion produced a single rung; decay unexercised")
 	}
-	for i := range on.P.Pos {
-		if on.P.Pos[i] != off.P.Pos[i] || on.P.Mom[i] != off.P.Mom[i] {
-			t.Fatalf("particle %d: work decay changed the trajectory", i)
-		}
-	}
-	decayed := false
-	for s := range onW {
-		for i := range onW[s] {
-			if onW[s][i] != offW[s][i] {
-				decayed = true
+	for i := range ref.P.Pos {
+		for d := 0; d < 3; d++ {
+			if math.Float64bits(ref.P.Pos[i][d]) != math.Float64bits(got.P.Pos[i][d]) ||
+				math.Float64bits(ref.P.Mom[i][d]) != math.Float64bits(got.P.Mom[i][d]) {
+				t.Fatalf("particle %d: arbitrary work weights changed the trajectory", i)
 			}
 		}
-	}
-	if !decayed {
-		t.Error("work decay left every weight untouched in a multi-rung run")
 	}
 }

@@ -161,6 +161,7 @@ func (s *Simulation) GenerateICs() error {
 		Use2LPT: cfg.Use2LPT,
 		UseDEC:  cfg.UseDEC,
 		Sphere:  cfg.SphereMode,
+		Workers: cfg.Workers,
 	})
 	if err != nil {
 		return err
