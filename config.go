@@ -105,7 +105,14 @@ type Config struct {
 	// the frozen positions of everything else.  The tree rebuild reuses
 	// the subtrees no active particle touched, bit for bit.  A block step
 	// whose particles all sit on rung 0 is bit-identical to the global
-	// step.  Requires a tree-based solver.  With Ranks > 1 the block
+	// step.  Requires a tree-based solver.  With TreePM the mesh long range
+	// is solved once per block, on its fully active first substep, and
+	// kicked on the base step (GADGET-2's split integrator): a rung-r
+	// particle gains Acc·K(epoch → aHalf_r) + Long·(K(AMom → aHalf_0) −
+	// K(epoch → aHalf_r)), whose correction is 0 on rung 0 at the block's
+	// epoch, so an all-rung-0 block stays the global step bit for bit.
+	// Later substeps solve the short range alone, which is then what the
+	// active slots of Set.Acc hold.  With Ranks > 1 the block
 	// engine runs distributed: rungs, momentum epochs and activity flags
 	// travel with the particles through the rank exchange, every rank
 	// agrees on the block's substep schedule by summing per-rank rung

@@ -26,8 +26,13 @@ import (
 
 // Result is the outcome of a force computation.
 type Result struct {
-	Acc      []vec.V3  // accelerations, in the caller's particle order
-	Pot      []float64 // kernel sums (physical potential = -Pot)
+	Acc []vec.V3  // accelerations, in the caller's particle order
+	Pot []float64 // kernel sums (physical potential = -Pot)
+	// Long is the long-range (mesh) part of Acc, in the same order, or nil.
+	// Only a full (unmasked) TreePM solve fills it; a masked TreePM solve
+	// skips the mesh and returns the short range alone in Acc.  The block
+	// engine kicks Long on the base step and Acc − Long on each rung.
+	Long     []vec.V3
 	Counters traverse.Counters
 	// Traversal reports how the interaction lists were built (replica walks,
 	// list inheritance) for solvers that traverse a tree.

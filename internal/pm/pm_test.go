@@ -3,7 +3,6 @@ package pm
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"twohot/internal/core"
@@ -362,34 +361,31 @@ func TestLongRangeMatchesReference(t *testing.T) {
 	t.Logf("largest |difference| / rms force: %.3g", worst)
 }
 
-// TestLongRangeWorkerIdentity pins that neither Options.Workers (the mode and
-// particle loops) nor GOMAXPROCS (the transforms' line and row-pair ranges)
-// changes a bit of LongRange over one solver's three calls.
+// TestLongRangeWorkerIdentity pins that Options.Workers, which sets the mode
+// and particle loops' chunks and the transforms' line and row-pair ranges,
+// changes no bit of LongRange over one solver's three calls.  Seven workers
+// exceed the line count of the smallest meshes.
 func TestLongRangeWorkerIdentity(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const l = 40.0
 	calls, masses := longRangeCalls(l)
 	for _, mesh := range []int{3, 15, 16, 24, 33, 64} {
 		opt := Options{Mesh: mesh, BoxSize: l, DeconvolveCIC: true, Asmth: 1.25, Eps: 0.1}
 		var want [][]vec.V3
-		for _, procs := range []int{1, 3} {
-			runtime.GOMAXPROCS(procs)
-			for _, workers := range []int{1, 2, 3} {
-				opt.Workers = workers
-				s := NewSolver(opt)
-				for c, pos := range calls {
-					acc := make([]vec.V3, len(pos))
-					s.LongRange(pos, masses[c], acc)
-					if len(want) <= c {
-						want = append(want, acc)
-						continue
-					}
-					for i := range acc {
-						for d := 0; d < 3; d++ {
-							if math.Float64bits(acc[i][d]) != math.Float64bits(want[c][i][d]) {
-								t.Fatalf("mesh=%d procs=%d workers=%d call %d: particle %d component %d is %v, procs=1 workers=1 gave %v",
-									mesh, procs, workers, c, i, d, acc[i][d], want[c][i][d])
-							}
+		for _, workers := range []int{1, 2, 3, 4, 7} {
+			opt.Workers = workers
+			s := NewSolver(opt)
+			for c, pos := range calls {
+				acc := make([]vec.V3, len(pos))
+				s.LongRange(pos, masses[c], acc)
+				if len(want) <= c {
+					want = append(want, acc)
+					continue
+				}
+				for i := range acc {
+					for d := 0; d < 3; d++ {
+						if math.Float64bits(acc[i][d]) != math.Float64bits(want[c][i][d]) {
+							t.Fatalf("mesh=%d workers=%d call %d: particle %d component %d is %v, workers=1 gave %v",
+								mesh, workers, c, i, d, acc[i][d], want[c][i][d])
 						}
 					}
 				}

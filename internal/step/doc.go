@@ -46,6 +46,22 @@
 // simulation_blockstep_test.go at the repository root, and against the
 // leapfrog arithmetic itself by this package's tests).
 //
+// # Split integrator
+//
+// A Forcer whose full solve returns core.Result.Long (TreePM's mesh long
+// range, also inside Acc) gets GADGET-2's split integrator: the long range is
+// solved once per block, on the fully active substep 0, and kicked over the
+// base step (clk.AMom to rung 0's half step, whatever the rung):
+//
+//	Acc·K(MomEpoch → aHalf[r]) + Long·(K(AMom → aHalf[0]) − K(MomEpoch → aHalf[r]))
+//
+// Synchronize closes both parts the same way.  Every later substep masks
+// its solve, even when all particles are active, so it returns the short
+// range alone, and that is what Set.Acc's active slots then hold.  The
+// correction is exactly 0 on rung 0 at the block's epoch and is skipped, so
+// an all-rung-0 block keeps the unsplit leapfrog's bits; a Forcer without
+// Long (tree, ranks, direct) runs the unsplit integrator.
+//
 // # Distributed stepping
 //
 // A multi-process cluster run has no integrator of its own: each rank of

@@ -19,7 +19,8 @@ import (
 //
 // The result is in the set's particle order and leaves the set's Acc/Pot/Work
 // arrays to the caller: the engine decides which slots of a subset solve are
-// written back (Scatter).
+// written back (Scatter).  A full solve that also returns core.Result.Long
+// selects the split integrator (see the package doc).
 type Forcer interface {
 	// ActiveForces computes forces for the sinks in the active mask (nil =
 	// every particle) and passes the moved mask (nil = unknown) to
@@ -281,6 +282,10 @@ func (b *Block) Advance(f Forcer, p *particle.Set, clk *Clock, dlnA float64) (*c
 
 	var last *core.Result
 	aMomEnd := clk.AMom
+	// split: substep 0 kicked a long range over the base step, so every later
+	// substep masks its solve, even when all are active (rung 0 empty), to
+	// get the short range alone; else the long range would be kicked twice.
+	split := false
 	for k := 0; k < nSub; k++ {
 		rMin := sched.LowestActive(k)
 		n := p.Len()
@@ -306,7 +311,7 @@ func (b *Block) Advance(f Forcer, p *particle.Set, clk *Clock, dlnA float64) (*c
 		}
 
 		var active []bool
-		if nActive < n {
+		if nActive < n || split {
 			active = b.active
 		}
 		// A fully active substep passes a nil mask: it is identical to the
@@ -346,10 +351,15 @@ func (b *Block) Advance(f Forcer, p *particle.Set, clk *Clock, dlnA float64) (*c
 			drift[r] = b.Par.DriftFactor(aPos[r], an)
 			kicks[r].SetTarget(aHalf[r])
 		}
+		var long []vec.V3
+		kLong := 0.0
 		if k == 0 {
 			// Rung 0's half step is the block-level momentum epoch the
 			// global bookkeeping (and checkpoints) track.
 			aMomEnd = aHalf[0]
+			if res.Long != nil {
+				long, kLong, split = res.Long, kicks[0].At(clk.AMom), true
+			}
 		}
 
 		// Kick, then drift, each over the active particles in index order —
@@ -361,7 +371,7 @@ func (b *Block) Advance(f Forcer, p *particle.Set, clk *Clock, dlnA float64) (*c
 				continue
 			}
 			r := int(p.Rung[i])
-			p.Mom[i] = p.Mom[i].Add(p.Acc[i].Scale(kicks[r].At(p.MomEpoch[i])))
+			p.Mom[i] = kick(p.Mom[i], p.Acc[i], kicks[r].At(p.MomEpoch[i]), long, i, kLong)
 			p.MomEpoch[i] = aHalf[r]
 		}
 		l := b.BoxSize
@@ -387,6 +397,20 @@ func (b *Block) Advance(f Forcer, p *particle.Set, clk *Clock, dlnA float64) (*c
 	clk.AMom = aMomEnd
 	b.decayStaleWork(p, sched)
 	return last, nil
+}
+
+// kick returns mom + acc·kf, kf being the particle's own factor, plus, when
+// the solve split off a long range (part of acc), long[i]·(kLong − kf), so
+// that part goes over the base step's factor kLong.  A zero correction is
+// skipped: a rung-0 particle at the block's epoch keeps its unsplit bits.
+func kick(mom, acc vec.V3, kf float64, long []vec.V3, i int, kLong float64) vec.V3 {
+	mom = mom.Add(acc.Scale(kf))
+	if long != nil {
+		if d := kLong - kf; d != 0 {
+			mom = mom.Add(long[i].Scale(d))
+		}
+	}
+	return mom
 }
 
 // decayStaleWork pulls the work weights of particles that were inactive for
@@ -449,8 +473,12 @@ func (b *Block) Synchronize(f Forcer, p *particle.Set, clk *Clock) (*core.Result
 
 	cache := NewFactorCache(b.Par.KickFactor)
 	cache.SetTarget(clk.A)
+	kLong := 0.0
+	if res.Long != nil {
+		kLong = cache.At(clk.AMom)
+	}
 	for i := range p.Mom {
-		p.Mom[i] = p.Mom[i].Add(res.Acc[i].Scale(cache.At(p.MomEpoch[i])))
+		p.Mom[i] = kick(p.Mom[i], res.Acc[i], cache.At(p.MomEpoch[i]), res.Long, i, kLong)
 		p.MomEpoch[i] = clk.A
 	}
 	clk.AMom = clk.A

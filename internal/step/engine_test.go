@@ -3,6 +3,7 @@ package step
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"twohot/internal/core"
@@ -148,6 +149,83 @@ func TestBlockWorkDecay(t *testing.T) {
 	for i := range raw {
 		if set1.Work[i] != raw[i] {
 			t.Fatalf("single-rung decay changed particle %d work: %g vs %g", i, set1.Work[i], raw[i])
+		}
+	}
+}
+
+// splitForcer is shaped like the TreePM composite: a full solve returns its
+// long range, the constant long, in Result.Long and inside Acc; a masked
+// solve returns the short range alone, here zero.  It counts both kinds.
+type splitForcer struct {
+	long         vec.V3
+	full, masked int
+}
+
+func (f *splitForcer) ActiveForces(p *particle.Set, active, _ []bool) (*core.Result, error) {
+	res := &core.Result{Acc: make([]vec.V3, p.Len())}
+	if active != nil {
+		f.masked++
+		return res, nil
+	}
+	f.full++
+	res.Long = make([]vec.V3, p.Len())
+	for i := range res.Acc {
+		res.Acc[i], res.Long[i] = f.long, f.long
+	}
+	return res, nil
+}
+
+// TestBlockSplitKicksLongRangeOnBaseStep pins the split integrator: a block
+// solves the long range once, on its fully active first substep, and kicks
+// it into every particle, whatever its rung, over the base step: from the
+// clock's momentum epoch to rung 0's half step.  Synchronize closes it from
+// there to the block boundary.  Both loads are multi-rung; the second leaves
+// rung 0 empty, so a later substep has every particle active and must still
+// solve through a mask, or the long range would be kicked twice.
+func TestBlockSplitKicksLongRangeOnBaseStep(t *testing.T) {
+	par := testParams(t)
+	const dlnA = 0.05
+	for _, lowest := range []int{0, 1} {
+		set := testSet(24)
+		b := NewBlock(par, 1e6, 1.0, 4, 1.0)
+		clk := &Clock{A: 0.05, AMom: 0.049}
+		// Momenta along x land particle i exactly on rung lowest + i%(4-lowest).
+		limit := b.DisplacementFrac * b.Sep * clk.A * clk.A * par.Hubble(clk.A)
+		for i := range set.Mom {
+			k := float64(lowest + i%(4-lowest))
+			set.Mom[i] = vec.V3{0.999 * limit * math.Pow(2, k) / dlnA, 0, 0}
+		}
+		// The long range points along y, so Mom's y component is its kick.
+		f := &splitForcer{long: vec.V3{0, 1e3, 0}}
+		a0, aMom0 := clk.A, clk.AMom
+		if _, err := b.Advance(f, set, clk, dlnA); err != nil {
+			t.Fatal(err)
+		}
+		if maxRung(set) != 3 || int(slices.Min(set.Rung)) != lowest {
+			t.Fatalf("lowest %d: rungs span %d..%d, want %d..3", lowest, slices.Min(set.Rung), maxRung(set), lowest)
+		}
+		if want := (Schedule{MaxRung: 3}).Substeps() - 1; f.full != 1 || f.masked != want {
+			t.Fatalf("lowest %d: %d full and %d masked solves, want 1 and %d", lowest, f.full, f.masked, want)
+		}
+		aHalf := math.Sqrt(a0 * clk.A)
+		checkLongKick(t, "advance", set, f.long[1]*par.KickFactor(aMom0, aHalf))
+		if _, err := b.Synchronize(f, set, clk); err != nil {
+			t.Fatal(err)
+		}
+		if f.full != 2 {
+			t.Fatalf("lowest %d: Synchronize made %d full solves, want 1", lowest, f.full-1)
+		}
+		checkLongKick(t, "synchronize", set, f.long[1]*(par.KickFactor(aMom0, aHalf)+par.KickFactor(aHalf, clk.A)))
+	}
+}
+
+// checkLongKick fails unless every particle's y momentum is want, to
+// rounding.
+func checkLongKick(t *testing.T, what string, set *particle.Set, want float64) {
+	t.Helper()
+	for i, m := range set.Mom {
+		if math.Abs(m[1]-want) > 1e-12*math.Abs(want) {
+			t.Fatalf("%s: particle %d (rung %d) gained %v from the long range, want %v", what, i, set.Rung[i], m[1], want)
 		}
 	}
 }
@@ -432,17 +510,23 @@ func TestCheckpointDue(t *testing.T) {
 
 // constForcer hands back one precomputed constant-acceleration result, so an
 // engine driven by it spends its time on rung assignment, kick, drift and
-// scatter alone.
-type constForcer struct{ res core.Result }
+// scatter alone.  With short set it is shaped like the TreePM composite:
+// full solves return res, whose Long the engine kicks on the base step, and
+// masked solves return short.
+type constForcer struct{ res, short core.Result }
 
-func (f *constForcer) ActiveForces(p *particle.Set, _, _ []bool) (*core.Result, error) {
+func (f *constForcer) ActiveForces(p *particle.Set, active, _ []bool) (*core.Result, error) {
+	if active != nil && f.short.Acc != nil {
+		return &f.short, nil
+	}
 	return &f.res, nil
 }
 
 // BenchmarkAdvance times one engine step of 32 768 particles under a
 // constant force: at 0 levels (what a global-timestep run builds), 1 level,
 // and 3 levels with momenta spread so every rung is occupied (a four-substep
-// block).
+// block), the last also with a split force whose long range is kicked on
+// the base step.
 func BenchmarkAdvance(b *testing.B) {
 	par, err := cosmo.ByName("planck2013")
 	if err != nil {
@@ -459,8 +543,16 @@ func BenchmarkAdvance(b *testing.B) {
 	// One rung-r step may move a particle frac*sep: momenta from half to
 	// four times the rung-0 limit land on rungs 0 to 2, a third on each.
 	vRung0 := frac * sep * a0 * a0 * par.Hubble(a0) / dlnA
-	for _, levels := range []int{0, 1, 3} {
-		b.Run(fmt.Sprintf("levels=%d", levels), func(b *testing.B) {
+	for _, leg := range []struct {
+		levels int
+		split  bool
+	}{{0, false}, {1, false}, {3, false}, {3, true}} {
+		levels := leg.levels
+		name := fmt.Sprintf("levels=%d", levels)
+		if leg.split {
+			name += "/split"
+		}
+		b.Run(name, func(b *testing.B) {
 			set := particle.New(n)
 			for i := 0; i < n; i++ {
 				x := vec.V3{float64(i % 32), float64(i / 32 % 32), float64(i / 1024)}.Scale(sep)
@@ -470,6 +562,14 @@ func BenchmarkAdvance(b *testing.B) {
 			f := &constForcer{res: core.Result{Acc: make([]vec.V3, n)}}
 			for i := range f.res.Acc {
 				f.res.Acc[i] = vec.V3{1e-3, 0, 0}
+			}
+			if leg.split {
+				f.res.Long = make([]vec.V3, n)
+				f.short.Acc = make([]vec.V3, n)
+				for i := range f.res.Long {
+					f.res.Long[i] = vec.V3{4e-4, 0, 0}
+					f.short.Acc[i] = vec.V3{6e-4, 0, 0}
+				}
 			}
 			eng := NewEngine(par, box, n, levels, frac)
 			b.ReportAllocs()

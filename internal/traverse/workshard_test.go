@@ -10,9 +10,10 @@ import (
 
 // This file covers the work-feedback scheduling additions: per-particle work
 // recording (WorkOut) and the static work-weighted shard schedule (SinkWork).
-// The shard schedule changes only which goroutine runs which task, so it must
-// be bit-identical to the dynamic schedule; the recorded work must reproduce
-// the interaction counters when summed.
+// The shard schedule changes only which goroutine runs which task, so a
+// weighted schedule must be bit-identical to the uniform-weight one a walker
+// without SinkWork runs; the recorded work must reproduce the interaction
+// counters when summed.
 
 func workCfg() Config {
 	return Config{MAC: MACAbsoluteError, AccTol: 1e-3, Kernel: softening.Plummer, Eps: 0.01,
@@ -48,8 +49,8 @@ func TestWorkShardedScheduleBitIdentical(t *testing.T) {
 	tr := equivTrees(t, 0)["clustered"]
 	cfg := Config{MAC: MACAbsoluteError, AccTol: 1e-4, Kernel: softening.None}
 
-	dyn := NewWalker(tr, cfg)
-	refAcc, refPot, refCnt := dyn.ForcesForAll(4)
+	uniform := NewWalker(tr, cfg)
+	refAcc, refPot, refCnt := uniform.ForcesForAll(4)
 
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 3; trial++ {
@@ -82,9 +83,10 @@ func TestWorkShardedScheduleBitIdentical(t *testing.T) {
 		}
 	}
 
-	// Without SinkWork the dynamic schedule reports no shard imbalance.
-	if dyn.LastStats.ShardImbalance != 0 {
-		t.Errorf("dynamic schedule reported shard imbalance %v", dyn.LastStats.ShardImbalance)
+	// Without SinkWork the uniform-weight schedule reports no shard
+	// imbalance.
+	if uniform.LastStats.ShardImbalance != 0 {
+		t.Errorf("uniform-weight schedule reported shard imbalance %v", uniform.LastStats.ShardImbalance)
 	}
 }
 

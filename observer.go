@@ -45,6 +45,9 @@ type Observer interface {
 	OnStep(info StepInfo)
 	// OnForce fires after every force solve — including each substep of a
 	// block step and the solves issued by Synchronize or Accelerations.
+	// A TreePM block step's substeps after the first are masked solves:
+	// their Result holds the short range alone, and only the block's first
+	// substep and Synchronize return the mesh long range (Result.Long).
 	OnForce(res *core.Result)
 	// OnSynchronize fires after Synchronize closes the leapfrog (positions
 	// and momenta at the same epoch).

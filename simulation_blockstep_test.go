@@ -12,10 +12,15 @@ package twohot
 //     positions), must actually occupy several rungs, must reuse clean
 //     subtrees in its partial substeps, and must track the global-step run
 //     to within the truncation error of the coarse rungs.
+//   - Both hold for the TreePM composite, whose block steps kick the mesh
+//     long range on the base step: one mesh solve per block (and per
+//     Synchronize), the partial substeps solving the short range alone.
 
 import (
 	"math"
 	"testing"
+
+	"twohot/internal/core"
 )
 
 // maxRung is the finest rung the simulation's last block occupied (-1 when the
@@ -60,7 +65,21 @@ func assertBitIdentical(t *testing.T, name string, ref, got *Simulation) {
 }
 
 func TestBlockStepAllRungZeroMatchesGlobal(t *testing.T) {
-	base := blockConfig()
+	checkAllRungZeroMatchesGlobal(t, blockConfig())
+}
+
+// TestBlockStepTreePMAllRungZeroMatchesGlobal: an all-rung-0 TreePM block
+// kicks the long range it split off over the same factor as the short range
+// (every momentum epoch is the block's), so it is the global step bit for
+// bit.
+func TestBlockStepTreePMAllRungZeroMatchesGlobal(t *testing.T) {
+	cfg := blockConfig()
+	cfg.Solver = SolverTreePM
+	checkAllRungZeroMatchesGlobal(t, cfg)
+}
+
+func checkAllRungZeroMatchesGlobal(t *testing.T, base Config) {
+	t.Helper()
 	ref := runSim(t, base)
 
 	// BlockSteps=1: a single-level hierarchy is definitionally one substep.
@@ -125,7 +144,34 @@ func TestBlockStepMultiRung(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-rung integration is covered by the full run")
 	}
-	base := blockConfig()
+	if _, long := checkMultiRung(t, blockConfig()); long != 0 {
+		t.Errorf("the tree solver returned a long range on %d solves, want none", long)
+	}
+}
+
+// TestBlockStepTreePMMultiRung pins the split integrator: a multi-rung TreePM
+// run does exactly one mesh solve per block (its fully active first substep)
+// plus one for the closing Synchronize, and still tracks the global run.
+func TestBlockStepTreePMMultiRung(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-rung integration is covered by the full run")
+	}
+	cfg := blockConfig()
+	cfg.Solver = SolverTreePM
+	solves, long := checkMultiRung(t, cfg)
+	if want := cfg.NSteps + 1; long != want {
+		t.Errorf("%d mesh solves in %d blocks and a Synchronize, want %d", long, cfg.NSteps, want)
+	}
+	if solves <= long {
+		t.Errorf("%d solves, %d of them with the mesh: no short-range-only substep ran", solves, long)
+	}
+}
+
+// checkMultiRung runs base as a three-level block-stepped run, checks it
+// against base's global run and returns the number of force solves and of
+// those that returned a long range (Result.Long), Synchronize included.
+func checkMultiRung(t *testing.T, base Config) (solves, long int) {
+	t.Helper()
 	ref := runSim(t, base)
 
 	cfg := base
@@ -141,6 +187,12 @@ func TestBlockStepMultiRung(t *testing.T) {
 	if err := sim.GenerateICs(); err != nil {
 		t.Fatal(err)
 	}
+	sim.AddObserver(ObserverFuncs{Force: func(res *core.Result) {
+		solves++
+		if res.Long != nil {
+			long++
+		}
+	}})
 	aFinal := 1 / (1 + cfg.ZFinal)
 	dlnA := math.Log(aFinal/sim.A) / float64(cfg.NSteps)
 
@@ -205,6 +257,52 @@ func TestBlockStepMultiRung(t *testing.T) {
 	}
 	t.Logf("rungs occupied: %d, reused cells: %d, pruned sink subtrees: %d, max deviation: %.4f sep",
 		len(occupied), reusedCells, prunedSubtrees, maxDev)
+	return solves, long
+}
+
+// TestTreePMMaskedSolveIsShortRange pins the solve contract the split
+// integrator rests on: a masked TreePM solve returns the short range alone
+// and no Long, a full solve returns Acc = short + long and the long part in
+// Long, so for every active slot the masked Acc plus the full Long is the
+// full Acc, bit for bit.
+func TestTreePMMaskedSolveIsShortRange(t *testing.T) {
+	cfg := blockConfig()
+	cfg.Solver = SolverTreePM
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.GenerateICs(); err != nil {
+		t.Fatal(err)
+	}
+	fs := sim.Solver()
+	full, err := fs.ActiveForces(sim.P, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Long == nil {
+		t.Fatal("a full TreePM solve returned no long range")
+	}
+	active := make([]bool, sim.NumParticles())
+	for i := range active {
+		active[i] = i%3 == 0
+	}
+	masked, err := fs.ActiveForces(sim.P, active, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if masked.Long != nil {
+		t.Fatal("a masked TreePM solve returned a long range")
+	}
+	for i, a := range active {
+		if !a {
+			continue
+		}
+		if got := masked.Acc[i].Add(full.Long[i]); got != full.Acc[i] {
+			t.Fatalf("particle %d: short %v + long %v = %v, full solve %v",
+				i, masked.Acc[i], full.Long[i], got, full.Acc[i])
+		}
+	}
 }
 
 // TestBlockStepCheckpointGate pins the checkpoint contract of block-stepped

@@ -35,6 +35,12 @@ type Capabilities struct {
 // when the backend computes no potential (TreePM, PM) and Result.Work is nil
 // when it records no per-particle work (PM, direct).
 //
+// TreePM splits its force for the stepping engine (GADGET-2's split
+// integrator): a full solve returns Acc = short + long and the mesh long
+// range again in Result.Long; a masked solve returns the short range alone.
+// Every other backend leaves Long nil, its masked solves' active slots
+// equal to a full solve's.
+//
 // A ForceSolver may be stateful across calls (the tree backends reuse the
 // previous solve's sorted order) and must not be used from multiple
 // goroutines concurrently.
@@ -107,30 +113,27 @@ func NewForceSolver(cfg Config) (ForceSolver, error) {
 		// erfc-complement short range walked by the tree in split mode
 		// (treeConfig carries the split scale and turns background subtraction
 		// and the far lattice off).  The composite inherits the tree's
-		// active-subset, incremental and work-feedback machinery; the mesh half
-		// depends on every position but is deterministic, so active slots of a
-		// subset solve stay bit-identical to a full solve.  The short-range
-		// kernel sums alone are not the system potential, so Pot is nil.
+		// active-subset, incremental and work-feedback machinery.  Only a
+		// full solve adds the mesh force, to every slot and in Long: the block
+		// engine kicks it once per block, and a masked solve is the short
+		// range alone.  The short-range kernel sums alone are not the system
+		// potential, so Pot is nil.
 		ts, ps := core.NewTreeSolver(cfg.treeConfig()), pm.NewSolver(cfg.pmOptions())
-		var long []vec.V3
 		solve := func(p *particle.Set, active, moved []bool) (*core.Result, error) {
 			res, err := ts.ActiveForces(p, active, moved)
-			if err != nil || p.Len() == 0 {
-				return res, err
-			}
-			// Only active slots receive the mesh force (inactive slots of a
-			// subset solve are unspecified, like the tree's).
-			if cap(long) < p.Len() {
-				long = make([]vec.V3, p.Len())
-			}
-			long = long[:p.Len()]
-			ps.LongRange(p.Pos, p.Mass[0], long)
-			for i := range res.Acc {
-				if active == nil || active[i] {
-					res.Acc[i] = res.Acc[i].Add(long[i])
-				}
+			if err != nil {
+				return nil, err
 			}
 			res.Pot = nil
+			if active != nil || p.Len() == 0 {
+				return res, nil
+			}
+			long := make([]vec.V3, p.Len())
+			ps.LongRange(p.Pos, p.Mass[0], long)
+			for i := range res.Acc {
+				res.Acc[i] = res.Acc[i].Add(long[i])
+			}
+			res.Long = long
 			return res, nil
 		}
 		return &backendForceSolver{
