@@ -90,6 +90,9 @@ func powers(p int, d vec.V3) (pow [3][MaxTableOrder + 1]float64) {
 // child moments to this expansion's center (M2M):
 //
 //	M'_alpha(z') = sum_{beta <= alpha} C(alpha,beta) (z - z')^{alpha-beta} M_beta(z)
+//
+// The sum walks the table's M2M term lists, so the combinatorics are paid
+// once at package initialization, not per cell.
 func (e *Expansion) AddShifted(child *Expansion) {
 	if child.P != e.P {
 		panic("multipole: M2M order mismatch")
@@ -97,14 +100,10 @@ func (e *Expansion) AddShifted(child *Expansion) {
 	t := Table(e.P)
 	s := child.Center.Sub(e.Center) // z - z'
 	pow := powers(e.P, s)
-	for ia, a := range t.Idx {
+	for ia, terms := range t.M2M {
 		sum := 0.0
-		for ib, b := range t.Idx {
-			if b[0] > a[0] || b[1] > a[1] || b[2] > a[2] {
-				continue
-			}
-			c := Binomial3(a, b)
-			sum += c * pow[0][a[0]-b[0]] * pow[1][a[1]-b[1]] * pow[2][a[2]-b[2]] * child.M[ib]
+		for _, tm := range terms {
+			sum += tm.Coef * pow[0][tm.Exp[0]] * pow[1][tm.Exp[1]] * pow[2][tm.Exp[2]] * child.M[tm.Src]
 		}
 		e.M[ia] += sum
 	}
@@ -113,10 +112,14 @@ func (e *Expansion) AddShifted(child *Expansion) {
 	// B'_n <= sum_k C(n,k) |s|^{n-k} B_k, which is exact for collinear
 	// worst cases and conservative otherwise.
 	smag := s.Norm()
+	var spow [MaxOrder + 2]float64
+	for j := 0; j <= e.P+1; j++ {
+		spow[j] = math.Pow(smag, float64(j))
+	}
 	for n := 0; n <= e.P+1; n++ {
 		sum := 0.0
 		for k := 0; k <= n; k++ {
-			sum += binom(n, k) * math.Pow(smag, float64(n-k)) * child.B[k]
+			sum += binoms[n][k] * spow[n-k] * child.B[k]
 		}
 		e.B[n] += sum
 	}
@@ -125,6 +128,16 @@ func (e *Expansion) AddShifted(child *Expansion) {
 	}
 	e.Mass += child.Mass
 }
+
+// binoms[n][k] is binom(n, k) for the orders the absolute moments reach.
+var binoms = func() (b [MaxOrder + 2][MaxOrder + 2]float64) {
+	for n := range b {
+		for k := 0; k <= n; k++ {
+			b[n][k] = binom(n, k)
+		}
+	}
+	return b
+}()
 
 // AddExpansion adds another expansion with the same center term by term
 // (used for background subtraction: particle moments + (negative) uniform

@@ -9,8 +9,8 @@
 // In the paper the interaction routines are emitted by a computer algebra
 // system as straight-line code.  Here the symmetric-tensor algebra is defined
 // once, by the multi-index tables of this file (IndexTable: enumeration,
-// combinatorial factors, the derivative recurrence DRec and the Raise map),
-// and executed two ways:
+// combinatorial factors, the derivative recurrence DRec, the Raise map and
+// the M2M term lists), and executed two ways:
 //
 //   - Generated kernels (m2p_gen.go, emitted from those same tables by
 //     ./m2pgen under go generate): one straight-line M2P routine per
@@ -62,12 +62,24 @@ type IndexTable struct {
 	// Idx[i] (see DerivativesInto): d[i] = (1/(|alpha| r^2)) * sum of terms,
 	// each term being Coef * d[Src] (Axis < 0) or Coef * r[Axis] * d[Src].
 	DRec [][]DerivTerm
+	// M2M[i] lists the terms of the M2M translation into Idx[i] (see
+	// Expansion.AddShifted), one per beta <= Idx[i] in ascending slot order.
+	M2M [][]ShiftTerm
 }
 
 // DerivTerm is one precomputed term of the derivative-tensor recurrence.
 type DerivTerm struct {
 	Src  int32
 	Axis int8 // -1: no position factor
+	Coef float64
+}
+
+// ShiftTerm is one precomputed term of the M2M translation: the moment at the
+// target slot alpha gains Coef * s^Exp * M[Src], where Src is the slot of
+// beta, Exp = alpha - beta and Coef = Binomial3(alpha, beta).
+type ShiftTerm struct {
+	Src  int32
+	Exp  [3]uint8
 	Coef float64
 }
 
@@ -181,6 +193,19 @@ func newTable(p int) *IndexTable {
 			}
 		}
 		t.DRec[i] = terms
+	}
+	t.M2M = make([][]ShiftTerm, len(t.Idx))
+	for ia, a := range t.Idx {
+		for ib, b := range t.Idx {
+			if b[0] > a[0] || b[1] > a[1] || b[2] > a[2] {
+				continue
+			}
+			t.M2M[ia] = append(t.M2M[ia], ShiftTerm{
+				Src:  int32(ib),
+				Exp:  [3]uint8{uint8(a[0] - b[0]), uint8(a[1] - b[1]), uint8(a[2] - b[2])},
+				Coef: Binomial3(a, b),
+			})
+		}
 	}
 	return t
 }
