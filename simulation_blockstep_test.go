@@ -228,8 +228,10 @@ func checkMultiRung(t *testing.T, base Config) (solves, long int) {
 
 	// Physics: finite, in the box, and close to the global-step run.  The
 	// frozen-source approximation perturbs at the truncation-error level of
-	// the coarse rungs, so the comparison is a loose displacement bound in
-	// units of the mean interparticle separation.
+	// the coarse rungs: correct runs of these configs deviate 0.0009–0.0016
+	// mean interparticle separations, and a long range kicked on every
+	// substep as well as on the base step deviates 0.02, so the bound sits
+	// at about three times the correct runs.
 	sep := cfg.BoxSize / float64(cfg.NGrid)
 	maxDev := 0.0
 	for i, p := range sim.P.Pos {
@@ -252,7 +254,7 @@ func checkMultiRung(t *testing.T, base Config) (solves, long int) {
 			maxDev = dev
 		}
 	}
-	if maxDev > 0.5 {
+	if maxDev > 0.005 {
 		t.Errorf("block-step run deviates %.3f interparticle separations from the global run", maxDev)
 	}
 	t.Logf("rungs occupied: %d, reused cells: %d, pruned sink subtrees: %d, max deviation: %.4f sep",

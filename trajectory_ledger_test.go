@@ -180,7 +180,7 @@ func ledgerRow(t *testing.T, run ledgerRun) string {
 	if err := sim.Run(); err != nil {
 		t.Fatalf("%s: %v", run.key, err)
 	}
-	if cfg.BlockSteps > 1 && cfg.Solver == SolverTree && len(sim.RungHistogram()) < 2 {
+	if cfg.BlockSteps > 1 && len(sim.RungHistogram()) < 2 {
 		t.Errorf("%s stayed on one rung (%v): its row pins no multi-rung block", run.key, sim.RungHistogram())
 	}
 	cat := "-"
